@@ -154,9 +154,7 @@ class BotMeter:
             if self._detection_windows is not None and day in self._detection_windows:
                 windows[day] = self._detection_windows[day]
             else:
-                windows[day] = frozenset(
-                    self._dga.nxdomains(self._timeline.date_for_day(day))
-                )
+                windows[day] = self._dga.window(self._timeline.date_for_day(day))
         return windows
 
     def chart(

@@ -87,8 +87,7 @@ class EstimationContext:
             window = self.detected_nxds_by_day.get(day_index)
             if window is not None:
                 return window
-        day = self.timeline.date_for_day(day_index)
-        return frozenset(self.dga.nxdomains(day))
+        return self.dga.window(self.timeline.date_for_day(day_index))
 
 
 @dataclass

@@ -10,13 +10,90 @@ forwarding server.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
+from ..dga.base import Dga
 from ..dns.message import ForwardedLookup
-from ..timebase import SECONDS_PER_DAY
+from ..timebase import SECONDS_PER_DAY, Timeline
 from .estimator import MatchedLookup
 
-__all__ = ["DgaDomainMatcher", "PatternMatcher", "group_by_server"]
+__all__ = ["DayIndex", "DgaDomainMatcher", "PatternMatcher", "Routes", "group_by_server"]
+
+#: Where one record goes: ``((family, matched_day), ...)`` in sorted
+#: family order; empty when no family window holds the domain.
+Routes = tuple[tuple[str, int], ...]
+
+#: Record days a :class:`DayIndex` keeps a table for: the current day,
+#: plus the previous one for records the reorder buffer releases late.
+_KEEP_DAYS = 2
+
+
+class DayIndex:
+    """The streaming matching rule, as one dict probe per record.
+
+    A record of day ``d`` belongs to a family when its domain is in the
+    family's day-``d`` window, else in its day ``d-1`` window (so
+    activations that straddle midnight keep matching); ``matched_day``
+    is the day whose window held it.  For each record day the index
+    holds one dict, ``domain -> Routes``, built from the windows of
+    ``d`` and ``d-1``, and keeps at most two of them.
+
+    Windows come from ``detection_windows[family][day]`` when given,
+    else from :meth:`Dga.window`, which memoises them per instance:
+    every index over the same :class:`Dga` objects shares one window per
+    day.  The family set is fixed; a new family needs a new index.
+    """
+
+    def __init__(
+        self,
+        dgas: Mapping[str, Dga],
+        timeline: Timeline,
+        detection_windows: Mapping[str, Mapping[int, frozenset[str]]] | None = None,
+    ) -> None:
+        self._dgas = dgas
+        self._families = sorted(dgas)
+        self._timeline = timeline
+        self._detection_windows = detection_windows or {}
+        self._tables: dict[int, dict[str, Routes]] = {}
+        self._day: int | None = None
+        self._table: dict[str, Routes] = {}
+
+    def _window(self, family: str, day: int) -> frozenset[str]:
+        """The domains ``family`` generates for day index ``day``."""
+        if day < 0:
+            return frozenset()
+        override = self._detection_windows.get(family)
+        if override is not None and day in override:
+            return override[day]
+        return self._dgas[family].window(self._timeline.date_for_day(day))
+
+    def _build(self, day: int) -> dict[str, Routes]:
+        """``domain -> Routes`` for records whose timestamp falls on ``day``."""
+        table: dict[str, Routes] = {}
+        for family in self._families:
+            for hit, domains in (
+                (((family, day),), self._window(family, day)),
+                (((family, day - 1),), self._window(family, day - 1)),
+            ):
+                for domain in domains:
+                    known = table.get(domain)
+                    if known is None:
+                        table[domain] = hit
+                    elif known[-1][0] != family:
+                        table[domain] = known + hit
+        if len(self._tables) >= _KEEP_DAYS:
+            del self._tables[next(iter(self._tables))]
+        self._tables[day] = table
+        return table
+
+    def routes(self, domain: str, timestamp: float) -> Routes:
+        """Where a record with this domain and timestamp goes."""
+        day = int(timestamp // SECONDS_PER_DAY)
+        if day != self._day:
+            table = self._tables.get(day)
+            self._table = self._build(day) if table is None else table
+            self._day = day
+        return self._table.get(domain, ())
 
 
 class DgaDomainMatcher:

@@ -102,7 +102,7 @@ class OccupancyEstimator:
         }
         for day, start, end in context.epoch_bounds():
             date = context.timeline.date_for_day(day)
-            nxds = frozenset(context.dga.nxdomains(date))
+            nxds = context.dga.window(date)
             if self._compensate:
                 universe = nxds & context.detected_nxds(day)
             else:

@@ -23,7 +23,7 @@ from ..dns.message import ForwardedLookup
 from ..timebase import SECONDS_PER_DAY, Timeline
 from .botmeter import Landscape, make_estimator
 from .estimator import EstimationContext, Estimator, MatchedLookup, PopulationEstimate
-from .matcher import group_by_server
+from .matcher import DayIndex, group_by_server
 from .taxonomy import recommended_estimator
 
 __all__ = ["StreamingBotMeter"]
@@ -72,43 +72,28 @@ class StreamingBotMeter:
             self._estimator = estimator
 
         self._pending: dict[int, list[MatchedLookup]] = {}
-        self._window_cache: dict[int, frozenset[str]] = {}
+        self._index: DayIndex | None = None  # built by the first unrouted ingest
         self._watermark = float("-inf")
-        self._next_epoch_to_close = 0
+        self._set_cursor(0)
         self._ingested = 0
         self._matched = 0
         self._estimate_failures = 0
         self.landscapes: list[tuple[int, Landscape]] = []
 
-    # -- matching ----------------------------------------------------------
+    def _set_cursor(self, day: int) -> None:
+        """Move the epoch cursor; ``_deadline`` is the watermark at which
+        epoch ``day`` closes."""
+        self._next_epoch_to_close = day
+        self._deadline = (day + 1) * SECONDS_PER_DAY + self._grace
 
-    def _window_for(self, day: int) -> frozenset[str]:
-        if day < 0:
-            return frozenset()
-        cached = self._window_cache.get(day)
-        if cached is not None:
-            return cached
-        if self._detection_windows is not None and day in self._detection_windows:
-            window = self._detection_windows[day]
-        else:
-            window = frozenset(
-                self._dga.nxdomains(self._timeline.date_for_day(day))
+    def _match_day(self, record: ForwardedLookup) -> int | None:
+        if self._index is None:
+            name = self._dga.name
+            self._index = DayIndex(
+                {name: self._dga}, self._timeline, {name: self._detection_windows or {}}
             )
-        if len(self._window_cache) > 8:
-            for stale in [d for d in self._window_cache if d < day - 2]:
-                del self._window_cache[stale]
-        self._window_cache[day] = window
-        return window
-
-    def _match(self, record: ForwardedLookup) -> MatchedLookup | None:
-        day = int(record.timestamp // SECONDS_PER_DAY)
-        if record.domain in self._window_for(day):
-            matched_day = day
-        elif record.domain in self._window_for(day - 1):
-            matched_day = day - 1
-        else:
-            return None
-        return MatchedLookup(record.timestamp, record.server, record.domain, matched_day)
+        routes = self._index.routes(record.domain, record.timestamp)
+        return routes[0][1] if routes else None
 
     # -- epoch lifecycle ----------------------------------------------------
 
@@ -144,14 +129,6 @@ class StreamingBotMeter:
         if self._on_epoch is not None:
             self._on_epoch(day, landscape)
         return landscape
-
-    def _closable_epochs(self) -> list[int]:
-        ready = []
-        day = self._next_epoch_to_close
-        while (day + 1) * SECONDS_PER_DAY + self._grace <= self._watermark:
-            ready.append(day)
-            day += 1
-        return ready
 
     # -- public API ----------------------------------------------------------
 
@@ -202,7 +179,7 @@ class StreamingBotMeter:
         """Restore a snapshot produced by :meth:`export_state`."""
         watermark = state["watermark"]
         self._watermark = float("-inf") if watermark is None else float(watermark)
-        self._next_epoch_to_close = int(state["next_epoch_to_close"])
+        self._set_cursor(int(state["next_epoch_to_close"]))
         self._ingested = int(state["ingested"])
         self._matched = int(state["matched"])
         self._estimate_failures = int(state.get("estimate_failures", 0))
@@ -220,18 +197,33 @@ class StreamingBotMeter:
         emitted).  Only legal before any record was ingested."""
         if self._ingested or self._pending:
             raise RuntimeError("skip_to_epoch is only legal on a fresh shard")
-        self._next_epoch_to_close = max(self._next_epoch_to_close, int(day))
+        self._set_cursor(max(self._next_epoch_to_close, int(day)))
 
-    def ingest(self, record: ForwardedLookup) -> list[Landscape]:
+    def ingest(
+        self, record: ForwardedLookup, matched_day: int | None = None
+    ) -> list[Landscape]:
         """Consume one record; return the landscapes of any epochs this
-        record's watermark just closed (usually empty)."""
+        record's watermark just closed (usually empty).
+
+        ``matched_day`` is the day whose window holds the record, passed
+        by a caller that already matched it (the sharded engine routes
+        with :class:`~repro.core.matcher.DayIndex`); ``None`` matches the
+        record here by the same rule.
+        """
         self._ingested += 1
-        match = self._match(record)
-        if match is not None:
+        if matched_day is None:
+            matched_day = self._match_day(record)
+        if matched_day is not None:
             self._matched += 1
-            if match.day_index >= self._next_epoch_to_close:
-                self._pending.setdefault(match.day_index, []).append(match)
-        return self.advance_watermark(record.timestamp)
+            if matched_day >= self._next_epoch_to_close:
+                self._pending.setdefault(matched_day, []).append(
+                    MatchedLookup(record.timestamp, record.server, record.domain, matched_day)
+                )
+        if record.timestamp > self._watermark:
+            self._watermark = record.timestamp
+        if self._watermark >= self._deadline:
+            return self.advance_watermark(self._watermark)
+        return []
 
     def advance_watermark(self, timestamp: float) -> list[Landscape]:
         """Advance the watermark without a record (e.g. driven by the
@@ -239,9 +231,10 @@ class StreamingBotMeter:
         watermark finalises.  Never moves the watermark backwards."""
         self._watermark = max(self._watermark, timestamp)
         closed = []
-        for day in self._closable_epochs():
+        while self._deadline <= self._watermark:
+            day = self._next_epoch_to_close
             closed.append(self._close_epoch(day))
-            self._next_epoch_to_close = day + 1
+            self._set_cursor(day + 1)
         return closed
 
     def ingest_many(self, records: Iterable[ForwardedLookup]) -> list[Landscape]:
@@ -257,5 +250,5 @@ class StreamingBotMeter:
         for day in sorted(self._pending):
             if day >= self._next_epoch_to_close:
                 closed.append(self._close_epoch(day))
-                self._next_epoch_to_close = day + 1
+                self._set_cursor(day + 1)
         return closed

@@ -128,7 +128,7 @@ class DgaArchive:
         """Per-day-index NXD windows for the matcher (perfect coverage)."""
         dga = self._dga(family)
         return {
-            day: frozenset(dga.nxdomains(timeline.date_for_day(day)))
+            day: dga.window(timeline.date_for_day(day))
             for day in day_indices
         }
 

@@ -28,7 +28,13 @@ __all__ = [
     "PoolModel",
     "BarrelModel",
     "Dga",
+    "WINDOW_MEMO_DAYS",
 ]
+
+#: Days of NXD windows one :class:`Dga` keeps (see :meth:`Dga.window`):
+#: enough for a matcher's day and previous day plus the epoch being
+#: estimated, while memory stays flat on an endless stream.
+WINDOW_MEMO_DAYS = 4
 
 
 class PoolClass(enum.Enum):
@@ -157,6 +163,7 @@ class Dga:
         self.pool_model = pool_model
         self.barrel_model = barrel_model
         self.seed = seed
+        self._windows: dict[_dt.date, frozenset[str]] = {}
 
     # -- pool side ---------------------------------------------------------
 
@@ -187,6 +194,23 @@ class Dga:
         """The pool minus the registered domains, in generation order."""
         valid = self.registered(day)
         return [d for d in self.pool(day) if d not in valid]
+
+    def window(self, day: _dt.date) -> frozenset[str]:
+        """The NXDs of ``day`` as a set: BotMeter's matcher window.
+
+        Built from :meth:`nxdomains` once per day and memoised for the
+        :data:`WINDOW_MEMO_DAYS` most recently built days, so every
+        consumer that shares this instance (routers, shards, estimators)
+        shares one window per day.
+        """
+        memo = self._windows
+        window = memo.get(day)
+        if window is None:
+            window = frozenset(self.nxdomains(day))
+            if len(memo) >= WINDOW_MEMO_DAYS:
+                del memo[next(iter(memo))]
+            memo[day] = window
+        return window
 
     # -- bot side ----------------------------------------------------------
 

@@ -9,10 +9,9 @@ matcher both enumerate the same pools repeatedly.
 from __future__ import annotations
 
 import datetime as _dt
-from functools import lru_cache
 
 from .base import PoolClass, PoolModel
-from .wordgen import Lcg, LabelSpec, date_seed
+from .wordgen import LabelSpec, LcgBlocks, date_seed
 
 __all__ = [
     "DrainReplenishPool",
@@ -42,16 +41,27 @@ class _BatchGenerator:
         cached = self._cache.get(day)
         if cached is not None:
             return cached
-        rng = Lcg(date_seed(day, self._seed))
+        # The same labels as drawing ``self._label_spec.draw(Lcg(...))``
+        # one by one, generated a block of draws at a time.
+        stream = LcgBlocks(date_seed(day, self._seed))
+        spec = self._label_spec
+        size = self._batch_size
+        suffix = "." + self._tld
         seen: set[str] = set()
         batch: list[str] = []
         # Collisions between generated labels are astronomically rare but
-        # would silently shrink the pool, so regenerate on duplicates.
-        while len(batch) < self._batch_size:
-            domain = f"{self._label_spec.draw(rng)}.{self._tld}"
-            if domain not in seen:
-                seen.add(domain)
-                batch.append(domain)
+        # would silently shrink the pool, so regenerate on duplicates: a
+        # duplicate still uses up its draws.
+        while len(batch) < size:
+            labels, used = spec.labels(stream.draws(spec.block_draws(size - len(batch))))
+            stream.consume(used)
+            for label in labels:
+                domain = label + suffix
+                if domain not in seen:
+                    seen.add(domain)
+                    batch.append(domain)
+                    if len(batch) == size:
+                        break
         if len(self._cache) > 512:
             self._cache.clear()
         self._cache[day] = batch

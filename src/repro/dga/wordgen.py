@@ -17,8 +17,11 @@ from __future__ import annotations
 import datetime as _dt
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "Lcg",
+    "LcgBlocks",
     "XorShift64",
     "date_seed",
     "label_from_stream",
@@ -38,6 +41,15 @@ _VOWELS = "aeiou"
 _CONSONANTS = "bcdfghjklmnpqrstvwxyz"
 
 _MASK64 = (1 << 64) - 1
+
+#: Most draws one :class:`LcgBlocks` block holds; bounds the working set
+#: of a vectorised pool generation to a few 64 KiB arrays.
+BLOCK_DRAWS = 8192
+
+_ALPHA_BYTES = np.frombuffer(_ALPHA.encode("ascii"), dtype=np.uint8)
+_HEX_BYTES = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
+_VOWEL_BYTES = np.frombuffer(_VOWELS.encode("ascii"), dtype=np.uint8)
+_CONSONANT_BYTES = np.frombuffer(_CONSONANTS.encode("ascii"), dtype=np.uint8)
 
 
 class Lcg:
@@ -72,6 +84,68 @@ class Lcg:
         if bound <= 0:
             raise ValueError(f"bound must be positive, got {bound}")
         return self.next_u64() % bound
+
+
+#: Affine-power table of the LCG step: the state ``k + 1`` steps after
+#: ``s`` is ``_STEP_A[k] * s + _STEP_C[k]`` (mod 2**64).  Grown by
+#: doubling on demand and shared by every :class:`LcgBlocks`.
+_STEP_A = np.array([Lcg._A], dtype=np.uint64)
+_STEP_C = np.array([Lcg._C], dtype=np.uint64)
+
+
+def _affine_steps(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first ``n`` rows of the affine-power table."""
+    global _STEP_A, _STEP_C
+    while len(_STEP_A) < n:
+        # m more steps after the first m: a_i * (a_m s + c_m) + c_i.
+        a_m, c_m = _STEP_A[-1], _STEP_C[-1]
+        _STEP_A, _STEP_C = (
+            np.concatenate((_STEP_A, _STEP_A * a_m)),
+            np.concatenate((_STEP_C, _STEP_A * c_m + _STEP_C)),
+        )
+    return _STEP_A[:n], _STEP_C[:n]
+
+
+class LcgBlocks:
+    """The draw stream of :class:`Lcg`, computed a block at a time.
+
+    Every state of a block is an affine function of the block's start
+    state (numpy ``uint64`` arithmetic wraps mod 2**64 exactly as
+    ``& _MASK64`` does), so a block is one multiply-add plus the output
+    tempering over an array.  :meth:`draws` peeks at the next ``n``
+    draws; :meth:`consume` moves the stream past the first ``k`` of
+    them, so a caller that only uses whole labels from a block resumes
+    at the exact next draw.
+    """
+
+    def __init__(self, seed: int) -> None:
+        self._state = Lcg(seed)._state
+        self._states: np.ndarray | None = None
+
+    def draws(self, n: int) -> np.ndarray:
+        """The next ``n`` values of ``Lcg.next_u64`` (stream not advanced)."""
+        a, c = _affine_steps(n)
+        self._states = a * np.uint64(self._state) + c
+        x = self._states ^ (self._states >> np.uint64(33))
+        x *= np.uint64(0xFF51AFD7ED558CCD)
+        x ^= x >> np.uint64(29)
+        return x
+
+    def consume(self, k: int) -> None:
+        """Advance past the first ``k`` draws of the last :meth:`draws` block."""
+        if k:
+            assert self._states is not None
+            self._state = int(self._states[k - 1])
+
+
+def _chars(draws: np.ndarray, alphabet: np.ndarray) -> np.ndarray:
+    """``alphabet[draw % len(alphabet)]`` per draw, as ASCII bytes."""
+    return alphabet[(draws % np.uint64(len(alphabet))).astype(np.uint8)]
+
+
+def _split_fixed(chars: np.ndarray, width: int) -> list[str]:
+    text = chars.tobytes().decode("ascii")
+    return [text[i : i + width] for i in range(0, len(text), width)]
 
 
 class XorShift64:
@@ -162,3 +236,61 @@ class LabelSpec:
         if self.style == "cv":
             return consonant_vowel_label(rng, self.syllables)
         raise ValueError(f"unknown label style: {self.style!r}")
+
+    def _max_draws(self) -> int:
+        """Most draws one label of this spec takes (validates the spec)."""
+        if self.style == "alpha":
+            if not 1 <= self.min_len <= self.max_len:
+                raise ValueError(
+                    f"invalid label length range [{self.min_len}, {self.max_len}]"
+                )
+            return 1 + self.max_len
+        if self.style == "hex":
+            if self.length < 1:
+                raise ValueError(f"label length must be positive, got {self.length}")
+            return self.length
+        if self.style == "cv":
+            if self.syllables < 1:
+                raise ValueError(
+                    f"syllable count must be positive, got {self.syllables}"
+                )
+            return 2 * self.syllables
+        raise ValueError(f"unknown label style: {self.style!r}")
+
+    def block_draws(self, n_labels: int) -> int:
+        """Draws to request for up to ``n_labels`` labels: at most
+        :data:`BLOCK_DRAWS` (but always room for one label), and for
+        fixed-width styles a whole number of labels."""
+        per_label = self._max_draws()
+        if self.style == "alpha":
+            return max(per_label, min(BLOCK_DRAWS, n_labels * per_label))
+        return per_label * max(1, min(BLOCK_DRAWS // per_label, n_labels))
+
+    def labels(self, draws: np.ndarray) -> tuple[list[str], int]:
+        """The whole labels :meth:`draw` would make from the front of
+        ``draws`` (consecutive ``Lcg.next_u64`` values), and how many
+        draws they used."""
+        per_label = self._max_draws()
+        n = len(draws)
+        if self.style == "hex":
+            used = n - n % per_label
+            return _split_fixed(_chars(draws[:used], _HEX_BYTES), per_label), used
+        if self.style == "cv":
+            used = n - n % per_label
+            pairs = draws[:used].reshape(-1, 2)
+            chars = np.empty(pairs.shape, dtype=np.uint8)
+            chars[:, 0] = _chars(pairs[:, 0], _CONSONANT_BYTES)
+            chars[:, 1] = _chars(pairs[:, 1], _VOWEL_BYTES)
+            return _split_fixed(chars, per_label), used
+        # alpha: one length draw, then that many letter draws.
+        lengths = (draws % np.uint64(self.max_len - self.min_len + 1)).tolist()
+        text = _chars(draws, _ALPHA_BYTES).tobytes().decode("ascii")
+        labels: list[str] = []
+        pos = 0
+        while pos < n:
+            end = pos + 1 + self.min_len + lengths[pos]
+            if end > n:
+                break
+            labels.append(text[pos + 1 : end])
+            pos = end
+        return labels, pos

@@ -202,7 +202,7 @@ class EnterpriseTraceGenerator:
 
     def _day_nxd_sets(self, date: _dt.date) -> dict[str, frozenset[str]]:
         return {
-            family: frozenset(dga.nxdomains(date))
+            family: dga.window(date)
             for family, dga in self.dgas.items()
         }
 

@@ -27,6 +27,7 @@ from typing import Any, Callable, Mapping
 from ..core.botmeter import Landscape, make_estimator
 from ..core.estimator import Estimator
 from ..core.kernels import shared_cache
+from ..core.matcher import DayIndex
 from ..core.streaming import StreamingBotMeter
 from ..core.taxonomy import recommended_estimator
 from ..dga.base import Dga
@@ -128,51 +129,6 @@ class EpochLandscape:
     quality: dict[str, int] | None = field(default=None, compare=False)
 
 
-class _FamilyRouter:
-    """Decides whether a record belongs to a family (and to which epoch).
-
-    Mirrors :meth:`StreamingBotMeter._match` — a domain matches the
-    window of its timestamp's epoch, or the previous day's window
-    (midnight-straddling activations) — so routing and shard matching
-    never disagree.
-    """
-
-    def __init__(
-        self,
-        dga: Dga,
-        timeline: Timeline,
-        detection_windows: Mapping[int, frozenset[str]] | None,
-    ) -> None:
-        self._dga = dga
-        self._timeline = timeline
-        self._detection_windows = detection_windows
-        self._cache: dict[int, frozenset[str]] = {}
-
-    def window_for(self, day: int) -> frozenset[str]:
-        if day < 0:
-            return frozenset()
-        cached = self._cache.get(day)
-        if cached is not None:
-            return cached
-        if self._detection_windows is not None and day in self._detection_windows:
-            window = frozenset(self._detection_windows[day])
-        else:
-            window = frozenset(self._dga.nxdomains(self._timeline.date_for_day(day)))
-        if len(self._cache) > 8:
-            for stale in [d for d in self._cache if d < day - 2]:
-                del self._cache[stale]
-        self._cache[day] = window
-        return window
-
-    def match_day(self, record: ForwardedLookup) -> int | None:
-        day = int(record.timestamp // SECONDS_PER_DAY)
-        if record.domain in self.window_for(day):
-            return day
-        if record.domain in self.window_for(day - 1):
-            return day - 1
-        return None
-
-
 class ShardedLandscapeEngine:
     """Multi-family streaming landscape charting with sharded state.
 
@@ -251,12 +207,7 @@ class ShardedLandscapeEngine:
                 )
             else:
                 self._estimators[family] = estimator
-        self._routers = {
-            family: _FamilyRouter(
-                dga, self._timeline, self._detection_windows.get(family)
-            )
-            for family, dga in self._dgas.items()
-        }
+        self._index = DayIndex(self._dgas, self._timeline, self._detection_windows)
         self._reorder = ReorderBuffer(reorder_capacity, policy)
         self._tracer = tracer
         self._reorder.tracer = tracer
@@ -265,12 +216,13 @@ class ShardedLandscapeEngine:
         self._shards: dict[tuple[str, str], StreamingBotMeter] = {}
         self._closed: dict[tuple[str, int], dict[str, Landscape]] = {}
         self._watermark = float("-inf")
-        self._next_epoch_to_emit = 0
+        self._set_cursor(0)
         self._finalized = False
         self._on_late = on_late
         self._late_total = 0
         self._late_mark = 0
         self._dropped_mark = 0
+        self._unpublished_matched: dict[str, int] = {}
 
         self._ingest_workers = max(1, int(ingest_workers))
         self._kernel_spill = str(kernel_spill) if kernel_spill is not None else None
@@ -409,9 +361,7 @@ class ShardedLandscapeEngine:
             )
         else:
             self._estimators[name] = self._estimator_spec
-        self._routers[name] = _FamilyRouter(
-            dga, self._timeline, self._detection_windows.get(name)
-        )
+        self._index = DayIndex(self._dgas, self._timeline, self._detection_windows)
         shared_cache().warm_family(dga.params)
         self._dynamic[name] = (
             dict(spec) if spec is not None else {"name": name}
@@ -486,19 +436,39 @@ class ShardedLandscapeEngine:
 
     # -- ingest --------------------------------------------------------------
 
+    def _set_cursor(self, day: int) -> None:
+        """Move the emission cursor; ``_deadline`` is the watermark at
+        which epoch ``day`` is emitted."""
+        self._next_epoch_to_emit = day
+        self._deadline = (day + 1) * SECONDS_PER_DAY + self._grace
+
+    def _publish(self, ingested: int = 0) -> None:
+        """Bring the ingest metrics up to the engine's exact totals.
+
+        The ingest loops count records and matches in plain ints and
+        publish them here: at the end of every submit call, before every
+        ``on_emit`` callback, in :meth:`finalize` and in
+        :meth:`export_state`.  Every observer of the metrics therefore
+        sees exact totals, at a cost per batch instead of per record.
+        """
+        if ingested:
+            self._c_ingested.inc(ingested)
+        matched = self._unpublished_matched
+        for family in sorted(matched):
+            self._c_matched.inc(matched[family], family=family)
+        matched.clear()
+        reorder = self._reorder
+        self._c_reordered.set_total(reorder.reordered)
+        self._c_dropped.set_total(reorder.dropped)
+        self._g_depth.set(reorder.depth)
+
     def submit(self, record: ForwardedLookup) -> list[EpochLandscape]:
         """Buffer one record; return any epochs its arrival closed."""
         if self.parallel:
             return self.submit_batch([record])
         if self._finalized:
             raise RuntimeError("engine already finalized")
-        self._c_ingested.inc()
-        released = self._reorder.push(record)
-        out = self._process(released)
-        self._c_reordered.set_total(self._reorder.reordered)
-        self._c_dropped.set_total(self._reorder.dropped)
-        self._g_depth.set(self._reorder.depth)
-        return out
+        return self._submit_serial([record], None)
 
     def submit_batch(
         self,
@@ -514,78 +484,9 @@ class ShardedLandscapeEngine:
         """
         if self._finalized:
             raise RuntimeError("engine already finalized")
-        out: list[EpochLandscape] = []
-        if not self.parallel:
-            if self._tracer is None:
-                for index, record in enumerate(records):
-                    epochs = self.submit(record)
-                    if epochs:
-                        if on_emit is not None:
-                            on_emit(index, epochs)
-                        out.extend(epochs)
-                return out
-            return self._submit_batch_traced(records, on_emit, out)
-        self._ensure_pool()
-        for index, record in enumerate(records):
-            self._c_ingested.inc()
-            released = self._reorder.push(record)
-            epochs = self._process_parallel(released)
-            if epochs:
-                if on_emit is not None:
-                    on_emit(index, epochs)
-                out.extend(epochs)
-        self._c_reordered.set_total(self._reorder.reordered)
-        self._c_dropped.set_total(self._reorder.dropped)
-        self._g_depth.set(self._reorder.depth)
-        return out
-
-    def _submit_batch_traced(
-        self,
-        records: list[ForwardedLookup],
-        on_emit: Callable[[int, list[EpochLandscape]], None] | None,
-        out: list[EpochLandscape],
-    ) -> list[EpochLandscape]:
-        """Serial batch ingest with batch-planned stage sampling.
-
-        Semantically identical to looping :meth:`submit`, but the
-        sampling decision for the reorder and route stages is made once
-        per batch (:meth:`StageTracer.plan`), so an unsampled record
-        pays two integer compares instead of two tracer calls — that
-        difference is what keeps the traced replay inside the
-        ``benchmarks/test_perf_tracing.py`` overhead budget.
-        """
-        tracer = self._tracer
-        clock = tracer.clock
-        reorder = self._reorder
-        reorder_sampled = iter(tracer.plan("reorder", len(records)))
-        route_sampled = iter(tracer.plan("route", len(records)))
-        next_reorder = next(reorder_sampled, -1)
-        next_route = next(route_sampled, -1)
-        for index, record in enumerate(records):
-            self._c_ingested.inc()
-            if index == next_reorder:
-                t0 = clock()
-                released = reorder._push(record)
-                tracer.record("reorder", clock() - t0, records=len(released))
-                next_reorder = next(reorder_sampled, -1)
-            else:
-                released = reorder._push(record)
-            if index == next_route:
-                t0 = clock()
-                self._route(released)
-                tracer.record("route", clock() - t0, records=len(released))
-                next_route = next(route_sampled, -1)
-            else:
-                self._route(released)
-            epochs = self._emittable()
-            self._c_reordered.set_total(reorder.reordered)
-            self._c_dropped.set_total(reorder.dropped)
-            self._g_depth.set(reorder.depth)
-            if epochs:
-                if on_emit is not None:
-                    on_emit(index, epochs)
-                out.extend(epochs)
-        return out
+        if self.parallel:
+            return self._submit_parallel(records, on_emit)
+        return self._submit_serial(records, on_emit)
 
     def submit_columns(
         self,
@@ -594,108 +495,87 @@ class ShardedLandscapeEngine:
     ) -> list[EpochLandscape]:
         """Buffer one decoded wire-v2 frame of columns; return closed epochs.
 
-        Semantically identical to ``submit_batch(columns.materialize())``
-        — same records, same order, same counters — but when the whole
-        frame provably cannot close an epoch, the per-record emission
-        check, metric updates and family routing are batched:
-
-        * emission elision — ``max(reorder.max_seen, frame-max-ts)``
-          bounds every timestamp the watermark can reach while this
-          frame is pushed (see :attr:`ReorderBuffer.max_seen`), so one
-          comparison against the next epoch's deadline replaces ``n``;
-        * route memoisation — ``_FamilyRouter.match_day`` is a pure
-          function of ``(domain, day)``, and border traces repeat a
-          small domain set per frame, so the per-family window probes
-          collapse to one dict hit per distinct ``(domain, day)``.
-
-        Frames that *could* emit — and the traced and parallel paths,
-        where per-record spans / dispatch are the point — fall back to
-        :meth:`submit_batch`, keeping the byte-identity anchor trivially
-        true there.
+        The frame's records go through :meth:`submit_batch`, in frame
+        order: routing and emission are per record either way.
         """
-        if self._finalized:
-            raise RuntimeError("engine already finalized")
-        n = len(columns)
-        if n == 0:
-            return []
-        deadline = (self._next_epoch_to_emit + 1) * SECONDS_PER_DAY + self._grace
-        bound = max(self._reorder.max_seen, float(columns.timestamps.max()))
-        if self._tracer is not None or self.parallel or bound >= deadline:
-            return self.submit_batch(columns.materialize(), on_emit)
+        return self.submit_batch(columns.materialize(), on_emit)
 
-        reorder = self._reorder
-        routers = self._routers
-        families = self._families
-        cursor = self._next_epoch_to_emit  # frozen: no emission this frame
-        on_late = self._on_late
-        matched: dict[str, int] = {}
-        # (domain, day) -> ((family, matched_day), ...) in family order.
-        route_memo: dict[tuple[str, int], tuple[tuple[str, int], ...]] = {}
-        self._c_ingested.inc(n)
-        for record in columns.materialize():
-            for released in reorder._push(record):
-                if released.timestamp > self._watermark:
-                    self._watermark = released.timestamp
-                day = int(released.timestamp // SECONDS_PER_DAY)
-                memo_key = (released.domain, day)
-                routes = route_memo.get(memo_key)
-                if routes is None:
-                    routes = tuple(
-                        (family, matched_day)
-                        for family in families
-                        if (
-                            matched_day := routers[family].match_day(released)
-                        )
-                        is not None
-                    )
-                    route_memo[memo_key] = routes
-                for family, matched_day in routes:
-                    matched[family] = matched.get(family, 0) + 1
-                    if matched_day < cursor:
-                        self._c_late.inc()
-                        self._late_total += 1
-                        if on_late is not None:
-                            on_late(released, matched_day)
-                    self._shard(family, released.server).ingest(released)
-        for family in sorted(matched):
-            self._c_matched.inc(matched[family], family=family)
-        self._c_reordered.set_total(reorder.reordered)
-        self._c_dropped.set_total(reorder.dropped)
-        self._g_depth.set(reorder.depth)
-        return []
+    def _submit_serial(
+        self,
+        records: list[ForwardedLookup],
+        on_emit: Callable[[int, list[EpochLandscape]], None] | None,
+    ) -> list[EpochLandscape]:
+        """In-process ingest: reorder, route and emit, record by record.
+
+        Reorder push and routing stay interleaved per record (an
+        emission reads ``reorder.dropped``), and the emission check is
+        one float compare against the next epoch's deadline.  With a
+        tracer, the sampling decision for the reorder and route stages
+        is made once per call (:meth:`StageTracer.plan`), so an
+        unsampled record pays two integer compares instead of two tracer
+        calls.
+        """
+        push = self._reorder._push
+        route = self._route
+        tracer = self._tracer
+        n = len(records)
+        if tracer is None:
+            reorder_sampled = route_sampled = iter(())
+        else:
+            clock = tracer.clock
+            reorder_sampled = iter(tracer.plan("reorder", n))
+            route_sampled = iter(tracer.plan("route", n))
+        next_reorder = next(reorder_sampled, -1)
+        next_route = next(route_sampled, -1)
+        out: list[EpochLandscape] = []
+        published = 0
+        for index, record in enumerate(records):
+            if index == next_reorder:
+                t0 = clock()
+                released = push(record)
+                tracer.record("reorder", clock() - t0, records=len(released))
+                next_reorder = next(reorder_sampled, -1)
+            else:
+                released = push(record)
+            if index == next_route:
+                t0 = clock()
+                route(released)
+                tracer.record("route", clock() - t0, records=len(released))
+                next_route = next(route_sampled, -1)
+            elif released:
+                route(released)
+            if self._watermark >= self._deadline:
+                self._publish(index + 1 - published)
+                published = index + 1
+                epochs = self._emittable()
+                if on_emit is not None:
+                    on_emit(index, epochs)
+                out.extend(epochs)
+        self._publish(n - published)
+        return out
 
     def _route(self, released: list[ForwardedLookup]) -> None:
-        """Match released records to families and feed their shards."""
+        """Feed each released record to the shards its domain routes to
+        (one :class:`DayIndex` probe per record)."""
+        routes = self._index.routes
+        matched = self._unpublished_matched
+        cursor = self._next_epoch_to_emit
         for record in released:
             if record.timestamp > self._watermark:
                 self._watermark = record.timestamp
-            for family in self._families:
-                matched_day = self._routers[family].match_day(record)
-                if matched_day is None:
-                    continue
-                self._c_matched.inc(family=family)
-                if matched_day < self._next_epoch_to_emit:
+            for family, matched_day in routes(record.domain, record.timestamp):
+                matched[family] = matched.get(family, 0) + 1
+                if matched_day < cursor:
                     self._c_late.inc()
                     self._late_total += 1
                     if self._on_late is not None:
                         self._on_late(record, matched_day)
-                self._shard(family, record.server).ingest(record)
-
-    def _process(self, released: list[ForwardedLookup]) -> list[EpochLandscape]:
-        tracer = self._tracer
-        if tracer is None:
-            self._route(released)
-            return self._emittable()
-        for record in released:
-            t0 = tracer.start("route")
-            self._route((record,))
-            if t0:
-                tracer.stop("route", t0)
-        return self._emittable()
+                self._shard(family, record.server).ingest(record, matched_day)
 
     def _advance_shards(self, target: float) -> None:
         """Advance every in-process shard, timing each as an ``estimate``
-        span (serial mode; workers time their own shards)."""
+        span over the matched lookups it closed (serial mode; workers
+        time their own shards)."""
         tracer = self._tracer
         if tracer is None:
             for shard in self._shards.values():
@@ -703,47 +583,62 @@ class ShardedLandscapeEngine:
             return
         for (family, server), shard in self._shards.items():
             t0 = tracer.start("estimate")
-            shard.advance_watermark(target)
-            dt = tracer.stop("estimate", t0, family=family, server=server)
-            if dt:
-                key = (family, server)
-                self._shard_estimate_ns[key] = (
-                    self._shard_estimate_ns.get(key, 0) + dt
-                )
+            closed = shard.advance_watermark(target)
+            if not t0:
+                continue
+            dt = tracer.stop(
+                "estimate",
+                t0,
+                records=sum(sum(landscape.matched_counts.values()) for landscape in closed),
+                family=family,
+                server=server,
+            )
+            key = (family, server)
+            self._shard_estimate_ns[key] = self._shard_estimate_ns.get(key, 0) + dt
 
     def _emittable(self) -> list[EpochLandscape]:
         out: list[EpochLandscape] = []
-        while (
-            (self._next_epoch_to_emit + 1) * SECONDS_PER_DAY + self._grace
-            <= self._watermark
-        ):
+        while self._deadline <= self._watermark:
             self._advance_shards(self._watermark)
             out.extend(self._emit_day(self._next_epoch_to_emit))
-            self._next_epoch_to_emit += 1
+            self._set_cursor(self._next_epoch_to_emit + 1)
         return out
 
     # -- parallel ingest ------------------------------------------------------
 
+    def _submit_parallel(
+        self,
+        records: list[ForwardedLookup],
+        on_emit: Callable[[int, list[EpochLandscape]], None] | None,
+    ) -> list[EpochLandscape]:
+        self._ensure_pool()
+        out: list[EpochLandscape] = []
+        published = 0
+        for index, record in enumerate(records):
+            epochs = self._process_parallel(self._reorder.push(record))
+            if epochs:
+                self._publish(index + 1 - published)
+                published = index + 1
+                if on_emit is not None:
+                    on_emit(index, epochs)
+                out.extend(epochs)
+        self._publish(len(records) - published)
+        return out
+
     def _process_parallel(self, released: list[ForwardedLookup]) -> list[EpochLandscape]:
         # Emission is checked per released record — exactly when the
-        # serial `_process` would check it — so quality deltas charge to
-        # the same epochs regardless of batch framing.
+        # serial path would check it — so quality deltas charge to the
+        # same epochs regardless of batch framing.
         out: list[EpochLandscape] = []
         for record in released:
             if record.timestamp > self._watermark:
                 self._watermark = record.timestamp
             self._dispatch(record)
-            if (
-                (self._next_epoch_to_emit + 1) * SECONDS_PER_DAY + self._grace
-                <= self._watermark
-            ):
+            if self._deadline <= self._watermark:
                 self._sync_workers(("close", self._watermark))
-                while (
-                    (self._next_epoch_to_emit + 1) * SECONDS_PER_DAY + self._grace
-                    <= self._watermark
-                ):
+                while self._deadline <= self._watermark:
                     out.extend(self._emit_day(self._next_epoch_to_emit))
-                    self._next_epoch_to_emit += 1
+                    self._set_cursor(self._next_epoch_to_emit + 1)
         return out
 
     def _dispatch(self, record: ForwardedLookup) -> None:
@@ -758,7 +653,7 @@ class ShardedLandscapeEngine:
         if tracer is not None:
             self._inflight[index] += 1
             if t0:
-                tracer.stop("route", t0, worker=index)
+                tracer.stop("route", t0, records=1, worker=index)
         if len(outbox) >= _OUTBOX_FLUSH:
             self._flush_outbox(index)
 
@@ -856,23 +751,30 @@ class ShardedLandscapeEngine:
             return []
         if self.parallel:
             return self._finalize_parallel()
-        out = self._process(self._reorder.flush())
+        flushed = self._reorder.flush()
+        tracer = self._tracer
+        t0 = tracer.start("route") if tracer is not None else 0
+        self._route(flushed)
+        if t0:
+            tracer.stop("route", t0, records=len(flushed))
+        out = self._emittable()
         if self._watermark > float("-inf"):
             last_day = int(self._watermark // SECONDS_PER_DAY)
             target = (last_day + 1) * SECONDS_PER_DAY + self._grace
             self._advance_shards(target)
             while self._next_epoch_to_emit <= last_day:
                 out.extend(self._emit_day(self._next_epoch_to_emit))
-                self._next_epoch_to_emit += 1
+                self._set_cursor(self._next_epoch_to_emit + 1)
         self._finalized = True
+        self._publish()
         self.refresh_gauges()
         return out
 
     def _finalize_parallel(self) -> list[EpochLandscape]:
         # Mirrors the serial path: flushed records are all dispatched
         # first, then every remaining day emits in one ascending sweep —
-        # the serial `_process(flush())` likewise defers emission until
-        # after the whole flush, so quality deltas land identically.
+        # the serial path likewise routes the whole flush before it
+        # emits, so quality deltas land identically.
         out: list[EpochLandscape] = []
         flushed = self._reorder.flush()
         if flushed or self._pending_import is not None or self._watermark > float("-inf"):
@@ -887,8 +789,9 @@ class ShardedLandscapeEngine:
             self._sync_workers(("finalize", target))
             while self._next_epoch_to_emit <= last_day:
                 out.extend(self._emit_day(self._next_epoch_to_emit))
-                self._next_epoch_to_emit += 1
+                self._set_cursor(self._next_epoch_to_emit + 1)
         self._finalized = True
+        self._publish()
         self.refresh_gauges()
         return out
 
@@ -940,6 +843,7 @@ class ShardedLandscapeEngine:
         snapshot is the **same schema** — a checkpoint written at one
         worker count restores at any other.
         """
+        self._publish()
         if self.parallel:
             shards = self._export_shards_parallel()
         else:
@@ -1004,7 +908,7 @@ class ShardedLandscapeEngine:
             )
         watermark = state["watermark"]
         self._watermark = float("-inf") if watermark is None else float(watermark)
-        self._next_epoch_to_emit = int(state["next_epoch_to_emit"])
+        self._set_cursor(int(state["next_epoch_to_emit"]))
         self._finalized = bool(state["finalized"])
         self._late_total = int(state.get("late_total", 0))
         self._late_mark = int(state.get("late_mark", 0))

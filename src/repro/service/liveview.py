@@ -25,10 +25,10 @@ shifting adversary.  This module supplies the three missing pieces:
   seed.  The splice point carries a ``register`` control line so the
   replaying daemon onboards the re-keyed family *live* — the charted
   landscape shows the population handoff without a restart.
-* The **dynamic taxonomy registry** glue: verdict caching, per-family
-  router construction, and counter state that survives a checkpoint
-  (the model itself is rebuilt deterministically from the fixture, so
-  only integers ride the checkpoint).
+* The **dynamic taxonomy registry** glue: verdict caching, the family
+  :class:`~repro.core.matcher.DayIndex`, and counter state that
+  survives a checkpoint (the model itself is rebuilt deterministically
+  from the fixture, so only integers ride the checkpoint).
 
 Determinism contract: admission is a pure function of the record (the
 verdict cache only memoizes), so the admitted subsequence — and hence
@@ -44,10 +44,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
+from ..core.matcher import DayIndex
 from ..detect.lexical import LexicalDetector
 from ..dns.message import ForwardedLookup
 from ..timebase import SECONDS_PER_DAY, SECONDS_PER_HOUR, Timeline
-from .engine import _FamilyRouter
 from .wire import encode_header, encode_record, encode_register
 
 __all__ = [
@@ -118,8 +118,8 @@ class StreamingDetector:
             raise ValueError(f"unknown d3 mode {mode!r} (choose 'lexical' or 'oracle')")
         self.mode = mode
         self._timeline = timeline
-        self._routers: dict[str, _FamilyRouter] = {}
-        self._families: list[str] = []
+        self._dgas: dict[str, Any] = {}
+        self._index = DayIndex(self._dgas, timeline)
         self.detected: dict[str, int] = {}
         self.missed: dict[str, int] = {}
         self.fp = 0
@@ -146,14 +146,14 @@ class StreamingDetector:
 
     @property
     def families(self) -> list[str]:
-        return list(self._families)
+        return sorted(self._dgas)
 
     def add_family(self, name: str, dga: Any) -> None:
         """Onboard a family live (idempotent); routing starts at once."""
-        if name in self._routers:
+        if name in self._dgas:
             return
-        self._routers[name] = _FamilyRouter(dga, self._timeline, None)
-        self._families = sorted(self._routers)
+        self._dgas[name] = dga
+        self._index = DayIndex(self._dgas, self._timeline)
         self.detected.setdefault(name, 0)
         self.missed.setdefault(name, 0)
 
@@ -200,9 +200,7 @@ class StreamingDetector:
     def admit(self, record: ForwardedLookup) -> bool:
         """Gate one record; ``False`` means it never reaches the engine."""
         hits = [
-            family
-            for family in self._families
-            if self._routers[family].match_day(record) is not None
+            family for family, _ in self._index.routes(record.domain, record.timestamp)
         ]
         if self.mode == "oracle" or self._classify(record.domain):
             for family in hits:

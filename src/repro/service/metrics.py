@@ -254,9 +254,14 @@ class Histogram(_Metric):
         return data
 
     def observe(self, value: float, **labels: str) -> None:
+        self.observe_key(value, _label_key(labels))
+
+    def observe_key(self, value: float, key: _LabelKey) -> None:
+        """:meth:`observe` for a label set already in ``_label_key`` form
+        (hot paths resolve their labels once, not per observation)."""
         if value < 0:
             raise ValueError(f"histogram {self.name} observed negative {value}")
-        self._data(_label_key(labels)).observe(value)
+        self._data(key).observe(value)
 
     def merge_data(self, payload: Mapping[str, Any], **labels: str) -> None:
         """Fold an exported label-set payload (another process's counts)

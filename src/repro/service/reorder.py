@@ -94,10 +94,8 @@ class ReorderBuffer:
         Two invariants hang off this bound: every record still in the
         heap has a timestamp ``<= max_seen``, and the downstream
         watermark only advances on *released* records, so
-        ``watermark <= max_seen`` always.  The engine's columnar fast
-        path uses it to prove that a whole frame cannot trigger an epoch
-        emission before pushing a single record — which is what makes
-        batching the per-record emission check safe."""
+        ``watermark <= max_seen`` always.  It is checkpointed with the
+        buffer, so a restored buffer keeps counting reorders exactly."""
         return self._max_seen
 
     @property

@@ -149,6 +149,7 @@ class StageTracer:
         self._timed: dict[str, int] = {}
         self._total_ns: dict[str, int] = {}
         self._max_ns: dict[str, int] = {}
+        self._stage_keys: dict[str, tuple[tuple[str, str], ...]] = {}
         registry = metrics if metrics is not None else MetricsRegistry()
         self.latency: Histogram = registry.histogram(
             "botmeterd_stage_latency_ns",
@@ -218,9 +219,12 @@ class StageTracer:
         self._total_ns[stage] = self._total_ns.get(stage, 0) + dt
         if dt > self._max_ns.get(stage, 0):
             self._max_ns[stage] = dt
-        self.latency.observe(dt, stage=stage)
+        key = self._stage_keys.get(stage)
+        if key is None:
+            key = self._stage_keys[stage] = (("stage", stage),)
+        self.latency.observe_key(dt, key)
         if records is not None:
-            self.batch.observe(records, stage=stage)
+            self.batch.observe_key(records, key)
         if self.sink is not None:
             event: dict[str, Any] = {"stage": stage, "dt_ns": dt}
             if records is not None:

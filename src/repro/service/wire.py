@@ -308,7 +308,7 @@ class NdjsonReader:
         t0 = tracer.start("decode")
         record = self._feed(line, complete)
         if t0:
-            tracer.stop("decode", t0)
+            tracer.stop("decode", t0, records=0 if record is None else 1)
         return record
 
     def _feed(self, line: bytes | str, complete: bool) -> ForwardedLookup | None:
@@ -385,7 +385,7 @@ class NdjsonReader:
         t0 = tracer.start("decode")
         record = self._feed_parsed(line, data)
         if t0:
-            tracer.stop("decode", t0)
+            tracer.stop("decode", t0, records=0 if record is None else 1)
         return record
 
     def _feed_parsed(self, line: bytes | str, data: Any) -> ForwardedLookup | None:

@@ -37,6 +37,7 @@ from typing import Any, Mapping
 
 from ..core.estimator import Estimator
 from ..core.kernels import shared_cache
+from ..core.matcher import DayIndex
 from ..core.streaming import StreamingBotMeter
 from ..dga.base import Dga
 from ..dns.message import ForwardedLookup
@@ -97,16 +98,9 @@ class _WorkerState:
     """The worker-process side: shards plus deferred-stat accumulators."""
 
     def __init__(self, config: WorkerConfig) -> None:
-        from .engine import _FamilyRouter  # worker-side import, no cycle at load
-
         self.config = config
         self.families = sorted(config.dgas)
-        self.routers = {
-            family: _FamilyRouter(
-                dga, config.timeline, config.detection_windows.get(family)
-            )
-            for family, dga in config.dgas.items()
-        }
+        self.index = DayIndex(config.dgas, config.timeline, config.detection_windows)
         self.shards: dict[tuple[str, str], StreamingBotMeter] = {}
         self.cursor = 0  # the parent's next_epoch_to_emit, per latest batch
         self.closures: list[tuple[str, str, int, Any]] = []
@@ -130,20 +124,19 @@ class _WorkerState:
 
         ``WorkerConfig`` is frozen but its taxonomy mappings are plain
         dicts, so the registration mutates them in place — every later
-        ``_shard`` build and routing pass sees the new family without a
-        config reload.  Pipe ordering guarantees all records dispatched
-        before the ``register`` op were ingested under the old taxonomy,
-        matching the serial engine's routing exactly.
+        ``_shard`` build sees the new family without a config reload, and
+        the day index is rebuilt over the grown taxonomy.  Pipe ordering
+        guarantees all records dispatched before the ``register`` op were
+        ingested under the old taxonomy, matching the serial engine's
+        routing exactly.
         """
-        from .engine import _FamilyRouter  # worker-side import, no cycle at load
-
-        if name in self.routers:
+        if name in self.families:
             return
         self.config.dgas[name] = dga
         self.config.estimators[name] = estimator
         self.families = sorted(self.config.dgas)
-        self.routers[name] = _FamilyRouter(
-            dga, self.config.timeline, self.config.detection_windows.get(name)
+        self.index = DayIndex(
+            self.config.dgas, self.config.timeline, self.config.detection_windows
         )
         shared_cache().warm_family(dga.params)
 
@@ -171,16 +164,17 @@ class _WorkerState:
 
     def ingest_batch(self, records: list[RecordTuple], cursor: int) -> None:
         self.cursor = cursor
+        routes = self.index.routes
         for seq, timestamp, server, domain in records:
+            hits = routes(domain, timestamp)
+            if not hits:
+                continue
             record = ForwardedLookup(timestamp, server, domain)
-            for family in self.families:
-                matched_day = self.routers[family].match_day(record)
-                if matched_day is None:
-                    continue
+            for family, matched_day in hits:
                 self.matched[family] = self.matched.get(family, 0) + 1
                 if matched_day < cursor:
                     self.late.append((seq, (timestamp, server, domain), matched_day))
-                self._shard(family, server).ingest(record)
+                self._shard(family, server).ingest(record, matched_day)
 
     def advance_all(self, timestamp: float) -> None:
         trace = self.trace

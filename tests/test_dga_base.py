@@ -5,7 +5,7 @@ import datetime as dt
 import pytest
 
 from repro.dga.barrels import RandomCutBarrel, UniformBarrel
-from repro.dga.base import Dga, DgaParameters
+from repro.dga.base import WINDOW_MEMO_DAYS, Dga, DgaParameters
 from repro.dga.pools import DrainReplenishPool
 from repro.dga.wordgen import Lcg
 
@@ -77,6 +77,30 @@ class TestDgaComposition:
         nxds = dga.nxdomains(DAY)
         positions = [pool.index(d) for d in nxds]
         assert positions == sorted(positions)
+
+    def test_window_is_the_nxdomain_set_built_once_per_day(self, monkeypatch):
+        dga = make_dga()
+        calls = []
+        nxdomains = dga.nxdomains
+        monkeypatch.setattr(dga, "nxdomains", lambda day: calls.append(day) or nxdomains(day))
+        window = dga.window(DAY)
+        assert window == frozenset(nxdomains(DAY))
+        assert dga.window(DAY) is window
+        assert calls == [DAY]
+
+    def test_window_memo_keeps_the_latest_days(self, monkeypatch):
+        dga = make_dga()
+        calls = []
+        nxdomains = dga.nxdomains
+        monkeypatch.setattr(dga, "nxdomains", lambda day: calls.append(day) or nxdomains(day))
+        days = [DAY + dt.timedelta(days=i) for i in range(WINDOW_MEMO_DAYS + 1)]
+        for day in days:
+            dga.window(day)
+        for day in days[1:]:
+            dga.window(day)
+        assert calls == days
+        dga.window(days[0])
+        assert calls == days + [days[0]]
 
     def test_barrel_uses_activation_rng(self):
         dga = make_dga()

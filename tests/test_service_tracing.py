@@ -544,6 +544,29 @@ class TestTracingDeterminism:
         for stage in ("decode", "reorder", "route", "estimate", "emit"):
             assert stage in report["stages"], stage
 
+    @pytest.mark.parametrize("batch_lines", [1, 256])
+    def test_every_stage_counts_its_records(self, trace, tmp_path, batch_lines):
+        """Per-stage records/s needs a record count on every stage's
+        spans: decode, reorder, route, estimate and emit all report
+        ``records > 0`` over a traced replay."""
+        events = tmp_path / "events.ndjson"
+        assert (
+            main(
+                [
+                    "replay", str(trace),
+                    "--out", str(tmp_path / "out.ndjson"),
+                    "--batch-lines", str(batch_lines),
+                    "--trace-out", str(events),
+                    "--trace-sample", "2",
+                ]
+            )
+            == 0
+        )
+        stages = trace_report(events)["stages"]
+        assert {"decode", "reorder", "route", "estimate", "emit"} <= set(stages)
+        for stage, summary in stages.items():
+            assert summary["records"] > 0, stage
+
     def test_corrupt_lines_keep_traced_replay_byte_identical(
         self, trace, tmp_path
     ):
