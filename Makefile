@@ -19,22 +19,25 @@ smoke-sweep:
 		--models AR --workers 2 --perf-json smoke_perf.json
 	@cat smoke_perf.json
 
-# botmeterd end-to-end: export a synthetic day, replay it streamed vs
-# batch (byte-identical), then SIGKILL a throttled daemon mid-stream and
-# prove the resumed output still matches. Mirrors the CI job.
+# botmeterd end-to-end: export a synthetic trace, replay it line-at-a-time
+# vs batch engine vs 256-line batches vs a 2-partition cluster (all
+# byte-identical), then SIGKILL a throttled daemon mid-stream and prove
+# the resumed output still matches. Mirrors the CI job.
 service-smoke:
 	rm -rf service-smoke && mkdir -p service-smoke
 	python -m repro.cli export-trace --source sim --family new_goz \
 		--bots 24 --servers 2 --days 2 --seed 7 --out service-smoke/trace.ndjson
-	python -m repro.cli replay service-smoke/trace.ndjson \
+	python -m repro.cli replay service-smoke/trace.ndjson --batch-lines 1 \
 		--out service-smoke/streamed.ndjson
 	python -m repro.cli replay service-smoke/trace.ndjson --engine batch \
 		--out service-smoke/batch.ndjson
 	diff service-smoke/streamed.ndjson service-smoke/batch.ndjson
-	python -m repro.cli replay service-smoke/trace.ndjson \
-		--ingest-workers 2 --batch-lines 256 \
-		--out service-smoke/parallel.ndjson
-	diff service-smoke/parallel.ndjson service-smoke/streamed.ndjson
+	python -m repro.cli replay service-smoke/trace.ndjson --batch-lines 256 \
+		--out service-smoke/batched.ndjson
+	diff service-smoke/batched.ndjson service-smoke/streamed.ndjson
+	python -m repro.cli cluster-replay service-smoke/trace.ndjson \
+		--workdir service-smoke/cluster --partitions 2 --no-verify > /dev/null
+	diff service-smoke/cluster/landscape.ndjson service-smoke/streamed.ndjson
 	-timeout -s KILL 4 python -m repro.cli serve \
 		--input service-smoke/trace.ndjson --no-follow --throttle 0.001 \
 		--checkpoint service-smoke/ck.json --checkpoint-every 200 \
@@ -46,29 +49,29 @@ service-smoke:
 		--metrics-out service-smoke/metrics.prom \
 		--health-out service-smoke/health.json
 	diff service-smoke/served.ndjson service-smoke/streamed.ndjson
-	@echo "service-smoke OK: streamed == batch == 2-worker, SIGKILL resume == uninterrupted"
+	@echo "service-smoke OK: streamed == batch engine == 256-line batches == 2 partitions, SIGKILL resume == uninterrupted"
 	@cat service-smoke/metrics.prom
 
-# Stagewatch end-to-end: replay a synthetic day with tracing on at two
-# worker counts, prove the landscape stream is byte-identical to the
-# untraced replay, and render the per-stage trace report.
+# Stagewatch end-to-end: replay a synthetic trace with tracing on,
+# line-at-a-time and in 256-line batches, prove the landscape stream is
+# byte-identical to the untraced replay, and render the per-stage trace
+# report.
 trace-smoke:
 	rm -rf trace-smoke && mkdir -p trace-smoke
 	python -m repro.cli export-trace --source sim --family murofet \
 		--bots 24 --servers 2 --days 2 --seed 7 --out trace-smoke/trace.ndjson
 	python -m repro.cli replay trace-smoke/trace.ndjson \
 		--trace-sample 0 --out trace-smoke/untraced.ndjson
-	python -m repro.cli replay trace-smoke/trace.ndjson \
+	python -m repro.cli replay trace-smoke/trace.ndjson --batch-lines 1 \
 		--trace-out trace-smoke/events.ndjson --trace-sample 4 \
 		--out trace-smoke/traced.ndjson
 	diff trace-smoke/traced.ndjson trace-smoke/untraced.ndjson
-	python -m repro.cli replay trace-smoke/trace.ndjson \
-		--ingest-workers 4 --batch-lines 256 \
-		--trace-out trace-smoke/events4.ndjson --trace-sample 4 \
-		--out trace-smoke/traced4.ndjson
-	diff trace-smoke/traced4.ndjson trace-smoke/untraced.ndjson
-	@echo "trace-smoke OK: landscape bytes identical with tracing on (1 and 4 workers)"
-	python -m repro.cli trace-report trace-smoke/events4.ndjson
+	python -m repro.cli replay trace-smoke/trace.ndjson --batch-lines 256 \
+		--trace-out trace-smoke/events256.ndjson --trace-sample 4 \
+		--out trace-smoke/traced256.ndjson
+	diff trace-smoke/traced256.ndjson trace-smoke/untraced.ndjson
+	@echo "trace-smoke OK: landscape bytes identical with tracing on (1- and 256-line batches)"
+	python -m repro.cli trace-report trace-smoke/events256.ndjson
 
 # Sensornet end-to-end: 3 sensors stream shards of a synthetic day over
 # localhost TCP, then over a Unix-domain socket; both merged landscapes
@@ -97,8 +100,8 @@ cluster-chaos:
 	@cat cluster-chaos/chaos-report.json
 
 # Fastlane end-to-end: export a synthetic trace, convert NDJSON <-> v2
-# both ways (byte-identity both directions), replay both formats at 1
-# and 2 ingest workers (landscape bytes identical), then SIGKILL a
+# both ways (byte-identity both directions), replay both formats
+# (landscape bytes identical, NDJSON line-at-a-time too), then SIGKILL a
 # throttled daemon mid-v2-stream and prove the resumed output still
 # matches. Mirrors the CI wire-smoke job.
 wire-smoke:
@@ -119,10 +122,9 @@ wire-smoke:
 	python -m repro.cli replay wire-smoke/trace.v2 \
 		--out wire-smoke/v2.landscape
 	diff wire-smoke/v2.landscape wire-smoke/ndjson.landscape
-	python -m repro.cli replay wire-smoke/trace.v2 \
-		--ingest-workers 2 --batch-lines 256 \
-		--out wire-smoke/v2-w2.landscape
-	diff wire-smoke/v2-w2.landscape wire-smoke/ndjson.landscape
+	python -m repro.cli replay wire-smoke/trace.ndjson --batch-lines 1 \
+		--out wire-smoke/ndjson-b1.landscape
+	diff wire-smoke/ndjson-b1.landscape wire-smoke/ndjson.landscape
 	-timeout -s KILL 4 python -m repro.cli serve \
 		--input wire-smoke/trace.v2 --no-follow --throttle 0.001 \
 		--checkpoint wire-smoke/ck.json --checkpoint-every 200 \
@@ -132,10 +134,11 @@ wire-smoke:
 		--checkpoint wire-smoke/ck.json --checkpoint-every 200 \
 		--out wire-smoke/served.ndjson
 	diff wire-smoke/served.ndjson wire-smoke/ndjson.landscape
-	@echo "wire-smoke OK: NDJSON <-> v2 byte-exact both ways, replays identical (1 and 2 workers), SIGKILL resume on v2 == uninterrupted"
+	@echo "wire-smoke OK: NDJSON <-> v2 byte-exact both ways, replays identical (v2, NDJSON 1- and 256-line batches), SIGKILL resume on v2 == uninterrupted"
 
 # Liveview end-to-end: a takedown/re-key campaign replayed with the
-# real lexical D3 inline at 1 and 4 workers (byte-identical, re-keyed
+# real lexical D3 inline, line-at-a-time and in 256-line batches
+# (byte-identical, re-keyed
 # family registered live, measured miss rate in quality), a DoH
 # visibility-loss day carrying its adoption estimate on every row, and
 # the strict accuracy-regression tier (BENCH_accuracy.json floors).
@@ -145,11 +148,11 @@ liveview-smoke:
 		--family-seed 7 --rekey-seed 5 --bots 8 --days 2 --seed 3 \
 		--out liveview-smoke/rekey.ndjson
 	python -m repro.cli replay liveview-smoke/rekey.ndjson --d3 lexical \
-		--trace-sample 0 --out liveview-smoke/lexical-w1.ndjson
+		--batch-lines 1 --trace-sample 0 --out liveview-smoke/lexical-w1.ndjson
 	python -m repro.cli replay liveview-smoke/rekey.ndjson --d3 lexical \
-		--ingest-workers 4 --batch-lines 256 \
-		--trace-sample 0 --out liveview-smoke/lexical-w4.ndjson
-	diff liveview-smoke/lexical-w1.ndjson liveview-smoke/lexical-w4.ndjson
+		--batch-lines 256 \
+		--trace-sample 0 --out liveview-smoke/lexical-b256.ndjson
+	diff liveview-smoke/lexical-w1.ndjson liveview-smoke/lexical-b256.ndjson
 	grep -q '"d3_miss_rate"' liveview-smoke/lexical-w1.ndjson
 	grep -q '"family":"qakbot-rk5"' liveview-smoke/lexical-w1.ndjson
 	python -m repro.cli export-trace --source sim --family qakbot \
@@ -161,7 +164,7 @@ liveview-smoke:
 	mkdir -p perf-artifacts
 	REPRO_PERF_DIR=perf-artifacts REPRO_PERF_STRICT=1 \
 		pytest -q -s benchmarks/test_accuracy_liveview.py
-	@echo "liveview-smoke OK: lexical D3 byte-identical (1 and 4 workers), re-key registered live, DoH loss annotated, accuracy floors hold"
+	@echo "liveview-smoke OK: lexical D3 byte-identical (1- and 256-line batches), re-key registered live, DoH loss annotated, accuracy floors hold"
 
 # Faultline soak: a multi-family trace through the full seeded fault
 # schedule under supervision — survival, exact dead-letter/ledger

@@ -9,10 +9,10 @@ itself scales.  Both runs must produce byte-identical landscapes — a
 perf run that drifts behaviourally is worthless, so the identity is
 asserted here too.
 
-Like the ingest-worker bench, the >=2x scaling floor is only enforced
-where four partition processes can actually run in parallel (>=4 CPUs,
-or ``REPRO_PERF_STRICT=1`` to force it); elsewhere the benchmark still
-runs and reports, it just doesn't gate.
+The >=2x scaling floor is only enforced where four partition processes
+can actually run in parallel (>=4 CPUs, or ``REPRO_PERF_STRICT=1`` to
+force it); elsewhere the benchmark still runs and reports, it just
+doesn't gate.
 """
 
 import json

@@ -3,8 +3,7 @@
 Times the two costs a botmeterd deployment actually pays — the per-record
 submit path (reorder buffer + routing + shard ingest) and the atomic
 checkpoint cadence — and emits a ``repro-perf-v1`` JSON artifact per
-measurement so CI can archive the numbers alongside the parallel-engine
-ones.  Set ``REPRO_PERF_DIR`` to choose the artifact directory (default:
+measurement so CI can archive the numbers.  Set ``REPRO_PERF_DIR`` to choose the artifact directory (default:
 the test's tmp dir).
 """
 
@@ -109,7 +108,7 @@ def test_perf_service_checkpoint_overhead(service_run, tmp_path):
             (tmp_path / "ck.json").unlink()
         return elapsed
 
-    run_daemon(False)  # warm caches (pools, imports)
+    run_daemon(False)  # warm caches (kernels, imports)
     plain = min(run_daemon(False) for _ in range(2))
     checkpointed = min(run_daemon(True) for _ in range(2))
     n_checkpoints = n_records // checkpoint_every + 1  # + final checkpoint
@@ -130,76 +129,3 @@ def test_perf_service_checkpoint_overhead(service_run, tmp_path):
     # Checkpointing every 200 records must not dominate the run: allow a
     # generous factor so the assertion flags pathology, not CI jitter.
     assert checkpointed < plain * 5 + 1.0
-
-
-@pytest.fixture(scope="module")
-def scaling_run():
-    """A wider stream (8 servers) so 4-way sharding has keys to spread."""
-    return simulate(
-        SimConfig(family="new_goz", n_bots=48, n_local_servers=8, n_days=1, seed=9)
-    )
-
-
-def test_perf_ingest_worker_scaling(scaling_run, tmp_path):
-    """1-worker vs 4-worker replay throughput over the same trace.
-
-    Always writes the ``BENCH_ingest.json`` artifact; the >=2x scaling
-    floor is only enforced where 4 workers can actually run in parallel
-    (>=4 CPUs, or ``REPRO_PERF_STRICT=1`` to force it).
-    """
-    trace = tmp_path / "trace.ndjson"
-    with open(trace, "w") as fh:
-        fh.write(
-            encode_header(
-                {
-                    "families": [{"name": "new_goz", "seed": 0}],
-                    "granularity": 0.1,
-                    "origin": scaling_run.timeline.origin.isoformat(),
-                }
-            )
-            + "\n"
-        )
-        for record in scaling_run.observable:
-            fh.write(encode_record(record) + "\n")
-    n_records = len(scaling_run.observable)
-
-    def run_daemon(workers: int) -> tuple[float, bytes]:
-        out = tmp_path / f"out-{workers}.ndjson"
-        daemon = BotMeterDaemon(
-            trace,
-            out_path=out,
-            families={"new_goz": scaling_run.dga},
-            log_stream=open(os.devnull, "w"),
-            batch_lines=256,
-            ingest_workers=workers,
-        )
-        start = time.perf_counter()
-        assert daemon.run() == 0
-        return time.perf_counter() - start, out.read_bytes()
-
-    run_daemon(1)  # warm imports and kernel caches
-    serial_s, serial_bytes = min(run_daemon(1) for _ in range(2))
-    parallel_s, parallel_bytes = min(run_daemon(4) for _ in range(2))
-    assert parallel_bytes == serial_bytes  # identity even while racing the clock
-
-    speedup = serial_s / parallel_s if parallel_s else float("inf")
-    strict = os.environ.get("REPRO_PERF_STRICT") == "1" or (os.cpu_count() or 1) >= 4
-    write_artifact(
-        artifact_path(tmp_path, "BENCH_ingest.json"),
-        {
-            "component": "service.daemon.worker_scaling",
-            "n_records": n_records,
-            "batch_lines": 256,
-            "wall_seconds_1_worker": serial_s,
-            "wall_seconds_4_workers": parallel_s,
-            "records_per_second_1_worker": n_records / serial_s,
-            "records_per_second_4_workers": n_records / parallel_s,
-            "speedup": speedup,
-            "strict": strict,
-        },
-    )
-    if strict:
-        assert speedup >= 2.0, (
-            f"4-worker ingest only {speedup:.2f}x the 1-worker rate "
-            f"({serial_s:.3f}s vs {parallel_s:.3f}s over {n_records} records)"
-        )

@@ -13,8 +13,8 @@ behaviourally is worthless, so the identity is asserted here too.
 The second measurement pins the zero-copy kernel segment: loading a
 multi-megabyte ``.npz`` kernel sidecar must *map* the tables, not copy
 them — the RSS delta of the load stays far below the table bytes, which
-is what lets forked ingest workers and cluster partitions share one
-physical copy of the warm tables.
+is what lets cluster partition processes share one physical copy of
+the warm tables.
 """
 
 import io
@@ -130,9 +130,9 @@ def _rss_bytes() -> int:
 def test_perf_kernel_mmap_segment_is_shared_not_copied(tmp_path):
     """Loading a large kernel sidecar must map it read-only, not copy
     it: the process RSS delta across the load stays far below the table
-    payload.  (Pages fault in lazily and are file-backed, so forked
-    ingest workers and cluster partitions share one physical copy — the
-    'no per-worker warm-table copy' acceptance check.)"""
+    payload.  (Pages fault in lazily and are file-backed, so cluster
+    partitions share one physical copy — the 'no per-partition
+    warm-table copy' acceptance check.)"""
     if not Path("/proc/self/statm").exists():
         pytest.skip("RSS accounting needs /proc (Linux)")
     from repro.core.kernels import KernelCache

@@ -204,8 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
         cmd.add_argument(
             "--ingest-workers", type=int, default=1, metavar="N",
-            help="shard-worker processes (1 = in-process; the emitted "
-                 "series is byte-identical at any worker count)",
+            help="deprecated and ignored: ingest always runs in-process; "
+                 "scale out with cluster-replay/cluster-serve --partitions",
         )
         cmd.add_argument(
             "--batch-lines", type=int, default=256, metavar="N",
@@ -929,9 +929,22 @@ def _run_profiled(args: argparse.Namespace, fn, daemon=None):
             _print_stage_attribution(daemon() if callable(daemon) else daemon)
 
 
+def _warn_ingest_workers(args: argparse.Namespace) -> None:
+    """One stderr line for the deprecated ``--ingest-workers N`` (N != 1)."""
+    if args.ingest_workers != 1:
+        print(
+            f"warning: --ingest-workers {args.ingest_workers} is deprecated and "
+            "ignored (ingest runs in-process); scale out with "
+            "cluster-replay/cluster-serve --partitions N",
+            file=sys.stderr,
+        )
+
+
 def _cmd_replay(args: argparse.Namespace) -> int:
     from .service.daemon import BotMeterDaemon, batch_series, families_from_header
     from .service.wire import NdjsonReader, encode_landscape
+
+    _warn_ingest_workers(args)
 
     dgas = _parse_family_specs(args.family)
     if args.engine == "streaming":
@@ -952,7 +965,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             fault_injector=_make_injector(args),
             deadletter_path=args.deadletter,
             batch_lines=args.batch_lines,
-            ingest_workers=args.ingest_workers,
             trace_out=args.trace_out,
             trace_sample=args.trace_sample,
             d3=args.d3,
@@ -1046,6 +1058,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("serve: --faults is file-ingest only", file=sys.stderr)
         return 2
     input_label = args.input if args.input else f"net:{args.listen or args.listen_uds}"
+    _warn_ingest_workers(args)
 
     def build_daemon(disarmed=None) -> BotMeterDaemon:
         return BotMeterDaemon(
@@ -1071,7 +1084,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             deadletter_path=args.deadletter,
             watchdog_deadline=args.watchdog_deadline,
             batch_lines=args.batch_lines,
-            ingest_workers=args.ingest_workers,
             trace_out=args.trace_out,
             trace_sample=args.trace_sample,
             d3=args.d3,

@@ -8,8 +8,8 @@ Theorem-1 ingredients — :func:`~repro.core.combinatorics.log_occupancy_table`,
 :func:`~repro.core.combinatorics.segment_validity_curve` — are recomputed
 with identical arguments over and over.  :class:`KernelCache` memoises
 them process-locally and can spill to / warm from an ``.npz`` sidecar
-next to the daemon's checkpoint, so a restarted (or freshly forked
-ingest-worker) process skips the warm-up.
+next to the daemon's checkpoint, so a restarted daemon (or a fresh
+cluster partition) process skips the warm-up.
 
 Exactness is non-negotiable: the streamed series must stay byte-identical
 to the uncached engine, so the cache only ever returns bit-exact values.
@@ -24,8 +24,8 @@ to the uncached engine, so the cache only ever returns bit-exact values.
   that — both are cached under their **exact** argument tuple only.
 
 All returned arrays are read-only views; callers that need to mutate
-must copy.  The cache is process-local and not thread-safe — the
-sharded service gives each worker process its own instance.
+must copy.  The cache is process-local and not thread-safe — each
+daemon or cluster partition process has its own instance.
 """
 
 from __future__ import annotations
@@ -71,9 +71,9 @@ def _map_sidecar(path: Path) -> dict[str, np.ndarray] | None:
     this walks the zip itself: the central directory gives each member's
     local-header offset; the local header (30 bytes + name + extra)
     gives the ``.npy`` data offset; the ``.npy`` header gives dtype and
-    shape; ``np.frombuffer`` over the mmap does the rest.  Forked ingest
-    workers and cluster partitions that map the same sidecar share the
-    physical pages — warm kernel tables cost zero copies per process.
+    shape; ``np.frombuffer`` over the mmap does the rest.  Cluster
+    partitions that map the same sidecar share the physical pages —
+    warm kernel tables cost zero copies per process.
 
     Returns ``None`` whenever the file is not cleanly mappable (a
     compressed legacy sidecar, a pickled member, Fortran order, a torn
@@ -258,7 +258,7 @@ class KernelCache:
 
         ``params`` is a :class:`~repro.dga.base.DgaParams`-shaped object
         (``n_registered`` / ``n_nxd`` / ``barrel_size``).  Called once per
-        family at engine (and ingest-worker) construction, so the second
+        family at engine construction, so the second
         same-family estimator build starts from a warm cache.
         """
         self.barrel_pmf(params.n_registered, params.n_nxd, params.barrel_size)
@@ -305,9 +305,9 @@ class KernelCache:
 
         A sidecar :meth:`save`d by this module is served **zero-copy**:
         one shared read-only mmap of the file backs every warmed table
-        (see :func:`_map_sidecar`), so N forked ingest workers or
-        cluster partitions warming from the same path share one set of
-        physical pages instead of N heap copies.  Mutation never writes
+        (see :func:`_map_sidecar`), so N cluster partitions warming
+        from the same path share one set of physical pages instead of N
+        heap copies.  Mutation never writes
         through a mapping — the cache's only "mutation" is growing an
         occupancy table past its stored extents, which *replaces* the
         entry with a freshly computed private array (copy-on-write by
@@ -380,7 +380,7 @@ class KernelCache:
     def spill(self, path: str | Path) -> None:
         """Merge whatever a concurrent writer already spilled, then save.
 
-        Multiple ingest workers share one sidecar path; each spills at
+        Several processes may share one sidecar path; each spills at
         shutdown.  Load-then-save keeps the file a (best-effort) union —
         and because every entry is a deterministic function of its key,
         any interleaving still leaves only bit-exact values on disk.

@@ -14,10 +14,11 @@ checkpoint intact and a resumed daemon never sees a torn file.
 Atomicity protects against *our* crashes; it cannot protect against a
 filesystem that lies (power loss after ``os.replace`` but before the
 directory entry hits the platter leaves a torn or empty file).  The
-store therefore keeps the **last two generations**: every save first
-rotates the current checkpoint to a ``.1`` sibling, and :meth:`~
-CheckpointStore.load` falls back to that previous generation when the
-newest one is torn or empty.  A checkpoint with a *foreign schema* is
+store therefore keeps the **last two generations**: every save writes
+the new generation to a temp file, copies the current checkpoint to a
+``.1`` sibling, and only then renames the new one into place (so
+``path`` is never missing); :meth:`~CheckpointStore.load` falls back to
+that previous generation when the newest one is torn or empty.  A checkpoint with a *foreign schema* is
 never silently skipped — that is a configuration error, not corruption,
 and it still raises.
 
@@ -133,25 +134,46 @@ class CheckpointStore:
     def save(self, state: dict[str, Any]) -> None:
         """Atomically replace the checkpoint with ``state``.
 
-        The outgoing checkpoint is rotated to :attr:`previous_path`
-        first, so the two newest generations are always on disk.
+        The new generation is written and fsynced first; only then is
+        the outgoing checkpoint copied to :attr:`previous_path` (a
+        hardlink swapped in with :func:`os.replace`) and the new one
+        renamed over :attr:`path`.  ``path`` therefore names a complete
+        checkpoint at every instant — a kill anywhere in ``save`` leaves
+        either the old generation or the new one there, never nothing.
         """
         document = {"schema": CHECKPOINT_SCHEMA, **state}
         tmp = self.path.with_name(self.path.name + f".tmp.{os.getpid()}")
         payload = json.dumps(document, sort_keys=True)
-        if self.path.exists():
-            os.replace(self.path, self.previous_path)
-            self._rotate_sidecars()
         try:
             with open(tmp, "w") as fh:
                 fh.write(payload)
                 fh.flush()
                 os.fsync(fh.fileno())
+            if self.path.exists():
+                self._rotate_previous()
+                self._rotate_sidecars()
             os.replace(tmp, self.path)
         finally:
             if tmp.exists():
                 tmp.unlink()
         self._last_good = self._clock()
+
+    def _rotate_previous(self) -> None:
+        """Copy the current checkpoint to :attr:`previous_path` without
+        ever unlinking ``path`` (hardlink when possible, else a copy)."""
+        previous = self.previous_path
+        prev_tmp = previous.with_name(previous.name + f".tmp.{os.getpid()}")
+        try:
+            if prev_tmp.exists():
+                prev_tmp.unlink()
+            try:
+                os.link(self.path, prev_tmp)
+            except OSError:
+                shutil.copyfile(self.path, prev_tmp)
+            os.replace(prev_tmp, previous)
+        finally:
+            if prev_tmp.exists():
+                prev_tmp.unlink()
 
     def last_good_generation(self) -> float | None:
         """Age in seconds of the newest trustworthy generation this store

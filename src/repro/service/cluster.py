@@ -2,8 +2,7 @@
 
 One botmeterd charts one stream.  This module runs **N independent
 partition daemons**, each owning the ``crc32(server) % N`` slice of the
-vantage-point stream (:func:`~repro.service.workers.partition_for_server`
-— the *same* keying the in-process ingest workers use), and merges their
+vantage-point stream (:func:`partition_for_server`), and merges their
 per-partition landscape NDJSON into one global chart that is
 **byte-identical** to what a single unpartitioned daemon would emit.
 
@@ -65,6 +64,8 @@ import json
 import os
 import sys
 import time
+import zlib
+from functools import lru_cache
 from multiprocessing import get_all_start_methods, get_context
 from pathlib import Path
 from typing import IO, Any, Iterable, Mapping, Sequence
@@ -76,7 +77,6 @@ from .engine import ENGINE_STATE_SCHEMA, validate_engine_state
 from .metrics import MetricsRegistry, merge_registry_states
 from .wire import NdjsonReader
 from .wire2 import Wire2BatchDecoder, Wire2Writer, sniff_wire2
-from .workers import partition_for_server
 
 __all__ = [
     "CLUSTER_SCHEMA",
@@ -86,6 +86,7 @@ __all__ = [
     "cluster_replay",
     "cluster_serve",
     "merge_landscape_rows",
+    "partition_for_server",
     "reshard_checkpoints",
     "restate_rows",
     "run_cluster_smoke",
@@ -97,6 +98,22 @@ __all__ = [
 CLUSTER_SCHEMA = "botmeterd-cluster-v1"
 
 _QUALITY_KEYS = ("matched", "late", "dropped", "quarantined")
+
+
+@lru_cache(maxsize=65536)
+def partition_for_server(server: str, n_partitions: int) -> int:
+    """Deterministic partition routing: stable across runs, platforms
+    and restarts (CRC-32 is endianness-free and seedless, unlike
+    ``hash``), so a reshard from N partitions to M recomputes
+    membership from the server name alone.
+
+    Border traces repeat a small forwarding-server set, so the
+    ``(server, n)`` decision is LRU-cached: the encode+CRC cost is paid
+    once per distinct server, and the bounded cache never grows without
+    limit under server churn.
+    """
+    return zlib.crc32(server.encode("utf-8")) % n_partitions
+
 
 #: Partition states whose durable output can be trusted as current.
 _FRESH_STATES = ("healthy", "lagging")

@@ -142,8 +142,6 @@ class BotMeterDaemon:
             (non-follow, no injector) additionally switches to a chunked
             reader.  Emission, checkpoint and quarantine attribution are
             batch-framing-independent — output bytes never change.
-        ingest_workers: shard-worker processes for the engine (``1`` =
-            in-process).  Output bytes never change with worker count.
         trace_out: optional NDJSON span-event sink (``--trace-out``);
             a fresh run truncates it, a checkpoint resume appends.
         trace_sample: time 1 of every N spans per stage (default
@@ -199,7 +197,6 @@ class BotMeterDaemon:
         health: HealthMonitor | None = None,
         watchdog_deadline: float | None = None,
         batch_lines: int = 1,
-        ingest_workers: int = 1,
         trace_out: str | Path | None = None,
         trace_sample: int = DEFAULT_SAMPLE,
         finalize_at_eof: bool = True,
@@ -263,7 +260,6 @@ class BotMeterDaemon:
         self._out_fh: IO[str] | None = None
         self.resumed = False
         self.batch_lines = max(1, int(batch_lines))
-        self.ingest_workers = max(1, int(ingest_workers))
         self.finalize_at_eof = bool(finalize_at_eof)
         self._pending_records: list[ForwardedLookup] = []
         self._pending_marks: list[int] = []
@@ -361,7 +357,6 @@ class BotMeterDaemon:
                 policy=self._policy,
                 metrics=self.metrics,
                 on_late=self._quarantine_late,
-                ingest_workers=self.ingest_workers,
                 kernel_spill=(
                     str(self.store.register_sidecar("kernels.npz"))
                     if self.store is not None
@@ -625,7 +620,7 @@ class BotMeterDaemon:
 
     def _admit(self, record: ForwardedLookup) -> tuple[bool, tuple[int, int, int] | None]:
         """Inline D3 gate.  A rejected record still counts as consumed
-        (it was read and judged — identically at any worker count), it
+        (it was read and judged — identically at any batch framing), it
         just never reaches the engine."""
         detector = self._ensure_d3()
         if detector is None:
@@ -649,9 +644,10 @@ class BotMeterDaemon:
         """Hold a decoded record for the next batched submission.
 
         ``corrupt_mark`` lets a caller that decoded ahead of enqueueing
-        (the traced chunk path) pin the reader corrupt count observed at
-        the record's own decode point; ``ordinal`` likewise pins the
-        record's decode position for control-line ordering.
+        (the chunked and batched network paths) pin the reader corrupt
+        count observed at the record's own decode point; ``ordinal``
+        likewise pins the record's decode position for control-line
+        ordering.
         """
         if self._pending_controls:
             self._apply_due_controls(
@@ -779,7 +775,7 @@ class BotMeterDaemon:
 
     def _cleanup(self) -> None:
         if self.engine is not None:
-            # Stops ingest workers; spills the kernel-cache sidecar.
+            # Spills the kernel-cache sidecar.
             self.engine.close()
         if self.tracer is not None:
             self.tracer.write_summary()
@@ -806,77 +802,49 @@ class BotMeterDaemon:
         decoder = NdjsonBatchDecoder(self.reader)
         reader = self.reader
         tracer = self.tracer
-        corrupt_events: list[int] = []
-        inner_on_corrupt = reader.on_corrupt
-        if tracer is not None:
-            # Chunked replay times decode at chunk granularity — one
-            # span per read covering all its lines — instead of a span
-            # per line; detach the reader's per-line tracer so the two
-            # instrumentation points cannot double-count.  Corrupt lines
-            # are journalled (as the decoded-record count at the moment
-            # each one fired) so per-record quarantine marks can be
-            # reconstructed after the chunk drains at C speed.
-            reader.tracer = None
-
-            def _journal_corrupt(line: str, reason: str) -> None:
-                corrupt_events.append(reader.records)
-                if inner_on_corrupt is not None:
-                    inner_on_corrupt(line, reason)
-
-            reader.on_corrupt = _journal_corrupt
+        # Decode is timed at chunk granularity — one span per read
+        # covering all its lines — so the reader's per-line decode spans
+        # are detached for the duration.
+        reader.tracer = None
         try:
             while True:
                 chunk = fh.read(1 << 18)
                 if not chunk:
                     break
-                if tracer is None:
-                    for record in decoder.iter_push(chunk):
-                        self._enqueue(record)
-                else:
-                    # Decode the whole chunk under the span, then enqueue
-                    # outside it so downstream stage time never pollutes
-                    # the decode histogram.  Each record keeps the corrupt
-                    # count observed at its own decode point: constant
-                    # across the chunk unless the journal says otherwise.
-                    base_records = reader.records
-                    mark = reader.corrupt
-                    corrupt_events.clear()
-                    t0 = tracer.start("decode")
-                    decoded = list(decoder.iter_push(chunk))
-                    if t0:
-                        tracer.stop("decode", t0, records=len(decoded))
-                    if not corrupt_events:
-                        for index, record in enumerate(decoded):
-                            self._enqueue(
-                                record,
-                                corrupt_mark=mark,
-                                ordinal=base_records + index,
-                            )
-                    else:
-                        pending, n_events = 0, len(corrupt_events)
-                        for index, record in enumerate(decoded):
-                            while (
-                                pending < n_events
-                                and corrupt_events[pending] <= base_records + index
-                            ):
-                                mark += 1
-                                pending += 1
-                            self._enqueue(
-                                record,
-                                corrupt_mark=mark,
-                                ordinal=base_records + index,
-                            )
-                self._c_skipped.set_total(reader.skipped)
+                t0 = tracer.start("decode") if tracer is not None else 0
+                stamped = self._decode_stamped(decoder.iter_push(chunk))
+                if t0:
+                    tracer.stop("decode", t0, records=len(stamped))
+                self._enqueue_stamped(stamped)
                 if self._since_checkpoint >= self.checkpoint_every:
                     self._checkpoint(offset + decoder.consumed)
-            for record in decoder.flush(complete=True):
-                self._enqueue(record)
-            self._c_skipped.set_total(reader.skipped)
+            self._enqueue_stamped(
+                self._decode_stamped(decoder.flush(complete=True))
+            )
             return offset + decoder.consumed
         finally:
-            if tracer is not None:
-                reader.tracer = tracer
-                reader.on_corrupt = inner_on_corrupt
+            reader.tracer = tracer
+
+    def _decode_stamped(
+        self, records: Iterable[ForwardedLookup]
+    ) -> list[tuple[ForwardedLookup, int, int]]:
+        """Drain a lazy decode, stamping each record with the reader's
+        corrupt count and decode ordinal as they stood at its yield.
+
+        Decoding a whole run before enqueueing keeps downstream stage
+        time out of the decode span; the stamps keep quarantine
+        attribution and control-line ordering exactly where
+        line-at-a-time consumption would put them.
+        """
+        reader = self.reader
+        return [(record, reader.corrupt, reader.records - 1) for record in records]
+
+    def _enqueue_stamped(
+        self, stamped: list[tuple[ForwardedLookup, int, int]]
+    ) -> None:
+        for record, corrupt_mark, ordinal in stamped:
+            self._enqueue(record, corrupt_mark=corrupt_mark, ordinal=ordinal)
+        self._c_skipped.set_total(self.reader.skipped)
 
     def _run_wire2(self, fh: IO[bytes], offset: int) -> int:
         """The wire-v2 ingest loop: framed reads, columnar submission.
@@ -1190,79 +1158,31 @@ class BotMeterDaemon:
         full :meth:`NdjsonReader.feed` path.
         """
         reader = self.reader
-        tracer = self.tracer
-        if tracer is None or self.batch_lines <= 1:
-            # Unbatched submission interleaves emission with decoding,
-            # so a deferred-submit rewrite would change every corrupt
-            # snapshot; the per-line loop stays exact (and is also the
-            # straightforward untraced path).
-            if tracer is None:
-                submit = self._submit_record
-                feed = reader.feed
-                feed_parsed = reader.feed_parsed
-                for line, data in pairs:
-                    record = (
-                        feed(line) if data is None else feed_parsed(line, data)
-                    )
-                    if record is not None:
-                        submit(record)
-                self._c_skipped.set_total(reader.skipped)
-            else:
-                for line, data in pairs:
-                    if data is None:
-                        self._consume_one(line)
-                    else:
-                        self._consume_parsed(line, data)
-            return
-        # Traced + batched: decode the whole run under one span (the
-        # chunked file path's contract — downstream stage time never
-        # pollutes the decode histogram), journaling corrupt lines so
-        # each record keeps the corrupt count observed at its own
-        # decode point.
-        corrupt_events: list[int] = []
-        inner_on_corrupt = reader.on_corrupt
-        saved_tracer = reader.tracer
-        reader.tracer = None
-
-        def _journal_corrupt(line: str, reason: str) -> None:
-            corrupt_events.append(reader.records)
-            if inner_on_corrupt is not None:
-                inner_on_corrupt(line, reason)
-
-        reader.on_corrupt = _journal_corrupt
-        try:
-            base_records = reader.records
-            mark = reader.corrupt
-            t0 = tracer.start("decode")
-            decoded: list[ForwardedLookup] = []
-            for line, data in pairs:
-                record = (
-                    reader.feed(line)
-                    if data is None
-                    else reader.feed_parsed(line, data)
-                )
+        feed, feed_parsed = reader.feed, reader.feed_parsed
+        decoded = (
+            feed(line) if data is None else feed_parsed(line, data)
+            for line, data in pairs
+        )
+        if self.batch_lines <= 1:
+            # Unbatched submission interleaves emission with decoding:
+            # each record submits as soon as it decodes.
+            for record in decoded:
                 if record is not None:
-                    decoded.append(record)
+                    self._submit_record(record)
+            self._c_skipped.set_total(reader.skipped)
+            return
+        # Batched: decode the whole run (under one span when traced —
+        # the chunked file path's contract: downstream stage time never
+        # pollutes the decode histogram), then enqueue the stamped run.
+        tracer = self.tracer
+        reader.tracer = None
+        try:
+            t0 = tracer.start("decode") if tracer is not None else 0
+            stamped = self._decode_stamped(
+                record for record in decoded if record is not None
+            )
             if t0:
-                tracer.stop("decode", t0, records=len(decoded))
+                tracer.stop("decode", t0, records=len(stamped))
         finally:
-            reader.tracer = saved_tracer
-            reader.on_corrupt = inner_on_corrupt
-        if not corrupt_events:
-            for index, record in enumerate(decoded):
-                self._enqueue(
-                    record, corrupt_mark=mark, ordinal=base_records + index
-                )
-        else:
-            pending, n_events = 0, len(corrupt_events)
-            for index, record in enumerate(decoded):
-                while (
-                    pending < n_events
-                    and corrupt_events[pending] <= base_records + index
-                ):
-                    mark += 1
-                    pending += 1
-                self._enqueue(
-                    record, corrupt_mark=mark, ordinal=base_records + index
-                )
-        self._c_skipped.set_total(reader.skipped)
+            reader.tracer = tracer
+        self._enqueue_stamped(stamped)

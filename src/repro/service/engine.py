@@ -36,11 +36,6 @@ from ..dns.message import ForwardedLookup
 from ..timebase import SECONDS_PER_DAY, Timeline
 from .metrics import MetricsRegistry
 from .reorder import Backpressure, ReorderBuffer
-from .workers import WorkerConfig, WorkerPool
-
-#: Records buffered per worker outbox before an eager pipe flush; keeps
-#: workers busy mid-batch while amortising the pickle/send overhead.
-_OUTBOX_FLUSH = 512
 
 __all__ = [
     "ENGINE_STATE_SCHEMA",
@@ -146,20 +141,15 @@ class ShardedLandscapeEngine:
         on_late: optional sink ``(record, matched_day) -> None`` called
             for every matched record that arrived after its epoch was
             emitted (the daemon wires this to the dead-letter queue).
-        ingest_workers: shard-worker processes.  ``1`` (default) keeps
-            every shard in-process; ``N > 1`` routes each record's
-            server to one of N workers (:mod:`repro.service.workers`)
-            and merges their epoch closures back in watermark order —
-            the emitted series is byte-identical at any worker count.
         kernel_spill: optional path to an estimator-kernel ``.npz``
-            sidecar that ingest workers warm from at boot and spill to
-            at :meth:`close` (see :mod:`repro.core.kernels`).
+            sidecar the engine warms the shared kernel cache from at
+            construction and spills to at :meth:`close` (see
+            :mod:`repro.core.kernels`).
         tracer: optional :class:`~repro.service.tracing.StageTracer`.
             When set, the engine records ``route`` and ``estimate``
-            spans, absorbs worker-side estimate histograms at every
-            sync, tracks per-worker queue depth, and publishes the
-            slow-shard top-K gauge.  Purely observational: the emitted
-            landscape stream is byte-identical with or without it.
+            spans and publishes the slow-shard top-K gauge.  Purely
+            observational: the emitted landscape stream is
+            byte-identical with or without it.
     """
 
     #: How many of the slowest (family × server) shards the
@@ -179,7 +169,6 @@ class ShardedLandscapeEngine:
         policy: Backpressure | str = Backpressure.BLOCK,
         metrics: MetricsRegistry | None = None,
         on_late: Callable[[ForwardedLookup, int], None] | None = None,
-        ingest_workers: int = 1,
         kernel_spill: str | None = None,
         tracer: Any = None,
     ) -> None:
@@ -212,7 +201,6 @@ class ShardedLandscapeEngine:
         self._tracer = tracer
         self._reorder.tracer = tracer
         self._shard_estimate_ns: dict[tuple[str, str], int] = {}
-        self._inflight: list[int] = []
         self._shards: dict[tuple[str, str], StreamingBotMeter] = {}
         self._closed: dict[tuple[str, int], dict[str, Landscape]] = {}
         self._watermark = float("-inf")
@@ -224,18 +212,8 @@ class ShardedLandscapeEngine:
         self._dropped_mark = 0
         self._unpublished_matched: dict[str, int] = {}
 
-        self._ingest_workers = max(1, int(ingest_workers))
         self._kernel_spill = str(kernel_spill) if kernel_spill is not None else None
-        self._pool: WorkerPool | None = None
-        self._outboxes: list[list[tuple[int, float, str, str]]] = []
-        self._dispatch_seq = 0
-        self._worker_failures: list[int] = []
-        self._failures_total = 0
-        self._shard_cursors: dict[tuple[str, str], int] = {}
-        self._pending_import: list[list[Any]] | None = None
-        if self._kernel_spill and self._ingest_workers == 1:
-            # Serial mode runs the estimators in-process: warm the
-            # shared cache here (workers warm their own copies).
+        if self._kernel_spill:
             shared_cache().load(self._kernel_spill)
         for family in self._families:
             shared_cache().warm_family(self._dgas[family].params)
@@ -300,19 +278,8 @@ class ShardedLandscapeEngine:
         return self._next_epoch_to_emit
 
     @property
-    def parallel(self) -> bool:
-        """Whether ingest is spread over worker processes."""
-        return self._ingest_workers > 1
-
-    @property
-    def ingest_workers(self) -> int:
-        return self._ingest_workers
-
-    @property
     def shard_keys(self) -> list[tuple[str, str]]:
         """Existing ``(family, server)`` shards, sorted."""
-        if self.parallel:
-            return sorted(self._shard_cursors)
         return sorted(self._shards)
 
     def estimator_name(self, family: str) -> str:
@@ -341,11 +308,6 @@ class ShardedLandscapeEngine:
         :meth:`export_state` can carry the registration and
         :meth:`import_state` can rebuild the identical generator on a
         restored engine — dynamic families survive a SIGKILL/resume.
-
-        Determinism: in parallel mode every outbox is flushed *before*
-        the registration is broadcast, so the worker pipes order all
-        earlier records ahead of the new router exactly as the serial
-        path does.
         """
         if self._finalized:
             raise RuntimeError("cannot register a family on a finalized engine")
@@ -366,11 +328,6 @@ class ShardedLandscapeEngine:
         self._dynamic[name] = (
             dict(spec) if spec is not None else {"name": name}
         )
-        if self._pool is not None:
-            for index in range(self._ingest_workers):
-                self._flush_outbox(index)
-            for index in range(self._ingest_workers):
-                self._pool.send(index, ("register", name, dga, self._estimators[name]))
 
     # -- sharding ------------------------------------------------------------
 
@@ -396,43 +353,6 @@ class ShardedLandscapeEngine:
                 shard.skip_to_epoch(self._next_epoch_to_emit)
             self._shards[key] = shard
         return shard
-
-    def _ensure_pool(self) -> None:
-        if self._pool is not None:
-            return
-        config = WorkerConfig(
-            dgas=self._dgas,
-            estimators=self._estimators,
-            detection_windows=self._detection_windows,
-            negative_ttl=self._negative_ttl,
-            timestamp_granularity=self._granularity,
-            timeline=self._timeline,
-            grace=self._grace,
-            kernel_spill=self._kernel_spill,
-            trace_sample=self._tracer.sample if self._tracer is not None else 0,
-        )
-        self._pool = WorkerPool(config, self._ingest_workers, tracer=self._tracer)
-        self._outboxes = [[] for _ in range(self._ingest_workers)]
-        self._worker_failures = [0] * self._ingest_workers
-        self._inflight = [0] * self._ingest_workers
-        if self._pending_import is not None:
-            self._distribute_import()
-
-    def _distribute_import(self) -> None:
-        """Hand each worker its slice of a restored checkpoint."""
-        groups: list[list[list[Any]]] = [[] for _ in range(self._ingest_workers)]
-        for entry in self._pending_import or []:
-            groups[self._pool.worker_for(entry[1])].append(entry)
-        replies = self._pool.request_each(
-            [
-                ("import", groups[index], self._next_epoch_to_emit)
-                for index in range(self._ingest_workers)
-            ]
-        )
-        for index, reply in enumerate(replies):
-            self._worker_failures[index] = reply["failures"]
-        self._failures_total = sum(self._worker_failures)
-        self._pending_import = None
 
     # -- ingest --------------------------------------------------------------
 
@@ -464,8 +384,6 @@ class ShardedLandscapeEngine:
 
     def submit(self, record: ForwardedLookup) -> list[EpochLandscape]:
         """Buffer one record; return any epochs its arrival closed."""
-        if self.parallel:
-            return self.submit_batch([record])
         if self._finalized:
             raise RuntimeError("engine already finalized")
         return self._submit_serial([record], None)
@@ -484,8 +402,6 @@ class ShardedLandscapeEngine:
         """
         if self._finalized:
             raise RuntimeError("engine already finalized")
-        if self.parallel:
-            return self._submit_parallel(records, on_emit)
         return self._submit_serial(records, on_emit)
 
     def submit_columns(
@@ -505,7 +421,7 @@ class ShardedLandscapeEngine:
         records: list[ForwardedLookup],
         on_emit: Callable[[int, list[EpochLandscape]], None] | None,
     ) -> list[EpochLandscape]:
-        """In-process ingest: reorder, route and emit, record by record.
+        """The one ingest loop: reorder, route and emit, record by record.
 
         Reorder push and routing stay interleaved per record (an
         emission reads ``reorder.dropped``), and the emission check is
@@ -573,9 +489,8 @@ class ShardedLandscapeEngine:
                 self._shard(family, record.server).ingest(record, matched_day)
 
     def _advance_shards(self, target: float) -> None:
-        """Advance every in-process shard, timing each as an ``estimate``
-        span over the matched lookups it closed (serial mode; workers
-        time their own shards)."""
+        """Advance every shard, timing each as an ``estimate`` span over
+        the matched lookups it closed."""
         tracer = self._tracer
         if tracer is None:
             for shard in self._shards.values():
@@ -603,109 +518,6 @@ class ShardedLandscapeEngine:
             out.extend(self._emit_day(self._next_epoch_to_emit))
             self._set_cursor(self._next_epoch_to_emit + 1)
         return out
-
-    # -- parallel ingest ------------------------------------------------------
-
-    def _submit_parallel(
-        self,
-        records: list[ForwardedLookup],
-        on_emit: Callable[[int, list[EpochLandscape]], None] | None,
-    ) -> list[EpochLandscape]:
-        self._ensure_pool()
-        out: list[EpochLandscape] = []
-        published = 0
-        for index, record in enumerate(records):
-            epochs = self._process_parallel(self._reorder.push(record))
-            if epochs:
-                self._publish(index + 1 - published)
-                published = index + 1
-                if on_emit is not None:
-                    on_emit(index, epochs)
-                out.extend(epochs)
-        self._publish(len(records) - published)
-        return out
-
-    def _process_parallel(self, released: list[ForwardedLookup]) -> list[EpochLandscape]:
-        # Emission is checked per released record — exactly when the
-        # serial path would check it — so quality deltas charge to the
-        # same epochs regardless of batch framing.
-        out: list[EpochLandscape] = []
-        for record in released:
-            if record.timestamp > self._watermark:
-                self._watermark = record.timestamp
-            self._dispatch(record)
-            if self._deadline <= self._watermark:
-                self._sync_workers(("close", self._watermark))
-                while self._deadline <= self._watermark:
-                    out.extend(self._emit_day(self._next_epoch_to_emit))
-                    self._set_cursor(self._next_epoch_to_emit + 1)
-        return out
-
-    def _dispatch(self, record: ForwardedLookup) -> None:
-        tracer = self._tracer
-        t0 = tracer.start("route") if tracer is not None else 0
-        index = self._pool.worker_for(record.server)
-        outbox = self._outboxes[index]
-        outbox.append(
-            (self._dispatch_seq, record.timestamp, record.server, record.domain)
-        )
-        self._dispatch_seq += 1
-        if tracer is not None:
-            self._inflight[index] += 1
-            if t0:
-                tracer.stop("route", t0, records=1, worker=index)
-        if len(outbox) >= _OUTBOX_FLUSH:
-            self._flush_outbox(index)
-
-    def _flush_outbox(self, index: int) -> None:
-        outbox = self._outboxes[index]
-        if outbox:
-            self._pool.send(index, ("batch", outbox, self._next_epoch_to_emit))
-            self._outboxes[index] = []
-            if self._tracer is not None:
-                self._tracer.worker_queue(index, self._inflight[index])
-
-    def _sync_workers(self, message: tuple) -> list[dict[str, Any]]:
-        """Flush every outbox, broadcast ``message``, merge the replies.
-
-        Pipe ordering guarantees the workers saw every dispatched record
-        before answering, so the merged reply is a consistent cut of the
-        whole sharded state.
-        """
-        for index in range(len(self._outboxes)):
-            self._flush_outbox(index)
-        replies = self._pool.request(message)
-        lates: list[tuple[int, tuple[float, str, str], int]] = []
-        for index, reply in enumerate(replies):
-            for family in sorted(reply["matched"]):
-                self._c_matched.inc(reply["matched"][family], family=family)
-            lates.extend(reply["late"])
-            for family, server, day, landscape in reply["closures"]:
-                self._closed.setdefault((family, day), {})[server] = landscape
-            self._worker_failures[index] = reply["failures"]
-            for family, server, cursor in reply["cursors"]:
-                self._shard_cursors[(family, server)] = cursor
-            trace = reply.get("trace")
-            if trace is not None and self._tracer is not None:
-                self._tracer.absorb_worker(index, trace)
-                for family, server, ns in trace["shard_ns"]:
-                    key = (family, server)
-                    self._shard_estimate_ns[key] = (
-                        self._shard_estimate_ns.get(key, 0) + ns
-                    )
-            if self._tracer is not None:
-                # The sync reply acknowledges every dispatched record.
-                self._inflight[index] = 0
-                self._tracer.worker_queue(index, 0)
-        self._failures_total = sum(self._worker_failures)
-        # Dispatch order restores the serial engine's late-record stream
-        # (and therefore the dead-letter queue) exactly.
-        for seq, (timestamp, server, domain), matched_day in sorted(lates):
-            self._c_late.inc()
-            self._late_total += 1
-            if self._on_late is not None:
-                self._on_late(ForwardedLookup(timestamp, server, domain), matched_day)
-        return replies
 
     def _emit_day(self, day: int) -> list[EpochLandscape]:
         # Degradation deltas since the previous emission, charged once
@@ -737,8 +549,6 @@ class ShardedLandscapeEngine:
         return results
 
     def _fallback_total(self) -> int:
-        if self.parallel:
-            return self._failures_total
         return sum(
             shard.stats["estimate_failures"] for shard in self._shards.values()
         )
@@ -749,8 +559,6 @@ class ShardedLandscapeEngine:
         landscapes, so the series is rectangular: families × days."""
         if self._finalized:
             return []
-        if self.parallel:
-            return self._finalize_parallel()
         flushed = self._reorder.flush()
         tracer = self._tracer
         t0 = tracer.start("route") if tracer is not None else 0
@@ -770,38 +578,9 @@ class ShardedLandscapeEngine:
         self.refresh_gauges()
         return out
 
-    def _finalize_parallel(self) -> list[EpochLandscape]:
-        # Mirrors the serial path: flushed records are all dispatched
-        # first, then every remaining day emits in one ascending sweep —
-        # the serial path likewise routes the whole flush before it
-        # emits, so quality deltas land identically.
-        out: list[EpochLandscape] = []
-        flushed = self._reorder.flush()
-        if flushed or self._pending_import is not None or self._watermark > float("-inf"):
-            self._ensure_pool()
-        for record in flushed:
-            if record.timestamp > self._watermark:
-                self._watermark = record.timestamp
-            self._dispatch(record)
-        if self._watermark > float("-inf"):
-            last_day = int(self._watermark // SECONDS_PER_DAY)
-            target = (last_day + 1) * SECONDS_PER_DAY + self._grace
-            self._sync_workers(("finalize", target))
-            while self._next_epoch_to_emit <= last_day:
-                out.extend(self._emit_day(self._next_epoch_to_emit))
-                self._set_cursor(self._next_epoch_to_emit + 1)
-        self._finalized = True
-        self._publish()
-        self.refresh_gauges()
-        return out
-
     def close(self) -> None:
-        """Shut down ingest workers (each spills its kernel cache) and,
-        in serial mode, spill the in-process cache.  Idempotent."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-        elif self._kernel_spill and not self.parallel:
+        """Spill the shared kernel cache to the sidecar, if one is set."""
+        if self._kernel_spill:
             shared_cache().spill(self._kernel_spill)
 
     # -- observability -------------------------------------------------------
@@ -809,20 +588,13 @@ class ShardedLandscapeEngine:
     def refresh_gauges(self) -> None:
         """Publish the point-in-time gauges (buffer depth, shard lag)."""
         self._g_depth.set(self._reorder.depth)
-        if self.parallel:
-            cursors = sorted(self._shard_cursors.items())
-        else:
-            cursors = [
-                (key, shard.next_epoch_to_close)
-                for key, shard in sorted(self._shards.items())
-            ]
-        for (family, server), next_epoch in cursors:
+        for (family, server), shard in sorted(self._shards.items()):
             if self._watermark == float("-inf"):
                 lag = 0.0
             else:
                 lag = max(
                     0.0,
-                    self._watermark - next_epoch * SECONDS_PER_DAY,
+                    self._watermark - shard.next_epoch_to_close * SECONDS_PER_DAY,
                 )
             self._g_lag.set(lag, family=family, server=server)
         if self._g_slow is not None and self._shard_estimate_ns:
@@ -839,18 +611,12 @@ class ShardedLandscapeEngine:
 
         Only legal between :meth:`submit` calls (epoch emission is
         synchronous, so there is never half-merged state to capture).
-        In parallel mode the workers are synced first, so the exported
-        snapshot is the **same schema** — a checkpoint written at one
-        worker count restores at any other.
         """
         self._publish()
-        if self.parallel:
-            shards = self._export_shards_parallel()
-        else:
-            shards = [
-                [family, server, shard.export_state()]
-                for (family, server), shard in sorted(self._shards.items())
-            ]
+        shards = [
+            [family, server, shard.export_state()]
+            for (family, server), shard in sorted(self._shards.items())
+        ]
         if self._closed:
             raise RuntimeError(
                 "cannot checkpoint with un-emitted shard closures pending"
@@ -875,18 +641,6 @@ class ShardedLandscapeEngine:
                 dict(self._dynamic[name]) for name in sorted(self._dynamic)
             ]
         return state
-
-    def _export_shards_parallel(self) -> list[list[Any]]:
-        if self._pool is None:
-            # Nothing dispatched yet: the restored (or empty) snapshot
-            # is still the authoritative shard state.
-            return [list(entry) for entry in self._pending_import or []]
-        replies = self._sync_workers(("export",))
-        merged: list[list[Any]] = []
-        for reply in replies:
-            merged.extend(reply["shards"])
-        merged.sort(key=lambda entry: (entry[0], entry[1]))
-        return merged
 
     def import_state(self, state: Mapping[str, Any]) -> None:
         """Restore :meth:`export_state` output onto a same-config engine."""
@@ -916,21 +670,8 @@ class ShardedLandscapeEngine:
         self._reorder.import_state(state["reorder"])
         self._shards = {}
         self._closed = {}
-        if self.parallel:
-            self._pending_import = [list(entry) for entry in state["shards"]]
-            self._failures_total = sum(
-                int(entry[2].get("estimate_failures", 0))
-                for entry in self._pending_import
-            )
-            self._shard_cursors = {
-                (entry[0], entry[1]): int(entry[2]["next_epoch_to_close"])
-                for entry in self._pending_import
-            }
-            if self._pool is not None:
-                self._distribute_import()
-        else:
-            for family, server, shard_state in state["shards"]:
-                # _shard() pre-skips emitted epochs for newborns; import
-                # then overwrites the whole cursor/pending state anyway.
-                self._shard(family, server).import_state(shard_state)
+        for family, server, shard_state in state["shards"]:
+            # _shard() pre-skips emitted epochs for newborns; import
+            # then overwrites the whole cursor/pending state anyway.
+            self._shard(family, server).import_state(shard_state)
         self.refresh_gauges()

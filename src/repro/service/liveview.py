@@ -32,8 +32,8 @@ shifting adversary.  This module supplies the three missing pieces:
 
 Determinism contract: admission is a pure function of the record (the
 verdict cache only memoizes), so the admitted subsequence — and hence
-the landscape bytes — is identical at any worker count, any batch
-framing, and with tracing on or off.
+the landscape bytes — is identical at any batch framing and with
+tracing on or off.
 """
 
 from __future__ import annotations

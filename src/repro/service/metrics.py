@@ -12,7 +12,7 @@ Histograms use **fixed log2 buckets** with exact integer counts: bucket
 ``i`` has the inclusive upper bound ``2**i`` (``le`` semantics, like
 Prometheus), from ``le=1`` up to ``le=2**39`` plus a final overflow
 (``+Inf``) bucket.  The geometry is fixed so histograms recorded by
-different processes (ingest workers, resumed daemons) merge *exactly*:
+different processes (cluster partitions, resumed daemons) merge *exactly*:
 merging any split of an observation sequence bucket-by-bucket equals
 observing the whole sequence in one histogram — for integer
 observations the running sum is integer arithmetic, so even ``sum`` is
@@ -241,7 +241,7 @@ class Histogram(_Metric):
     ``observe`` files each value into the bucket geometry described in
     the module docstring; per-label-set state carries exact bucket
     counts, the running sum, the observation count and the exact max.
-    Histograms recorded independently (per worker, per run segment)
+    Histograms recorded independently (per partition, per run segment)
     merge exactly via :meth:`merge_data`.
     """
 

@@ -5,7 +5,7 @@ vantage-point *sensors* stream their shards concurrently over TCP (or a
 Unix-domain socket for same-host collectors).  This module adds that
 tier without giving up one bit of the repo's determinism story: a
 multi-connection replay of a sharded trace is **byte-identical** to the
-concatenated-file replay, at 1 and 4 ingest workers, tracing on or off,
+concatenated-file replay, line-at-a-time or batched, tracing on or off,
 and across a SIGKILL + reconnect-resume.
 
 Wire protocol (``botmeter-netingest-v1``)

@@ -1,17 +1,16 @@
 """Stagewatch: end-to-end stage tracing for the botmeterd ingest path.
 
-PRs 2-4 made the pipeline fast (sharded ingest, worker pools, kernel
-caches) but opaque: a record's wall-clock disappears somewhere between
-*decode* (wire bytes -> :class:`~repro.dns.message.ForwardedLookup`),
-*reorder* (the bounded heap), *route* (family matching + shard/worker
-dispatch), *estimate* (epoch closure inside the shards) and *emit*
-(landscape serialisation).  Stagewatch instruments exactly those five
+Sharded ingest and kernel caches make the pipeline fast but opaque: a
+record's wall-clock disappears somewhere between *decode* (wire bytes
+-> :class:`~repro.dns.message.ForwardedLookup`), *reorder* (the bounded
+heap), *route* (family matching + shard dispatch), *estimate* (epoch
+closure inside the shards) and *emit* (landscape serialisation).  Stagewatch instruments exactly those five
 stages with:
 
-* **latency histograms** — ``botmeterd_stage_latency_ns{stage=...}``
-  (plus per-worker series for the estimate stage), built on the exact
-  log2-bucket :class:`~repro.service.metrics.Histogram`, so per-worker
-  recordings merge *exactly* into the global distribution;
+* **latency histograms** — ``botmeterd_stage_latency_ns{stage=...}``,
+  built on the exact log2-bucket :class:`~repro.service.metrics.Histogram`,
+  so per-partition recordings merge *exactly* into the global
+  distribution;
 * **span events** — structured NDJSON written to ``--trace-out``: every
   sampled span becomes one line carrying a monotonic-clock delta
   (``dt_ns``) and stage context.  Payloads never contain wall-clock
@@ -38,7 +37,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Any, Callable, Iterator, Mapping
 
-from .metrics import Gauge, Histogram, MetricsRegistry
+from .metrics import Histogram, MetricsRegistry
 
 __all__ = [
     "STAGES",
@@ -46,7 +45,6 @@ __all__ = [
     "DEFAULT_SAMPLE",
     "TraceSink",
     "StageTracer",
-    "WorkerTraceBuffer",
     "validate_trace_event",
     "trace_report",
     "render_trace_report",
@@ -61,14 +59,11 @@ TRACE_SCHEMA = "botmeterd-trace-v1"
 #: Default span sampling: time 1 of every N spans per stage.
 DEFAULT_SAMPLE = 16
 
-#: Span events a worker buffers between syncs before dropping the rest
-#: (the histograms still see every sampled span; only the per-span
-#: event lines are capped).
-WORKER_EVENT_BUFFER = 4096
-
 #: The complete legal key set of a span event.  Keeping this closed is
 #: the "no wall-clock in payloads" guarantee: there is simply no field
-#: a wall-clock timestamp could ride in.
+#: a wall-clock timestamp could ride in.  ``worker`` is no longer
+#: written, but stays legal so traces recorded by the retired ingest
+#: worker pool still validate.
 _SPAN_KEYS = frozenset(
     {"v", "type", "seq", "stage", "dt_ns", "records", "worker", "family", "server"}
 )
@@ -159,14 +154,6 @@ class StageTracer:
             "botmeterd_stage_batch_records",
             "Records handled per sampled span or decode chunk.",
         )
-        self.drain: Histogram = registry.histogram(
-            "botmeterd_worker_drain_ns",
-            "Per-worker sync drain latency: request sent to reply received.",
-        )
-        self.queue_depth: Gauge = registry.gauge(
-            "botmeterd_worker_queue_depth",
-            "Records dispatched to a worker and not yet acknowledged by a sync.",
-        )
 
     # -- spans ---------------------------------------------------------------
 
@@ -245,46 +232,6 @@ class StageTracer:
         """Record a batch size without timing it (per-chunk decode)."""
         self.batch.observe(records, stage=stage)
 
-    # -- worker-pool instrumentation ----------------------------------------
-
-    def worker_drain(self, worker: int, dt_ns: int) -> None:
-        """A sync round-trip to one worker completed after ``dt_ns``."""
-        self.drain.observe(dt_ns, worker=str(worker))
-        if self.sink is not None:
-            self.sink.span({"stage": "drain", "dt_ns": dt_ns, "worker": int(worker)})
-
-    def worker_queue(self, worker: int, depth: int) -> None:
-        self.queue_depth.set(depth, worker=str(worker))
-
-    def absorb_worker(self, worker: int, payload: Mapping[str, Any]) -> None:
-        """Fold one ingest worker's shipped trace delta into the parent.
-
-        The histogram delta lands twice — in the global
-        ``{stage="estimate"}`` series and the per-worker
-        ``{stage="estimate", worker=k}`` series — so summing the
-        per-worker series reconstructs the global one exactly.
-        """
-        hist = payload.get("hist")
-        if hist is not None:
-            self.latency.merge_data(hist, stage="estimate")
-            self.latency.merge_data(hist, stage="estimate", worker=str(worker))
-        summary = payload.get("summary")
-        if summary is not None:
-            self._spans["estimate"] = (
-                self._spans.get("estimate", 0) + summary["spans"]
-            )
-            self._timed["estimate"] = (
-                self._timed.get("estimate", 0) + summary["timed"]
-            )
-            self._total_ns["estimate"] = (
-                self._total_ns.get("estimate", 0) + summary["total_ns"]
-            )
-            if summary["max_ns"] > self._max_ns.get("estimate", 0):
-                self._max_ns["estimate"] = summary["max_ns"]
-        if self.sink is not None:
-            for event in payload.get("events", ()):
-                self.sink.span({**event, "worker": int(worker)})
-
     # -- summaries -----------------------------------------------------------
 
     def summary(self) -> dict[str, Any]:
@@ -302,75 +249,6 @@ class StageTracer:
     def write_summary(self) -> None:
         if self.sink is not None:
             self.sink.summary(self.summary()["stages"])
-
-
-class WorkerTraceBuffer:
-    """Ingest-worker-side estimate-stage recorder.
-
-    Lives in the worker process (which has no sink and no shared
-    registry): sampled per-shard ``advance_watermark`` timings go into
-    a local exact-merge histogram plus a bounded span-event buffer, and
-    :meth:`ship` drains both into the sync reply for
-    :meth:`StageTracer.absorb_worker`.
-    """
-
-    def __init__(self, sample: int, clock: Callable[[], int] = time.perf_counter_ns) -> None:
-        self.sample = max(1, int(sample))
-        self._clock = clock
-        self._hist = Histogram("botmeterd_stage_latency_ns", "")
-        self._events: list[dict[str, Any]] = []
-        self._spans = 0
-        self._timed = 0
-        self._total_ns = 0
-        self._max_ns = 0
-        self._shard_ns: dict[tuple[str, str], int] = {}
-
-    def time_shard(self, family: str, server: str, fn: Callable[[], Any]) -> Any:
-        """Run one shard's watermark advance, sampled-timing it."""
-        n = self._spans
-        self._spans = n + 1
-        if n % self.sample:
-            return fn()
-        t0 = self._clock()
-        out = fn()
-        dt = self._clock() - t0
-        self._timed += 1
-        self._total_ns += dt
-        if dt > self._max_ns:
-            self._max_ns = dt
-        self._hist.observe(dt)
-        key = (family, server)
-        self._shard_ns[key] = self._shard_ns.get(key, 0) + dt
-        if len(self._events) < WORKER_EVENT_BUFFER:
-            self._events.append(
-                {"stage": "estimate", "dt_ns": dt, "family": family, "server": server}
-            )
-        return out
-
-    def ship(self) -> dict[str, Any]:
-        """Drain the buffered delta (the sync reply's ``trace`` field)."""
-        payload = {
-            "hist": self._hist.export_data(),
-            "events": self._events,
-            "summary": {
-                "spans": self._spans,
-                "timed": self._timed,
-                "total_ns": self._total_ns,
-                "max_ns": self._max_ns,
-            },
-            "shard_ns": [
-                [family, server, ns]
-                for (family, server), ns in sorted(self._shard_ns.items())
-            ],
-        }
-        self._hist = Histogram("botmeterd_stage_latency_ns", "")
-        self._events = []
-        self._spans = 0
-        self._timed = 0
-        self._total_ns = 0
-        self._max_ns = 0
-        self._shard_ns = {}
-        return payload
 
 
 # ---------------------------------------------------------------------------

@@ -132,7 +132,7 @@ def encode_register(family: str, base: str, seed: int) -> str:
 
     ``base`` names the generator type (a known family builder) and
     ``seed`` its re-keyed seed — together they let every consumer
-    (daemon, workers, checkpoint restore) rebuild the identical DGA
+    (daemon, inline D3, checkpoint restore) rebuild the identical DGA
     without the trace carrying code.  Control lines exist only on the
     NDJSON wire; the columnar v2 format carries lookup records alone.
     """

@@ -1,6 +1,6 @@
 """Day-index routing against the per-family matching rule.
 
-The engine, its ingest workers and the inline D3 route every record with
+The engine and the inline D3 route every record with
 one :class:`~repro.core.matcher.DayIndex` probe.  The rule that index
 encodes is written out here a second time, per family and from
 ``Dga.nxdomains`` directly: a record of day ``d`` matches a family whose
@@ -13,9 +13,7 @@ twin family mid-stream (each of its domains then routes to two families)
 and overrides one family's window with a detection window that borrows
 another family's domains.  The engine's counters must equal the rule's at
 every ``on_emit`` and at the end of every batch, and the emitted bytes
-must agree across batch sizes 1 and 256, wire-v2 frames and two ingest
-workers.  With workers, matched counts reach the parent only at sync
-points, so they are compared at every ``on_emit`` and after finalize.
+must agree across batch sizes 1 and 256 and wire-v2 frames.
 """
 
 from __future__ import annotations
@@ -204,7 +202,6 @@ def drive(records, register_at, mode, batch):
         timeline=TIMELINE,
         grace=GRACE,
         reorder_capacity=CAPACITY,
-        ingest_workers=2 if mode == "workers" else 1,
     )
     emissions = []
     batch_ends = []
@@ -242,9 +239,8 @@ def check(raw, register_frac, mode, batch):
     emissions, batch_ends, (final, final_counters) = drive(records, register_at, mode, batch)
     for index, _, seen in emissions:
         assert seen == states[index]
-    if mode != "workers":
-        for index, seen in batch_ends:
-            assert seen == states[index]
+    for index, seen in batch_ends:
+        assert seen == states[index]
     assert final_counters == final_state
     baseline = drive(records, register_at, "submit", 1)
     assert [(i, lines) for i, lines, _ in emissions] == [
@@ -290,10 +286,3 @@ def test_day_index_matches_the_per_family_rule(raw):
 @example(raw=fixed_raw(3), register_frac=0.7, mode="columns")
 def test_engine_counters_and_bytes_follow_the_rule(raw, register_frac, mode):
     check(raw, register_frac, mode, 1 if mode == "submit" else 256)
-
-
-@settings(max_examples=5, deadline=None)
-@given(raw=st.lists(_record, min_size=1, max_size=300), register_frac=st.floats(0, 1))
-@example(raw=fixed_raw(4), register_frac=0.5)
-def test_worker_routing_follows_the_rule(raw, register_frac):
-    check(raw, register_frac, "workers", 256)

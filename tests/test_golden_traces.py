@@ -12,16 +12,19 @@ Regenerate a golden (only after deliberately changing behaviour) with::
     PYTHONPATH=src python -m repro.cli replay tests/golden/<name>.ndjson \
         --out tests/golden/<name>.landscape.ndjson --trace-sample 0
 
-The replay runs at 1 and 4 ingest workers, with Stagewatch tracing on,
-so the suite simultaneously guards the engine's worker-count
-byte-identity anchor and the tracer's "purely observational" contract.
+The replays run line-at-a-time (``batch_lines=1``) and in 4-line
+batches (small batches flush constantly, so emissions land mid-batch
+and quarantine/D3 attribution inside a batch is exercised), and with
+Stagewatch tracing on at the default 256-line batches, so the suite
+simultaneously guards the batch-framing byte-identity anchor and the
+tracer's "purely observational" contract.
 
 ``golden/netingest_3sensor/`` pins the Sensornet ingest tier the same
 way: three committed sensor shards (round-robin of a seeded new_goz
 trace — ``export-trace --family new_goz --bots 6 --servers 2 --days 2
 --seed 11``, sharded with ``shard_trace_lines``) replayed over real TCP
 must reproduce the committed landscape bytes *and* the committed
-per-connection cursor map, at 1 and 4 ingest workers.
+per-connection cursor map, line-at-a-time and batched.
 
 ``golden/cluster_3part/`` pins the Chartmesh cluster tier: three
 committed partition input shards (``murofet_small.ndjson`` split by
@@ -51,45 +54,44 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 FIXTURES = ["murofet_small", "new_goz_jitter"]
 
 
-def _replay_file(trace: Path, tmp_path: Path, workers: int, **kwargs) -> bytes:
-    out = tmp_path / f"{trace.stem}.w{workers}.ndjson"
+def _replay_file(
+    trace: Path, tmp_path: Path, batch_lines: int = 256, **kwargs
+) -> bytes:
+    out = tmp_path / f"{trace.stem}.b{batch_lines}.ndjson"
     daemon = BotMeterDaemon(
         trace,
         out_path=out,
         follow=False,
-        batch_lines=256,
-        ingest_workers=workers,
+        batch_lines=batch_lines,
         **kwargs,
     )
     assert daemon.run() == 0
     return out.read_bytes()
 
 
-def _replay(name: str, tmp_path: Path, workers: int, **kwargs) -> bytes:
-    return _replay_file(GOLDEN_DIR / f"{name}.ndjson", tmp_path, workers, **kwargs)
+def _replay(name: str, tmp_path: Path, batch_lines: int = 256, **kwargs) -> bytes:
+    return _replay_file(GOLDEN_DIR / f"{name}.ndjson", tmp_path, batch_lines, **kwargs)
 
 
 @pytest.mark.parametrize("name", FIXTURES)
-@pytest.mark.parametrize("workers", [1, 4])
-def test_golden_replay_byte_identical(name, workers, tmp_path):
+@pytest.mark.parametrize("batch_lines", [1, 4])
+def test_golden_replay_byte_identical(name, batch_lines, tmp_path):
     expected = (GOLDEN_DIR / f"{name}.landscape.ndjson").read_bytes()
-    assert _replay(name, tmp_path, workers) == expected
+    assert _replay(name, tmp_path, batch_lines) == expected
 
 
-@pytest.mark.parametrize("workers", [1, 4])
-def test_golden_wire2_twin_replays_byte_identical(workers, tmp_path):
+def test_golden_wire2_twin_replays_byte_identical(tmp_path):
     """The committed binary twin of ``murofet_small`` (generated with
     ``repro convert-trace --frame-records 64``) must replay to the same
     committed landscape bytes as the NDJSON original — the wire-v2
     tentpole anchor, pinned against a committed fixture."""
     expected = (GOLDEN_DIR / "murofet_small.landscape.ndjson").read_bytes()
-    out = tmp_path / f"v2.w{workers}.ndjson"
+    out = tmp_path / "v2.ndjson"
     daemon = BotMeterDaemon(
         GOLDEN_DIR / "murofet_small.v2",
         out_path=out,
         follow=False,
         batch_lines=256,
-        ingest_workers=workers,
     )
     assert daemon.run() == 0
     assert out.read_bytes() == expected
@@ -114,7 +116,7 @@ def test_golden_replay_with_trace_sink_byte_identical(name, tmp_path):
     """An attached span sink must not perturb the landscape stream."""
     expected = (GOLDEN_DIR / f"{name}.landscape.ndjson").read_bytes()
     got = _replay(
-        name, tmp_path, 4, trace_out=tmp_path / "events.ndjson", trace_sample=2
+        name, tmp_path, trace_out=tmp_path / "events.ndjson", trace_sample=2
     )
     assert got == expected
 
@@ -122,8 +124,8 @@ def test_golden_replay_with_trace_sink_byte_identical(name, tmp_path):
 NET_GOLDEN = GOLDEN_DIR / "netingest_3sensor"
 
 
-@pytest.mark.parametrize("workers", [1, 4])
-def test_golden_netingest_three_sensor_merge(workers, tmp_path):
+@pytest.mark.parametrize("batch_lines", [1, 4])
+def test_golden_netingest_three_sensor_merge(batch_lines, tmp_path):
     """Three committed shards over real TCP reproduce the committed
     landscape bytes and per-connection cursor map."""
     from repro.service.netingest import NetIngestServer, SensorClient
@@ -141,8 +143,7 @@ def test_golden_netingest_three_sensor_merge(workers, tmp_path):
         out_path=out,
         checkpoint_path=checkpoint,
         checkpoint_every=64,
-        batch_lines=256,
-        ingest_workers=workers,
+        batch_lines=batch_lines,
         trace_sample=0,
         log_stream=io.StringIO(),
     )
@@ -228,15 +229,15 @@ LIVEVIEW_DOH = GOLDEN_DIR / "liveview_doh"
 LIVEVIEW_REKEY = GOLDEN_DIR / "liveview_rekey"
 
 
-@pytest.mark.parametrize("workers", [1, 4])
-def test_golden_liveview_doh_replay_byte_identical(workers, tmp_path):
+@pytest.mark.parametrize("batch_lines", [1, 4])
+def test_golden_liveview_doh_replay_byte_identical(batch_lines, tmp_path):
     """The DoH visibility-loss trace (``export-trace --source sim
     --doh-adoption 0.25``) replays to the committed degraded landscape:
     every row carries the adoption estimate as ``doh_loss`` and a
     ``loss`` widened to at least the adoption fraction, so downstream
     ``widen_for_loss`` readers correct for the invisible bots."""
     expected = (LIVEVIEW_DOH / "expected.landscape.ndjson").read_bytes()
-    got = _replay_file(LIVEVIEW_DOH / "trace.ndjson", tmp_path, workers)
+    got = _replay_file(LIVEVIEW_DOH / "trace.ndjson", tmp_path, batch_lines)
     assert got == expected
     rows = [json.loads(line) for line in got.splitlines()]
     assert rows, "degraded landscape is empty"
@@ -245,8 +246,8 @@ def test_golden_liveview_doh_replay_byte_identical(workers, tmp_path):
         assert row["quality"]["loss"] >= 0.25
 
 
-@pytest.mark.parametrize("workers", [1, 4])
-def test_golden_liveview_rekey_replay_byte_identical(workers, tmp_path):
+@pytest.mark.parametrize("batch_lines", [1, 4])
+def test_golden_liveview_rekey_replay_byte_identical(batch_lines, tmp_path):
     """The takedown re-key campaign trace, replayed with the real
     lexical D3 inline, reproduces the committed landscape bytes — and
     the population hand-off epoch is pinned: the storm family carries
@@ -254,7 +255,7 @@ def test_golden_liveview_rekey_replay_byte_identical(workers, tmp_path):
     trace header's ``handoff_day``."""
     expected = (LIVEVIEW_REKEY / "expected.landscape.ndjson").read_bytes()
     got = _replay_file(
-        LIVEVIEW_REKEY / "trace.ndjson", tmp_path, workers, d3="lexical"
+        LIVEVIEW_REKEY / "trace.ndjson", tmp_path, batch_lines, d3="lexical"
     )
     assert got == expected
     header = json.loads(
@@ -277,14 +278,14 @@ def test_golden_liveview_rekey_replay_byte_identical(workers, tmp_path):
     assert storm["quality"]["d3_miss_rate"] > 0
 
 
-@pytest.mark.parametrize("workers", [1, 4])
-def test_golden_murofet_lexical_d3_byte_identical(workers, tmp_path):
+@pytest.mark.parametrize("batch_lines", [1, 4])
+def test_golden_murofet_lexical_d3_byte_identical(batch_lines, tmp_path):
     """``replay --d3 lexical`` over the plain murofet golden matches its
     committed D3 twin: the detector's measured miss/FP counters land in
     the quality block and the loss annotation absorbs the missed
     records, while the landscape estimates themselves stay put."""
     expected = (GOLDEN_DIR / "murofet_small.landscape.d3.ndjson").read_bytes()
-    got = _replay("murofet_small", tmp_path, workers, d3="lexical")
+    got = _replay("murofet_small", tmp_path, batch_lines, d3="lexical")
     assert got == expected
     rows = [json.loads(line) for line in got.splitlines()]
     plain = [
@@ -298,11 +299,11 @@ def test_golden_murofet_lexical_d3_byte_identical(workers, tmp_path):
     assert [r["total"] for r in rows] == [r["total"] for r in plain]
 
 
-def test_golden_four_worker_trace_covers_all_stages(tmp_path):
-    """The ISSUE acceptance check: a 4-worker golden replay's trace
-    report shows every one of the five stages with a non-zero count."""
+def test_golden_trace_covers_all_stages(tmp_path):
+    """A traced golden replay's trace report shows every one of the
+    five stages with a non-zero count."""
     trace_path = tmp_path / "events.ndjson"
-    _replay("murofet_small", tmp_path, 4, trace_out=trace_path, trace_sample=1)
+    _replay("murofet_small", tmp_path, trace_out=trace_path, trace_sample=1)
     report = trace_report(trace_path)
     for stage in STAGES:
         assert report["stages"].get(stage, {}).get("count", 0) > 0, stage

@@ -6,9 +6,11 @@ byte, as one that never died.
 """
 
 import json
+import os
 
 import pytest
 
+from repro.service import checkpoint as checkpoint_mod
 from repro.service.checkpoint import (
     CHECKPOINT_SCHEMA,
     CheckpointError,
@@ -67,6 +69,33 @@ class TestCheckpointStore:
             store.save({"n": n})
         assert store.load()["n"] == 4
         assert json.loads(store.previous_path.read_text())["n"] == 3
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "ck.json",
+            "ck.json.1",
+        ]
+
+    def test_kill_before_final_rename_keeps_previous_generation(
+        self, tmp_path, monkeypatch
+    ):
+        """The new generation is renamed into place last: a crash just
+        before that rename (here, the rename itself failing) leaves the
+        previous checkpoint at ``path``, never a missing file."""
+        path = tmp_path / "ck.json"
+        store = CheckpointStore(path)
+        store.save({"n": 1})
+        real_replace = os.replace
+
+        def failing_replace(src, dst):
+            if os.fspath(dst) == os.fspath(path):
+                raise OSError("killed before the final rename")
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(checkpoint_mod.os, "replace", failing_replace)
+        with pytest.raises(OSError):
+            store.save({"n": 2})
+        monkeypatch.setattr(checkpoint_mod.os, "replace", real_replace)
+        assert json.loads(path.read_text())["n"] == 1
+        assert store.load()["n"] == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "ck.json",
             "ck.json.1",

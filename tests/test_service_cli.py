@@ -3,6 +3,7 @@ serve — including the SIGKILL crash drill that enforces byte-identical
 recovery."""
 
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -104,6 +105,90 @@ class TestReplay:
             == 0
         )
         assert json.loads(out.read_text().splitlines()[0])["family"] == "murofet"
+
+
+@pytest.fixture(scope="module")
+def two_day_trace(tmp_path_factory):
+    """A two-day exported trace — emissions happen mid-stream, so batch
+    framing and quarantine attribution are actually exercised."""
+    path = tmp_path_factory.mktemp("svc-2d") / "trace.ndjson"
+    assert (
+        main(
+            [
+                "export-trace",
+                "--source", "sim",
+                "--family", "murofet",
+                "--bots", "12",
+                "--servers", "4",
+                "--days", "2",
+                "--seed", "5",
+                "--out", str(path),
+            ]
+        )
+        == 0
+    )
+    return path
+
+
+@pytest.fixture(scope="module")
+def corrupt_trace(two_day_trace, tmp_path_factory):
+    """The two-day trace with garbage lines injected at three offsets."""
+    lines = two_day_trace.read_text().splitlines()
+    for position, junk in (
+        (len(lines) // 4, "{not json"),
+        (len(lines) // 2, '{"v": 99, "timestamp": 1.0}'),
+        (3 * len(lines) // 4, "\x00\xff garbage"),
+    ):
+        lines.insert(position, junk)
+    path = tmp_path_factory.mktemp("svc-corrupt") / "trace.ndjson"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+class TestBatchedReplay:
+    def _replay(self, trace, tmp_path, name, *extra):
+        out = tmp_path / name
+        assert main(["replay", str(trace), "--out", str(out), *extra]) == 0
+        return out.read_bytes()
+
+    def test_batching_matches_line_at_a_time(self, two_day_trace, tmp_path):
+        reference = self._replay(
+            two_day_trace, tmp_path, "serial.ndjson", "--batch-lines", "1"
+        )
+        chunked = self._replay(
+            two_day_trace, tmp_path, "chunked.ndjson", "--batch-lines", "64"
+        )
+        assert chunked == reference
+
+    def test_quarantine_attribution_survives_batching(self, corrupt_trace, tmp_path):
+        """Corrupt lines mid-stream must charge their quarantine deltas
+        to the same emissions whether decoded line-at-a-time or in
+        chunks."""
+        tolerate = ["--max-corrupt", "16"]
+        reference = self._replay(
+            corrupt_trace, tmp_path, "serial.ndjson", "--batch-lines", "1", *tolerate
+        )
+        batched = self._replay(
+            corrupt_trace, tmp_path, "batched.ndjson", "--batch-lines", "64", *tolerate
+        )
+        assert batched == reference
+
+    def test_deprecated_ingest_workers_runs_in_process(
+        self, two_day_trace, tmp_path, capsys
+    ):
+        """``--ingest-workers N`` is still accepted for one release: it
+        warns once on stderr, runs in-process and changes no byte."""
+        reference = self._replay(
+            two_day_trace, tmp_path, "serial.ndjson", "--batch-lines", "1"
+        )
+        capsys.readouterr()
+        aliased = self._replay(
+            two_day_trace, tmp_path, "aliased.ndjson", "--ingest-workers", "4"
+        )
+        stderr = capsys.readouterr().err.splitlines()
+        assert len([line for line in stderr if "deprecated" in line]) == 1
+        assert aliased == reference
+        assert multiprocessing.active_children() == []
 
 
 class TestServe:

@@ -35,6 +35,7 @@ from repro.service.cluster import (
     cluster_replay,
     cluster_serve,
     merge_landscape_rows,
+    partition_for_server,
     reshard_checkpoints,
     restate_rows,
     route_line,
@@ -45,7 +46,6 @@ from repro.service.meshguard import (
     partition_states_from_heartbeats,
     write_heartbeat,
 )
-from repro.service.workers import partition_for_server
 
 REPO_SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -140,6 +140,13 @@ def drained_checkpoints(trace, payload_lines, tmp_path_factory):
 
 
 class TestRouting:
+    def test_router_is_deterministic_and_spreads(self):
+        servers = [f"local-{i}" for i in range(40)]
+        first = [partition_for_server(s, 4) for s in servers]
+        assert first == [partition_for_server(s, 4) for s in servers]
+        assert all(0 <= p < 4 for p in first)
+        assert len(set(first)) > 1  # crc32 actually spreads the keys
+
     def test_lookup_lines_hash_on_server(self):
         line = json.dumps(
             {"v": 1, "timestamp": 3.0, "server": "ldns-002", "domain": "x.com"}

@@ -93,6 +93,32 @@ class TestBatchEquivalence:
         ]
 
 
+def stream_batched(engine, records, chunk=64):
+    out = []
+    for i in range(0, len(records), chunk):
+        out.extend(engine.submit_batch(list(records[i : i + chunk])))
+    out.extend(engine.finalize())
+    return out
+
+
+class TestBatchFraming:
+    def test_batch_framing_does_not_matter(self, merged_pair):
+        dgas, records, timeline = merged_pair
+        engine_a = ShardedLandscapeEngine(dgas, timeline=timeline)
+        engine_b = ShardedLandscapeEngine(dgas, timeline=timeline)
+        a = serialize(stream_batched(engine_a, records, chunk=7))
+        b = serialize(stream_batched(engine_b, records, chunk=1024))
+        assert a == b
+
+    def test_serial_submit_batch_equals_submit_loop(self, merged_pair):
+        dgas, records, timeline = merged_pair
+        loop = ShardedLandscapeEngine(dgas, timeline=timeline)
+        batched = ShardedLandscapeEngine(dgas, timeline=timeline)
+        assert serialize(stream_batched(batched, records)) == serialize(
+            stream(loop, records)
+        )
+
+
 class TestEngineMechanics:
     def setup_method(self):
         self.windows = {

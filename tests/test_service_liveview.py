@@ -95,12 +95,8 @@ class TestLexicalReplayByteIdentity:
         got = _replay_bytes(tmp_path, f"b{batch_lines}.t{int(traced)}", **kwargs)
         assert got == EXPECTED.read_bytes()
 
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_worker_count_matches_committed_bytes(self, workers, tmp_path):
-        got = _replay_bytes(
-            tmp_path, f"w{workers}", batch_lines=256, ingest_workers=workers,
-            d3="lexical",
-        )
+    def test_batched_replay_matches_committed_bytes(self, tmp_path):
+        got = _replay_bytes(tmp_path, "b256", batch_lines=256, d3="lexical")
         assert got == EXPECTED.read_bytes()
 
 

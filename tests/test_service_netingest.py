@@ -225,7 +225,6 @@ def _net_replay(
     tmp_path,
     sensors=3,
     transport="tcp",
-    workers=1,
     window=4096,
     trace_out=None,
     checkpoint=None,
@@ -239,7 +238,6 @@ def _net_replay(
         checkpoint_path=checkpoint,
         checkpoint_every=checkpoint_every,
         batch_lines=256,
-        ingest_workers=workers,
         trace_out=trace_out,
         trace_sample=16 if trace_out is not None else 0,
         log_stream=io.StringIO(),
@@ -496,12 +494,6 @@ class TestSocketReplay:
             f"sensor-{i:02d}": len(shard_trace_lines(trace_lines, i, 3))
             for i in range(3)
         }
-
-    def test_tcp_four_ingest_workers_byte_identical(
-        self, trace_lines, reference, tmp_path
-    ):
-        output, _, _ = _net_replay(trace_lines, tmp_path, sensors=3, workers=4)
-        assert output == reference
 
     def test_uds_three_sensors_byte_identical(
         self, trace_lines, reference, tmp_path

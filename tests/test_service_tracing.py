@@ -3,10 +3,10 @@ trace-event schema, and the tracing crash drill.
 
 The load-bearing properties:
 
-* **split-invariance** — merging per-worker histograms reconstructs the
-  single-process histogram *exactly*, for any split of the observations
-  (hypothesis property; what makes parallel-ingest estimate histograms
-  trustworthy);
+* **split-invariance** — merging per-partition histograms reconstructs
+  the single-process histogram *exactly*, for any split of the
+  observations (hypothesis property; what makes the cluster's merged
+  metrics trustworthy);
 * **bucket-boundary exactness** — 0, exact powers of two and overflow
   values land in the buckets the ``le`` semantics promise (frexp, not
   float log2);
@@ -16,11 +16,13 @@ The load-bearing properties:
   and histogram state survives a SIGKILL through the checkpoint.
 """
 
+import io
 import json
 import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -29,18 +31,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
+from repro.service.daemon import BotMeterDaemon
 from repro.service.metrics import (
     HISTOGRAM_BUCKET_BOUNDS,
     Histogram,
     MetricsRegistry,
     bucket_index,
 )
+from repro.service.netingest import NetIngestServer, SensorClient
 from repro.service.tracing import (
     DEFAULT_SAMPLE,
     STAGES,
     StageTracer,
     TraceSink,
-    WorkerTraceBuffer,
     render_stage_table,
     render_trace_report,
     trace_report,
@@ -177,14 +180,14 @@ def observations_and_split(draw):
 @given(observations_and_split())
 @settings(max_examples=120, deadline=None)
 def test_merging_any_split_equals_single_process(case):
-    """ISSUE acceptance: per-worker histograms merge exactly into the
-    single-process histogram, whatever the split of observations."""
+    """Per-partition histograms merge exactly into the single-process
+    histogram, whatever the split of observations."""
     values, assignment = case
     single = Histogram("h", "")
     parts = [Histogram("h", "") for _ in range(4)]
-    for value, worker in zip(values, assignment):
+    for value, part in zip(values, assignment):
         single.observe(value, stage="estimate")
-        parts[worker].observe(value, stage="estimate")
+        parts[part].observe(value, stage="estimate")
     merged = Histogram("h", "")
     for part in parts:
         merged.merge(part)
@@ -202,13 +205,14 @@ def test_merging_any_split_equals_single_process(case):
 @given(observations_and_split())
 @settings(max_examples=60, deadline=None)
 def test_merge_via_exported_payloads_is_exact(case):
-    """The wire form workers actually ship (export_data/merge_data)."""
+    """The exported form partition registries merge through
+    (export_data/merge_data)."""
     values, assignment = case
     single = Histogram("h", "")
     parts = [Histogram("h", "") for _ in range(4)]
-    for value, worker in zip(values, assignment):
+    for value, part in zip(values, assignment):
         single.observe(value)
-        parts[worker].observe(value)
+        parts[part].observe(value)
     merged = Histogram("h", "")
     for part in parts:
         payload = part.export_data()
@@ -290,42 +294,6 @@ class TestStageTracer:
         assert planned.latency.count(stage="reorder") == 1
         assert planned.batch.count(stage="reorder") == 1
 
-    def test_absorb_worker_merges_exactly(self):
-        clock = FakeClock(step=1000)
-        buffers = [WorkerTraceBuffer(1, clock=clock) for _ in range(3)]
-        expected = Histogram("h", "")
-        for worker, buffer in enumerate(buffers):
-            for shard in range(worker + 1):
-                before = clock.now
-                buffer.time_shard("fam", f"s{shard}", lambda: None)
-                expected.observe(1000)  # FakeClock: every span is one step
-        tracer = StageTracer(sample=1, clock=clock)
-        for worker, buffer in enumerate(buffers):
-            tracer.absorb_worker(worker, buffer.ship())
-        # Global estimate series == elementwise sum of per-worker series.
-        total = [0] * len(tracer.latency.bucket_counts(stage="estimate"))
-        for worker in range(3):
-            counts = tracer.latency.bucket_counts(
-                stage="estimate", worker=str(worker)
-            )
-            total = [a + b for a, b in zip(total, counts)]
-        assert total == tracer.latency.bucket_counts(stage="estimate")
-        assert tracer.latency.count(stage="estimate") == 6
-        assert tracer.latency.bucket_counts(
-            stage="estimate"
-        ) == expected.bucket_counts()
-        assert tracer.summary()["stages"]["estimate"]["spans"] == 6
-
-    def test_ship_resets_the_buffer(self):
-        buffer = WorkerTraceBuffer(1, clock=FakeClock())
-        buffer.time_shard("fam", "s0", lambda: None)
-        first = buffer.ship()
-        assert first["summary"]["spans"] == 1
-        second = buffer.ship()
-        assert second["summary"]["spans"] == 0
-        assert second["hist"] is None  # nothing observed since the ship
-        assert second["shard_ns"] == []
-
     def test_render_stage_table_orders_stages(self):
         tracer = StageTracer(sample=1, clock=FakeClock())
         for stage in reversed(STAGES):
@@ -356,13 +324,15 @@ class TestTraceSchema:
             for _ in range(5):
                 t0 = tracer.start("decode")
                 tracer.stop("decode", t0, records=3)
-            tracer.worker_drain(1, 500)
+            # A span shaped like the retired worker pool's drain events:
+            # traces recorded before its removal must still validate.
+            tracer.sink.span({"stage": "drain", "dt_ns": 500, "worker": 1})
 
         _, lines = self._sink_lines(tmp_path, drive)
         kinds = [validate_trace_event(line) for line in lines]
         assert kinds[0] == "trace-header"
         assert kinds[-1] == "trace-summary"
-        assert kinds.count("span") == 4  # 3 sampled decodes + 1 drain
+        assert kinds.count("span") == 4  # 3 sampled decodes + 1 legacy drain
 
     def test_span_payloads_carry_only_monotonic_deltas(self, tmp_path):
         def drive(tracer):
@@ -516,15 +486,51 @@ def trace(tmp_path_factory):
     return path
 
 
+def _net_replay_dirty(trace, workdir, trace_sample):
+    """Replay ``trace`` over TCP from one sensor through the batched
+    network ingest path; returns ``(landscape bytes, dead-letter bytes)``."""
+    workdir.mkdir()
+    out = workdir / "net.ndjson"
+    dlq = workdir / "dlq.ndjson"
+    daemon = BotMeterDaemon(
+        "net:dirty",
+        out_path=out,
+        deadletter_path=dlq,
+        batch_lines=256,
+        trace_sample=trace_sample,
+        log_stream=io.StringIO(),
+    )
+    server = NetIngestServer(daemon, tcp=("127.0.0.1", 0), expect_sensors=1)
+    thread = server.run_in_thread()
+    errors = []
+
+    def _send():
+        try:
+            SensorClient(
+                ("tcp", *server.tcp_address), "sensor-00", retry_deadline=60
+            ).replay_lines(trace.read_bytes().splitlines())
+        except BaseException as exc:  # noqa: BLE001 — surfaced below
+            errors.append(exc)
+
+    client = threading.Thread(target=_send, daemon=True)
+    client.start()
+    client.join(timeout=120)
+    thread.join(timeout=60)
+    if errors:
+        server.stop()
+        raise errors[0]
+    assert server.error is None
+    return out.read_bytes(), dlq.read_bytes()
+
+
 class TestTracingDeterminism:
-    @pytest.mark.parametrize("workers", [1, 4])
     def test_landscape_bytes_identical_with_tracing_on_or_off(
-        self, trace, tmp_path, workers
+        self, trace, tmp_path
     ):
-        off = tmp_path / f"off{workers}.ndjson"
-        on = tmp_path / f"on{workers}.ndjson"
-        events = tmp_path / f"events{workers}.ndjson"
-        base = ["replay", str(trace), "--ingest-workers", str(workers)]
+        off = tmp_path / "off.ndjson"
+        on = tmp_path / "on.ndjson"
+        events = tmp_path / "events.ndjson"
+        base = ["replay", str(trace)]
         assert main(base + ["--out", str(off), "--trace-sample", "0"]) == 0
         assert (
             main(
@@ -567,37 +573,64 @@ class TestTracingDeterminism:
         for stage, summary in stages.items():
             assert summary["records"] > 0, stage
 
-    def test_corrupt_lines_keep_traced_replay_byte_identical(
-        self, trace, tmp_path
-    ):
-        """The traced chunk path drains a whole chunk before enqueueing,
-        reconstructing each record's quarantine mark from the corrupt
-        journal — interleave garbage lines through the stream and the
-        traced replay must still match the untraced one byte for byte
-        (including deadletter attribution)."""
+    def test_corrupt_lines_keep_traced_replay_byte_identical(self, tmp_path):
+        """The chunked file path and the batched network path decode a
+        whole run before enqueueing, stamping each record with the
+        reader's corrupt count at its own yield.  Interleave garbage
+        lines through a two-day stream (so epoch 0 is emitted mid-stream
+        and must be charged only the garbage before it): every framing
+        (1 and 256 lines), with tracing off or timing every span, and
+        over a socket, must give the same landscape and dead-letter
+        bytes."""
+        clean = tmp_path / "clean.ndjson"
+        assert (
+            main(
+                [
+                    "export-trace",
+                    "--family", "murofet",
+                    "--bots", "10",
+                    "--servers", "2",
+                    "--days", "2",
+                    "--seed", "9",
+                    "--out", str(clean),
+                ]
+            )
+            == 0
+        )
         dirty = tmp_path / "dirty.ndjson"
-        with open(trace) as src, open(dirty, "w") as dst:
+        with open(clean) as src, open(dirty, "w") as dst:
             for lineno, line in enumerate(src):
                 dst.write(line)
                 if lineno % 7 == 3:
                     dst.write("{this is not json\n")
         outputs = {}
-        for sample in ("0", "2"):
-            out = tmp_path / f"out{sample}.ndjson"
-            dlq = tmp_path / f"dlq{sample}.ndjson"
-            assert (
-                main(
-                    [
-                        "replay", str(dirty),
-                        "--out", str(out),
-                        "--deadletter", str(dlq),
-                        "--trace-sample", sample,
-                    ]
+        for batch in ("1", "256"):
+            for sample in ("0", "1"):
+                out = tmp_path / f"out{batch}-{sample}.ndjson"
+                dlq = tmp_path / f"dlq{batch}-{sample}.ndjson"
+                assert (
+                    main(
+                        [
+                            "replay", str(dirty),
+                            "--out", str(out),
+                            "--deadletter", str(dlq),
+                            "--batch-lines", batch,
+                            "--trace-sample", sample,
+                        ]
+                    )
+                    == 0
                 )
-                == 0
-            )
-            outputs[sample] = (out.read_bytes(), dlq.read_bytes())
-        assert outputs["2"] == outputs["0"]
+                outputs[(batch, sample)] = (out.read_bytes(), dlq.read_bytes())
+        reference = outputs[("1", "0")]
+        rows = [json.loads(line) for line in reference[0].splitlines()]
+        assert [row["epoch"] for row in rows] == [0, 1]
+        assert all(row["quality"]["quarantined"] > 0 for row in rows)
+        for key, got in outputs.items():
+            assert got == reference, key
+        for sample in (0, 1):
+            assert _net_replay_dirty(dirty, tmp_path / f"net{sample}", sample) == (
+                reference
+            ), sample
 
     def test_metrics_dump_includes_histograms(self, trace, tmp_path):
         out = tmp_path / "out.ndjson"

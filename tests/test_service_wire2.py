@@ -416,13 +416,9 @@ def reference(trace_pair, tmp_path_factory):
 
 
 class TestLandscapeByteIdentity:
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_v2_replay_matches_ndjson_replay(self, trace_pair, reference, workers, tmp_path):
+    def test_v2_replay_matches_ndjson_replay(self, trace_pair, reference, tmp_path):
         out = tmp_path / "v2.ndjson"
-        assert main([
-            "replay", str(trace_pair[1]), "--out", str(out),
-            "--ingest-workers", str(workers),
-        ]) == 0
+        assert main(["replay", str(trace_pair[1]), "--out", str(out)]) == 0
         assert out.read_bytes() == reference
 
     def test_v2_replay_with_trace_sink_matches(self, trace_pair, reference, tmp_path):
