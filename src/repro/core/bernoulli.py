@@ -36,8 +36,6 @@ import math
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.special import gammaln, logsumexp
 
 from .combinatorics import segment_validity_curve
 from .estimator import (
@@ -46,6 +44,7 @@ from .estimator import (
     PopulationEstimate,
     average_per_epoch,
 )
+from .numeric import gammaln_int, logsumexp, minimize_bounded
 from .segments import DgaCircle, Segment, SegmentKind
 
 __all__ = [
@@ -188,13 +187,25 @@ def _bracketed_root(excess) -> float:
     return 0.5 * (lo + hi)
 
 
+_arange_table = np.zeros(0)
+
+
+def _arange(size: int) -> np.ndarray:
+    """``np.arange(size, dtype=float)`` as a slice of one growing table."""
+    global _arange_table
+    if size > _arange_table.size:
+        _arange_table = np.arange(max(size, 2 * _arange_table.size), dtype=float)
+        _arange_table.flags.writeable = False
+    return _arange_table[:size]
+
+
 def _segment_log_mixture(mu: float, log_curve: np.ndarray) -> float:
     """``log Σ_n Poisson(n; μ)·V(n)`` for one segment."""
     if mu <= 0:
         return float(log_curve[0])  # only n = 0 has mass; V(0) = 0 → -inf
-    n = np.arange(log_curve.size, dtype=float)
-    log_pois = n * math.log(mu) - mu - gammaln(n + 1.0)
-    return float(logsumexp(log_pois + log_curve))
+    size = log_curve.size
+    log_pois = _arange(size) * math.log(mu) - mu - gammaln_int(size)
+    return logsumexp(log_pois + log_curve)
 
 
 def solve_pattern_population(
@@ -261,11 +272,7 @@ def solve_pattern_population(
             )
         return -total
 
-    result = minimize_scalar(
-        neg_log_likelihood, bounds=(1e-9, n_hi), method="bounded",
-        options={"xatol": 1e-3},
-    )
-    return float(result.x)
+    return float(minimize_bounded(neg_log_likelihood, 1e-9, n_hi, xatol=1e-3))
 
 
 class BernoulliEstimator:

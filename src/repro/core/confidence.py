@@ -12,6 +12,9 @@ principled interval constructions:
   profile-likelihood interval over the Bernoulli coverage likelihood
   (all ``N`` whose log-likelihood is within ``χ²₁(1−α)/2`` of the
   maximum).
+
+Both need ``scipy.stats``; it is imported inside them, so importing this
+module (and the daemon that imports it) stays scipy-free.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import chi2, gamma
 
 __all__ = [
     "ConfidenceInterval",
@@ -80,6 +82,10 @@ def poisson_interval(
         # One-sided: rate below the (level)-quantile of Exp(exposure).
         high = -math.log(1 - level) / exposure * window
         return ConfidenceInterval(0.0, 0.0, high, level)
+    # scipy.stats is imported here, not at module level: it costs ~0.7 s
+    # and ~65 MB per process, and botmeterd never builds intervals.
+    from scipy.stats import gamma
+
     alpha = 1 - level
     # Jeffreys-style Gamma bounds on the rate λ given n events in E.
     low_rate = gamma.ppf(alpha / 2, n_visible, scale=1.0 / exposure)
@@ -149,6 +155,8 @@ def coverage_profile_interval(
         raise ValueError("weights and coverage must align")
     if w.size == 0 or point == 0:
         return ConfidenceInterval(0.0, point, max(point, 1.0), level)
+
+    from scipy.stats import chi2  # lazily, as in poisson_interval
 
     threshold = chi2.ppf(level, df=1) / 2.0
     peak = _coverage_log_likelihood(max(point, 1e-9), w, x, circle_size)

@@ -22,6 +22,7 @@ import datetime as _dt
 import json
 import sys
 import time
+from collections import deque
 from pathlib import Path
 from typing import IO, Any, Iterable, Mapping, Sequence
 
@@ -257,6 +258,9 @@ class BotMeterDaemon:
         self.records_consumed = 0
         self._since_checkpoint = 0
         self._quarantined_mark = 0
+        #: Corrupt dead-letter entries not yet written:
+        #: ``(reader corrupt count, line, reason)``.
+        self._pending_corrupt: deque[tuple[int, str, str]] = deque()
         self._out_fh: IO[str] | None = None
         self.resumed = False
         self.batch_lines = max(1, int(batch_lines))
@@ -292,12 +296,25 @@ class BotMeterDaemon:
         print(json.dumps(payload, sort_keys=True), file=self._log, flush=True)
 
     def _quarantine_corrupt(self, line: str, reason: str) -> None:
+        # Journaled under the reader's corrupt count, not written: decode
+        # may run ahead of submission, and late quarantines only fire at
+        # submission.  :meth:`_write_corrupt` writes the entry once
+        # submission reaches it, so corrupt and late entries interleave
+        # in stream order at any batch framing.
         if self.deadletter is not None:
-            self.deadletter.quarantine(
-                "corrupt", line=line[:MAX_LINE_SNIPPET], why=reason
+            self._pending_corrupt.append(
+                (self.reader.corrupt, line[:MAX_LINE_SNIPPET], reason)
             )
         if self.health is not None:
             self.health.record_quarantined()
+
+    def _write_corrupt(self, mark: int | None = None) -> None:
+        """Write the journaled corrupt entries numbered ``<= mark`` (the
+        corrupt count stamped on the next record to submit), or all."""
+        pending = self._pending_corrupt
+        while pending and (mark is None or pending[0][0] <= mark):
+            _, line, reason = pending.popleft()
+            self.deadletter.quarantine("corrupt", line=line, why=reason)
 
     def _quarantine_late(self, record: ForwardedLookup, matched_day: int) -> None:
         if self.deadletter is not None:
@@ -479,6 +496,7 @@ class BotMeterDaemon:
         self._flush_batch()
         while self._pending_controls:
             self._apply_control(self._pending_controls.pop(0)[1])
+        self._write_corrupt()
         engine = self._ensure_engine()
         state = {
             "input": self.input_path,
@@ -557,6 +575,7 @@ class BotMeterDaemon:
         if self.deadletter is not None:
             dl_state = checkpoint.get("deadletter", {"entries": 0, "counts": {}})
             self.deadletter.truncate_to(dl_state["entries"], dl_state["counts"])
+            self._pending_corrupt.clear()
         self._truncate_output(self.landscapes_emitted)
         self.resumed = True
         self._log_event(
@@ -680,14 +699,36 @@ class BotMeterDaemon:
         if self._out_fh is None and self.out_path is not None:
             self._out_fh = open(self.out_path, "a")
         engine = self._ensure_engine()
-        engine.submit_batch(
-            records,
-            on_emit=lambda index, epochs: self._emit(
-                epochs,
-                corrupt_snapshot=marks[index],
-                d3_snapshot=d3_marks[index],
-            ),
-        )
+        if not self._pending_corrupt:
+            engine.submit_batch(
+                records,
+                on_emit=lambda index, epochs: self._emit(
+                    epochs,
+                    corrupt_snapshot=marks[index],
+                    d3_snapshot=d3_marks[index],
+                ),
+            )
+            return
+        # Corrupt lines sit inside the batch: submit it in runs of equal
+        # corrupt mark, writing each run's corrupt entries before it, so
+        # late entries fired by earlier records precede them.
+        start = 0
+        n = len(records)
+        while start < n:
+            mark = marks[start]
+            end = start + 1
+            while end < n and marks[end] == mark:
+                end += 1
+            self._write_corrupt(mark)
+            engine.submit_batch(
+                records[start:end],
+                on_emit=lambda index, epochs, base=start: self._emit(
+                    epochs,
+                    corrupt_snapshot=marks[base + index],
+                    d3_snapshot=d3_marks[base + index],
+                ),
+            )
+            start = end
 
     def _submit_columns(self, columns: LookupColumns) -> None:
         """Submit one decoded wire-v2 RECORDS frame to the engine.
@@ -713,6 +754,7 @@ class BotMeterDaemon:
             self._out_fh = open(self.out_path, "a")
         engine = self._ensure_engine()
         mark = self.reader.corrupt
+        self._write_corrupt()
         engine.submit_columns(
             columns,
             on_emit=lambda index, epochs: self._emit(epochs, corrupt_snapshot=mark),
@@ -733,6 +775,7 @@ class BotMeterDaemon:
             self.out_path.write_text("")
         if self.deadletter is not None:
             self.deadletter.reset()
+            self._pending_corrupt.clear()
 
     def _attach_trace_sink(self, resumed: bool) -> None:
         if self.tracer is not None and self.trace_out is not None:
@@ -751,6 +794,7 @@ class BotMeterDaemon:
             # family joins the taxonomy (and the checkpoint) even though
             # it never charted an epoch this segment.
             self._apply_control(self._pending_controls.pop(0)[1])
+        self._write_corrupt()
         if self.finalize_at_eof and self.engine is not None:
             self._emit(self.engine.finalize())
         # Persist the end-of-stream state whenever an engine exists or
@@ -787,6 +831,7 @@ class BotMeterDaemon:
             self._out_fh.close()
             self._out_fh = None
         if self.deadletter is not None:
+            self._write_corrupt()
             self.deadletter.close()
 
     # -- the loop ------------------------------------------------------------
@@ -1137,6 +1182,8 @@ class BotMeterDaemon:
         if self._out_fh is None and self.out_path is not None:
             self._out_fh = open(self.out_path, "a")
         engine = self._ensure_engine()
+        if self._pending_corrupt:
+            self._write_corrupt()
         self._emit(engine.submit(record), d3_snapshot=d3_mark)
         self.records_consumed += 1
         self._since_checkpoint += 1

@@ -145,6 +145,28 @@ def corrupt_trace(two_day_trace, tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def late_corrupt_trace(two_day_trace, tmp_path_factory):
+    """The two-day trace with 20 day-0 records moved past the epoch-0
+    emission and 4 junk lines among them: late and corrupt quarantines
+    interleave in one stretch of the stream."""
+    header, *records = two_day_trace.read_text().splitlines()
+    day0 = [i for i, line in enumerate(records) if json.loads(line)["timestamp"] < 86400]
+    moved_at = set(day0[-40::2])  # 20 records from late on day 0
+    moved = [records[i] for i in sorted(moved_at)]
+    kept = [line for i, line in enumerate(records) if i not in moved_at]
+    stretch = []
+    for k, line in enumerate(moved):
+        stretch.append(line)
+        if k % 5 == 2:
+            stretch.append(f"{{not json {k}")
+    cut = 3 * len(kept) // 4  # well into day 1: epoch 0 is already out
+    lines = [header, *kept[:cut], *stretch, *kept[cut:]]
+    path = tmp_path_factory.mktemp("svc-late-corrupt") / "trace.ndjson"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 class TestBatchedReplay:
     def _replay(self, trace, tmp_path, name, *extra):
         out = tmp_path / name
@@ -172,6 +194,28 @@ class TestBatchedReplay:
             corrupt_trace, tmp_path, "batched.ndjson", "--batch-lines", "64", *tolerate
         )
         assert batched == reference
+
+    def test_deadletter_order_is_independent_of_batching(
+        self, late_corrupt_trace, tmp_path
+    ):
+        """Corrupt and late quarantines land in the dead-letter file in
+        stream order, so its bytes do not depend on ``--batch-lines``."""
+        runs = {}
+        for batch in ("1", "256"):
+            deadletter = tmp_path / f"dlq{batch}.ndjson"
+            landscape = self._replay(
+                late_corrupt_trace, tmp_path, f"out{batch}.ndjson",
+                "--batch-lines", batch, "--max-corrupt", "16",
+                "--deadletter", str(deadletter),
+            )
+            runs[batch] = (landscape, deadletter.read_bytes())
+        entries = [json.loads(line) for line in runs["1"][1].splitlines()]
+        reasons = [entry["reason"] for entry in entries]
+        assert reasons.count("corrupt") == 4 and reasons.count("late") >= 10
+        # Interleaved, not grouped: a corrupt entry sits between late ones.
+        assert "late" in reasons[: reasons.index("corrupt")]
+        assert runs["256"][0] == runs["1"][0]
+        assert runs["256"][1] == runs["1"][1]
 
     def test_deprecated_ingest_workers_runs_in_process(
         self, two_day_trace, tmp_path, capsys
