@@ -129,7 +129,7 @@ def minimize_bounded(
     func: Callable[[float], float],
     lo: float,
     hi: float,
-    xatol: float = 1e-5,
+    xatol: float,
 ) -> float:
     """Bounded Brent minimisation of ``func`` on ``[lo, hi]``.
 

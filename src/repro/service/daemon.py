@@ -22,6 +22,7 @@ import datetime as _dt
 import json
 import sys
 import time
+from bisect import bisect_right
 from collections import deque
 from pathlib import Path
 from typing import IO, Any, Iterable, Mapping, Sequence
@@ -699,27 +700,19 @@ class BotMeterDaemon:
         if self._out_fh is None and self.out_path is not None:
             self._out_fh = open(self.out_path, "a")
         engine = self._ensure_engine()
-        if not self._pending_corrupt:
-            engine.submit_batch(
-                records,
-                on_emit=lambda index, epochs: self._emit(
-                    epochs,
-                    corrupt_snapshot=marks[index],
-                    d3_snapshot=d3_marks[index],
-                ),
-            )
-            return
-        # Corrupt lines sit inside the batch: submit it in runs of equal
-        # corrupt mark, writing each run's corrupt entries before it, so
-        # late entries fired by earlier records precede them.
-        start = 0
+        # Submit in runs of equal corrupt mark (marks never decrease),
+        # writing each run's corrupt entries before it, so late entries
+        # fired by earlier records precede them.  With nothing journaled
+        # the whole batch is one run.
         n = len(records)
+        start = 0
         while start < n:
-            mark = marks[start]
-            end = start + 1
-            while end < n and marks[end] == mark:
-                end += 1
-            self._write_corrupt(mark)
+            end = (
+                bisect_right(marks, marks[start], start)
+                if self._pending_corrupt
+                else n
+            )
+            self._write_corrupt(marks[start])
             engine.submit_batch(
                 records[start:end],
                 on_emit=lambda index, epochs, base=start: self._emit(
@@ -920,6 +913,7 @@ class BotMeterDaemon:
                     if not self.follow:
                         break
                     self._flush_batch()
+                    self._write_corrupt()
                     now = time.monotonic()
                     if idle_since is None:
                         idle_since = now
@@ -1075,9 +1069,11 @@ class BotMeterDaemon:
                             offset = position + len(line)
                             self._consume(line, offset)
                         break
-                    # Idle: don't sit on decoded records waiting for a
-                    # full batch the producer may never complete.
+                    # Idle: don't sit on decoded records or journaled
+                    # dead-letter entries waiting for a full batch the
+                    # producer may never complete.
                     self._flush_batch()
+                    self._write_corrupt()
                     now = time.monotonic()
                     if idle_since is None:
                         idle_since = now
@@ -1182,8 +1178,7 @@ class BotMeterDaemon:
         if self._out_fh is None and self.out_path is not None:
             self._out_fh = open(self.out_path, "a")
         engine = self._ensure_engine()
-        if self._pending_corrupt:
-            self._write_corrupt()
+        self._write_corrupt()
         self._emit(engine.submit(record), d3_snapshot=d3_mark)
         self.records_consumed += 1
         self._since_checkpoint += 1

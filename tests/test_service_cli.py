@@ -280,6 +280,45 @@ class TestServe:
         )
         assert len(served.read_text().splitlines()) == 1
 
+    @pytest.mark.parametrize("wire", ["ndjson", "v2"])
+    def test_follow_mode_writes_deadletter_while_idle(self, trace, tmp_path, wire):
+        """A corrupt line followed by an idle stream reaches the
+        dead-letter file while the daemon waits, not only at shutdown."""
+        source = tmp_path / "tail.ndjson"
+        source.write_bytes(trace.read_bytes() + b"{not json\n")
+        if wire == "v2":
+            converted = tmp_path / "tail.v2"
+            assert main(["convert-trace", str(source), "--out", str(converted)]) == 0
+            source = converted
+        deadletter = tmp_path / "dlq.ndjson"
+        env = dict(os.environ, PYTHONPATH=REPO_SRC)
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.cli", "serve",
+                "--input", str(source),
+                "--follow",
+                "--idle-timeout", "60",
+                "--poll-interval", "0.05",
+                "--out", str(tmp_path / "served.ndjson"),
+                "--deadletter", str(deadletter),
+            ],
+            env=env,
+            stderr=subprocess.DEVNULL,
+        )
+        try:
+            deadline = time.monotonic() + 30
+            entries = []
+            while not entries and time.monotonic() < deadline:
+                assert proc.poll() is None, "daemon exited before going idle"
+                if deadletter.exists():
+                    entries = deadletter.read_text().splitlines()
+                time.sleep(0.05)
+            assert proc.poll() is None
+        finally:
+            proc.kill()
+            proc.wait(timeout=30)
+        assert [json.loads(line)["reason"] for line in entries] == ["corrupt"]
+
 
 class TestCrashRecovery:
     def test_sigkill_then_resume_is_byte_identical(self, trace, tmp_path):
