@@ -1239,11 +1239,13 @@ class SensorClient:
             self.acked = max(self.acked, int(message.get("cursor", 0)))
         return str(kind)
 
-    def _drain_acks(self, sock: socket.socket, buf: bytearray) -> None:
+    def _drain_acks(self, sock: socket.socket, buf: bytearray) -> bool:
+        """Handle the server messages already readable; True once the
+        bye has been read (the server may close right after it)."""
         while True:
             readable, _, _ = select.select([sock], [], [], 0)
             if not readable:
-                return
+                return False
             chunk = sock.recv(1 << 16)
             if not chunk:
                 raise ConnectionError("server closed the connection")
@@ -1254,8 +1256,8 @@ class SensorClient:
                     break
                 line = bytes(buf[:newline])
                 del buf[: newline + 1]
-                if line.strip():
-                    self._handle(json.loads(line))
+                if line.strip() and self._handle(json.loads(line)) == "bye":
+                    return True
 
     # -- the replay ----------------------------------------------------------
 
@@ -1317,6 +1319,7 @@ class SensorClient:
                     )
                 report.skipped = start
                 fin = _control_line({"v": 1, "type": "fin"})
+                bye = False
                 if self.throttle > 0:
                     for index in range(start, len(lines)):
                         sock.sendall(lines[index] + b"\n")
@@ -1336,13 +1339,15 @@ class SensorClient:
                     view = memoryview(payload)
                     for offset in range(0, len(view), self.chunk_bytes):
                         sock.sendall(view[offset : offset + self.chunk_bytes])
-                        self._drain_acks(sock, inbuf)
+                        # Only the last chunk carries the fin, so only
+                        # its drain can see the bye.
+                        bye = self._drain_acks(sock, inbuf)
                     report.sent += len(lines) - start
-                while True:
+                while not bye:
                     message = self._read_message(sock, inbuf, self.io_timeout)
-                    if self._handle(message) == "bye":
-                        report.acked = self.acked
-                        return report
+                    bye = self._handle(message) == "bye"
+                report.acked = self.acked
+                return report
             except SensorError:
                 raise
             except (OSError, ValueError) as exc:
