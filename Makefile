@@ -20,9 +20,10 @@ smoke-sweep:
 	@cat smoke_perf.json
 
 # botmeterd end-to-end: export a synthetic trace, replay it line-at-a-time
-# vs batch engine vs 256-line batches vs a 2-partition cluster (all
-# byte-identical), then SIGKILL a throttled daemon mid-stream and prove
-# the resumed output still matches. Mirrors the CI job.
+# vs batch engine vs 256-line batches vs a 2-partition cluster vs a
+# stdin pipe into serve (all byte-identical), then SIGKILL a throttled
+# daemon mid-stream and prove the resumed output still matches. Mirrors
+# the CI job.
 service-smoke:
 	rm -rf service-smoke && mkdir -p service-smoke
 	python -m repro.cli export-trace --source sim --family new_goz \
@@ -38,6 +39,9 @@ service-smoke:
 	python -m repro.cli cluster-replay service-smoke/trace.ndjson \
 		--workdir service-smoke/cluster --partitions 2 --no-verify > /dev/null
 	diff service-smoke/cluster/landscape.ndjson service-smoke/streamed.ndjson
+	cat service-smoke/trace.ndjson | python -m repro.cli serve --input - \
+		--idle-timeout 0.5 --out service-smoke/stdin.ndjson 2> /dev/null
+	diff service-smoke/stdin.ndjson service-smoke/streamed.ndjson
 	-timeout -s KILL 4 python -m repro.cli serve \
 		--input service-smoke/trace.ndjson --no-follow --throttle 0.001 \
 		--checkpoint service-smoke/ck.json --checkpoint-every 200 \
@@ -49,7 +53,7 @@ service-smoke:
 		--metrics-out service-smoke/metrics.prom \
 		--health-out service-smoke/health.json
 	diff service-smoke/served.ndjson service-smoke/streamed.ndjson
-	@echo "service-smoke OK: streamed == batch engine == 256-line batches == 2 partitions, SIGKILL resume == uninterrupted"
+	@echo "service-smoke OK: streamed == batch engine == 256-line batches == 2 partitions == stdin pipe, SIGKILL resume == uninterrupted"
 	@cat service-smoke/metrics.prom
 
 # Stagewatch end-to-end: replay a synthetic trace with tracing on,

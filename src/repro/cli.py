@@ -203,14 +203,10 @@ def build_parser() -> argparse.ArgumentParser:
             help="write the JSON health snapshot here",
         )
         cmd.add_argument(
-            "--ingest-workers", type=int, default=1, metavar="N",
-            help="deprecated and ignored: ingest always runs in-process; "
-                 "scale out with cluster-replay/cluster-serve --partitions",
-        )
-        cmd.add_argument(
             "--batch-lines", type=int, default=256, metavar="N",
-            help="decode/submit records in batches of this many input "
-                 "lines (1 = line-at-a-time; output bytes never change)",
+            help="submit at most this many records per engine call "
+                 "(1 = each record as it decodes; a wire-v2 frame submits "
+                 "whole; output bytes never change)",
         )
         cmd.add_argument(
             "--profile", default=None, metavar="PATH",
@@ -929,22 +925,21 @@ def _run_profiled(args: argparse.Namespace, fn, daemon=None):
             _print_stage_attribution(daemon() if callable(daemon) else daemon)
 
 
-def _warn_ingest_workers(args: argparse.Namespace) -> None:
-    """One stderr line for the deprecated ``--ingest-workers N`` (N != 1)."""
-    if args.ingest_workers != 1:
-        print(
-            f"warning: --ingest-workers {args.ingest_workers} is deprecated and "
-            "ignored (ingest runs in-process); scale out with "
-            "cluster-replay/cluster-serve --partitions N",
-            file=sys.stderr,
-        )
+def _run_daemon(args: argparse.Namespace, fn, daemon) -> int:
+    """:func:`_run_profiled` for a daemon run: a checkpoint that cannot
+    be resumed is one stderr line and exit code 1."""
+    from .service.checkpoint import CheckpointError
+
+    try:
+        return _run_profiled(args, fn, daemon=daemon)
+    except CheckpointError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 1
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
     from .service.daemon import BotMeterDaemon, batch_series, families_from_header
     from .service.wire import NdjsonReader, encode_landscape
-
-    _warn_ingest_workers(args)
 
     dgas = _parse_family_specs(args.family)
     if args.engine == "streaming":
@@ -972,7 +967,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             d3_training=args.d3_training,
             doh_adoption=args.doh_adoption,
         )
-        return _run_profiled(args, daemon.run, daemon=daemon)
+        return _run_daemon(args, daemon.run, daemon=daemon)
 
     reader = NdjsonReader(max_corrupt=args.max_corrupt)
     if args.deadletter:
@@ -1058,7 +1053,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("serve: --faults is file-ingest only", file=sys.stderr)
         return 2
     input_label = args.input if args.input else f"net:{args.listen or args.listen_uds}"
-    _warn_ingest_workers(args)
 
     def build_daemon(disarmed=None) -> BotMeterDaemon:
         return BotMeterDaemon(
@@ -1113,17 +1107,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             addr_file=args.addr_file,
             idle_timeout=args.idle_timeout,
         )
-        return _run_profiled(args, server.serve, daemon=daemon)
+        return _run_daemon(args, server.serve, daemon=daemon)
 
     if not args.supervise:
         daemon = build_daemon()
-        return _run_profiled(args, daemon.run, daemon=daemon)
+        return _run_daemon(args, daemon.run, daemon=daemon)
 
     from .service.supervisor import Supervisor, SupervisorGaveUp
 
     supervisor = Supervisor(build_daemon, max_restarts=args.max_restarts)
     try:
-        return _run_profiled(args, supervisor.run, daemon=lambda: supervisor.daemon)
+        return _run_daemon(args, supervisor.run, daemon=lambda: supervisor.daemon)
     except SupervisorGaveUp as exc:
         print(f"supervisor gave up: {exc}", file=sys.stderr)
         return 1

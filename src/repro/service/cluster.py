@@ -1136,7 +1136,7 @@ class ClusterRouterFrontend:
     def _checkpoint(self, offset: int) -> None:  # pragma: no cover
         pass  # store is None — the server never calls this
 
-    def _consume_parsed_many(self, pairs: Sequence[tuple[bytes, Any]]) -> None:
+    def _ingest_lines(self, pairs: Sequence[tuple[bytes, Any]]) -> None:
         n = len(self.streams)
         buckets: list[list[bytes]] = [[] for _ in range(n)]
         for raw, data in pairs:

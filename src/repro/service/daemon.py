@@ -1,8 +1,8 @@
 """botmeterd — the long-running landscape-charting daemon.
 
-Ties the subsystem together: a tailing NDJSON reader (file or stdin)
-feeds the sharded engine; closed epochs stream out as NDJSON landscape
-lines plus one structured log line each; counters and gauges are
+Ties the subsystem together: one ingest loop (NDJSON or wire-v2, file
+or stdin) feeds the sharded engine; closed epochs stream out as NDJSON
+landscape lines plus one structured log line each; counters and gauges are
 exported in Prometheus text and JSON health form; and the whole mutable
 state — input byte offset, emitted-line count, engine, metrics —
 checkpoints atomically every ``checkpoint_every`` records, so a
@@ -44,9 +44,13 @@ from .reorder import Backpressure
 from .supervisor import HealthMonitor
 from .tracing import DEFAULT_SAMPLE, StageTracer, TraceSink
 from .wire import NdjsonBatchDecoder, NdjsonReader, encode_landscape
-from .wire2 import LookupColumns, Wire2BatchDecoder, sniff_wire2
+from .wire2 import Wire2BatchDecoder, sniff_wire2
 
 __all__ = ["BotMeterDaemon", "batch_series", "families_from_header"]
+
+#: Most bytes one ``read1`` of the input returns; a pipe or a growing
+#: file yields what is there.  Output bytes never depend on it.
+READ_SIZE = 1 << 18
 
 
 def families_from_header(header: Mapping[str, Any]) -> dict[str, Dga]:
@@ -139,11 +143,11 @@ class BotMeterDaemon:
         watchdog_deadline: in follow mode, seconds of ingest silence
             before the daemon checkpoints and raises
             :class:`UpstreamStallError` for the supervisor to restart it.
-        batch_lines: decode/submit records in batches of this many input
-            lines (``1`` = the classic line-at-a-time loop).  Replay
-            (non-follow, no injector) additionally switches to a chunked
-            reader.  Emission, checkpoint and quarantine attribution are
-            batch-framing-independent — output bytes never change.
+        batch_lines: the most records held per engine submission
+            (``1`` = submit each record as it decodes); a v2 frame
+            submits whole.  Emission, checkpoint and quarantine
+            attribution are batch-framing-independent — output bytes
+            never change.
         trace_out: optional NDJSON span-event sink (``--trace-out``);
             a fresh run truncates it, a checkpoint resume appends.
         trace_sample: time 1 of every N spans per stage (default
@@ -279,14 +283,14 @@ class BotMeterDaemon:
         self._d3_training = d3_training
         self._d3: StreamingDetector | None = None
         #: Per-record ``(missed, truth, fp)`` snapshots journaled at
-        #: enqueue time — emission deltas must not depend on how far the
-        #: batched decoder ran ahead of submission (the framing anchor).
+        #: ingest time — emission deltas must not depend on how many
+        #: records a batch holds before submission (the framing anchor).
         self._pending_d3: list[tuple[int, int, int] | None] = []
         self._d3_missed_mark = 0
         self._d3_fp_mark = 0
         self._doh_adoption = doh_adoption  # None: read from the header
         #: ``register`` control lines journaled at decode position,
-        #: applied when consumption reaches them (decode-ahead safe).
+        #: applied when consumption reaches them.
         self._pending_controls: list[tuple[int, dict[str, Any]]] = []
         self.reader.on_control = self._on_control_line
 
@@ -459,6 +463,7 @@ class BotMeterDaemon:
             tracer.stop("emit", t0, records=len(epochs))
 
     def _dump_observability(self) -> None:
+        self._c_skipped.set_total(self.reader.skipped)
         if self.engine is not None:
             self.engine.refresh_gauges()
         if self.metrics_path is not None:
@@ -498,6 +503,7 @@ class BotMeterDaemon:
         while self._pending_controls:
             self._apply_control(self._pending_controls.pop(0)[1])
         self._write_corrupt()
+        self._c_skipped.set_total(self.reader.skipped)
         engine = self._ensure_engine()
         state = {
             "input": self.input_path,
@@ -594,9 +600,9 @@ class BotMeterDaemon:
 
         Returns ``False`` (→ the counted-skip corrupt path) for specs
         the registry cannot honour; accepted controls are applied when
-        record consumption reaches their decode position, so a decoded-
-        ahead chunk cannot register a family before the records that
-        preceded it on the wire.
+        record consumption reaches their decode position, after the
+        held batch is submitted, so a family never registers before the
+        records that preceded it on the wire.
         """
         name = data.get("family")
         base = data.get("base")
@@ -620,7 +626,7 @@ class BotMeterDaemon:
             self._apply_control(self._pending_controls.pop(0)[1])
 
     def _apply_control(self, spec: Mapping[str, Any]) -> None:
-        engine = self._ensure_engine()
+        engine = self._live_engine()
         name = str(spec["name"])
         if name in engine.families:
             self._log_event("family_register_skipped", family=name, reason="duplicate")
@@ -638,55 +644,75 @@ class BotMeterDaemon:
             families=len(engine.families),
         )
 
-    def _admit(self, record: ForwardedLookup) -> tuple[bool, tuple[int, int, int] | None]:
-        """Inline D3 gate.  A rejected record still counts as consumed
-        (it was read and judged — identically at any batch framing), it
-        just never reaches the engine."""
-        detector = self._ensure_d3()
-        if detector is None:
-            return True, None
-        if detector.admit(record):
-            return True, detector.snapshot()
-        self.records_consumed += 1
-        self._since_checkpoint += 1
-        if self.health is not None:
-            self.health.record_ok()
-        return False, None
+    # -- the one ingest entry ------------------------------------------------
 
-    # -- batched submission ---------------------------------------------------
+    def _ingest(self, records: Sequence[ForwardedLookup]) -> None:
+        """Take one run of just-decoded records: an NDJSON record line
+        or a v2 RECORDS frame, with the reader's counters standing at
+        the run's end (a run never spans a corrupt line).
 
-    def _enqueue(
-        self,
-        record: ForwardedLookup,
-        corrupt_mark: int | None = None,
-        ordinal: int | None = None,
-    ) -> None:
-        """Hold a decoded record for the next batched submission.
-
-        ``corrupt_mark`` lets a caller that decoded ahead of enqueueing
-        (the chunked and batched network paths) pin the reader corrupt
-        count observed at the record's own decode point; ``ordinal``
-        likewise pins the record's decode position for control-line
-        ordering.
+        Due control lines apply first, then the inline D3 gate; admitted
+        records are held for the next batched submission, each pinned
+        to the reader's corrupt count (and the detector's counters) as
+        they stand now, so dead-letter order and emission attribution
+        do not depend on batch framing.  A rejected record still counts
+        as consumed: it was read and judged, it just never reaches the
+        engine.
         """
-        if self._pending_controls:
-            self._apply_due_controls(
-                self.reader.records - 1 if ordinal is None else ordinal
-            )
-        admitted, d3_mark = self._admit(record)
-        if not admitted:
+        n = len(records)
+        if not n:
             return
-        self._pending_records.append(record)
-        self._pending_marks.append(
-            self.reader.corrupt if corrupt_mark is None else corrupt_mark
-        )
-        self._pending_d3.append(d3_mark)
-        self.records_consumed += 1
-        self._since_checkpoint += 1
+        if self._pending_controls:
+            self._apply_due_controls(self.reader.records - n)
+        if self.d3_mode is None:
+            d3_marks: Sequence[tuple[int, int, int] | None] = (None,) * n
+        else:
+            detector = self._ensure_d3()
+            admitted, d3_marks = [], []
+            for record in records:
+                if detector.admit(record):
+                    admitted.append(record)
+                    d3_marks.append(detector.snapshot())
+            records = admitted
+        self._pending_records.extend(records)
+        self._pending_marks.extend((self.reader.corrupt,) * len(records))
+        self._pending_d3.extend(d3_marks)
+        self.records_consumed += n
+        self._since_checkpoint += n
         if self.health is not None:
-            self.health.record_ok()
+            self.health.record_ok(n)
+        if self.throttle > 0:
+            time.sleep(self.throttle * n)
         if len(self._pending_records) >= self.batch_lines:
             self._flush_batch()
+
+    def _ingest_lines(self, pairs: Iterable[tuple[bytes | str, Any]]) -> None:
+        """Decode complete lines into :meth:`_ingest`, one at a time.
+
+        ``data`` is the line's ``json.loads`` when the caller already
+        parsed it (the network mux peeks every line for its merge key),
+        else ``None``.
+        """
+        reader = self.reader
+        for line, data in pairs:
+            if data is None:
+                record = reader.feed(line)
+            else:
+                record = reader.feed_parsed(line, data)
+            if record is not None:
+                self._ingest((record,))
+
+    def _live_engine(self) -> ShardedLandscapeEngine:
+        engine = self._ensure_engine()
+        if engine.finalized:
+            raise CheckpointError(
+                "the checkpoint was written at the end of the stream (every "
+                "epoch is closed), but the input continues past it; remove "
+                "the checkpoint to chart the longer stream from the start"
+            )
+        if self._out_fh is None and self.out_path is not None:
+            self._out_fh = open(self.out_path, "a")
+        return engine
 
     def _flush_batch(self) -> None:
         if not self._pending_records:
@@ -697,9 +723,7 @@ class BotMeterDaemon:
         self._pending_records = []
         self._pending_marks = []
         self._pending_d3 = []
-        if self._out_fh is None and self.out_path is not None:
-            self._out_fh = open(self.out_path, "a")
-        engine = self._ensure_engine()
+        engine = self._live_engine()
         # Submit in runs of equal corrupt mark (marks never decrease),
         # writing each run's corrupt entries before it, so late entries
         # fired by earlier records precede them.  With nothing journaled
@@ -722,40 +746,6 @@ class BotMeterDaemon:
                 ),
             )
             start = end
-
-    def _submit_columns(self, columns: LookupColumns) -> None:
-        """Submit one decoded wire-v2 RECORDS frame to the engine.
-
-        The reader's corrupt count is frame-constant — v2 quarantine
-        events only ever sit *between* frames (the writer flushes
-        pending records before a quarantine frame) — so one snapshot
-        serves every record in the frame, and emission attribution
-        matches what per-line NDJSON consumption of the same stream
-        would produce.
-        """
-        n = len(columns)
-        if n == 0:
-            return
-        if self.d3_mode is not None:
-            # The inline detector judges record-at-a-time; materialize
-            # the frame through the batched path (same admitted
-            # subsequence, same snapshots, same bytes as NDJSON).
-            for record in columns.materialize():
-                self._enqueue(record)
-            return
-        if self._out_fh is None and self.out_path is not None:
-            self._out_fh = open(self.out_path, "a")
-        engine = self._ensure_engine()
-        mark = self.reader.corrupt
-        self._write_corrupt()
-        engine.submit_columns(
-            columns,
-            on_emit=lambda index, epochs: self._emit(epochs, corrupt_snapshot=mark),
-        )
-        self.records_consumed += n
-        self._since_checkpoint += n
-        if self.health is not None:
-            self.health.record_ok()
 
     # -- run-segment scaffolding ---------------------------------------------
     # ``run`` (file/stdin) and the network ingest tier
@@ -829,196 +819,32 @@ class BotMeterDaemon:
 
     # -- the loop ------------------------------------------------------------
 
-    def _run_chunked(self, fh: IO[bytes], offset: int) -> int:
-        """Replay fast path: chunked reads + batched decode/submit.
-
-        Byte-stream semantics are identical to the line loop (the
-        decoder property test pins the decode; emission and checkpoint
-        attribution are pinned by the service equality tests) — only the
-        per-line Python overhead goes away.  Returns the final offset.
-        """
-        decoder = NdjsonBatchDecoder(self.reader)
-        reader = self.reader
-        tracer = self.tracer
-        # Decode is timed at chunk granularity — one span per read
-        # covering all its lines — so the reader's per-line decode spans
-        # are detached for the duration.
-        reader.tracer = None
-        try:
-            while True:
-                chunk = fh.read(1 << 18)
-                if not chunk:
-                    break
-                t0 = tracer.start("decode") if tracer is not None else 0
-                stamped = self._decode_stamped(decoder.iter_push(chunk))
-                if t0:
-                    tracer.stop("decode", t0, records=len(stamped))
-                self._enqueue_stamped(stamped)
-                if self._since_checkpoint >= self.checkpoint_every:
-                    self._checkpoint(offset + decoder.consumed)
-            self._enqueue_stamped(
-                self._decode_stamped(decoder.flush(complete=True))
-            )
-            return offset + decoder.consumed
-        finally:
-            reader.tracer = tracer
-
-    def _decode_stamped(
-        self, records: Iterable[ForwardedLookup]
-    ) -> list[tuple[ForwardedLookup, int, int]]:
-        """Drain a lazy decode, stamping each record with the reader's
-        corrupt count and decode ordinal as they stood at its yield.
-
-        Decoding a whole run before enqueueing keeps downstream stage
-        time out of the decode span; the stamps keep quarantine
-        attribution and control-line ordering exactly where
-        line-at-a-time consumption would put them.
-        """
-        reader = self.reader
-        return [(record, reader.corrupt, reader.records - 1) for record in records]
-
-    def _enqueue_stamped(
-        self, stamped: list[tuple[ForwardedLookup, int, int]]
-    ) -> None:
-        for record, corrupt_mark, ordinal in stamped:
-            self._enqueue(record, corrupt_mark=corrupt_mark, ordinal=ordinal)
-        self._c_skipped.set_total(self.reader.skipped)
-
-    def _run_wire2(self, fh: IO[bytes], offset: int) -> int:
-        """The wire-v2 ingest loop: framed reads, columnar submission.
-
-        Handles replay, throttled crash drills and follow mode in one
-        loop (v2 frames are not line-framed, so the line loop cannot
-        serve them).  Checkpoints land on frame boundaries —
-        ``decoder.consumed`` only ever advances by whole frames — and
-        the checkpoint-if-due check runs after every frame's
-        submission, so a paced crash drill always has a durable
-        stop-point within one frame of its progress.  Returns the
-        final offset.
-        """
-        decoder = Wire2BatchDecoder(self.reader)
-        reader = self.reader
-        tracer = self.tracer
-        saved_tracer = reader.tracer
-        # v2 decode is frame-granular; the reader's per-line decode
-        # spans would never fire anyway, but detach it for symmetry
-        # with the chunked NDJSON path.
-        reader.tracer = None
-        idle_since: float | None = None
-        stream_ended = True
-        try:
-            while True:
-                chunk = fh.read(1 << 18)
-                if not chunk:
-                    if not self.follow:
-                        break
-                    self._flush_batch()
-                    self._write_corrupt()
-                    now = time.monotonic()
-                    if idle_since is None:
-                        idle_since = now
-                    else:
-                        idle = now - idle_since
-                        position = offset + decoder.consumed
-                        if (
-                            self.watchdog_deadline is not None
-                            and idle >= self.watchdog_deadline
-                        ):
-                            if self.engine is not None:
-                                self._checkpoint(position)
-                            self._log_event(
-                                "watchdog_stall",
-                                idle_seconds=idle,
-                                input_offset=position,
-                            )
-                            if self.health is not None:
-                                self.health.on_stall()
-                            raise UpstreamStallError(
-                                None, "ingest stalled past the watchdog deadline"
-                            )
-                        if (
-                            self.idle_timeout is not None
-                            and idle >= self.idle_timeout
-                        ):
-                            # A partial trailing frame may still be in
-                            # flight: count the probe (truncated_tail,
-                            # not budgeted corruption) and leave the
-                            # bytes unconsumed, like the line loop's
-                            # ``complete=False`` consume.
-                            decoder.flush(complete=False)
-                            stream_ended = False
-                            break
-                    time.sleep(self.poll_interval)
-                    continue
-                idle_since = None
-                # Lazy, frame-at-a-time drain for traced and untraced
-                # runs alike: one decode span per *frame* (v2 decode is
-                # frame-granular), and — critically — the reader's
-                # counters and ``decoder.consumed`` advance together,
-                # frame by frame, so every checkpoint below pairs a
-                # frame-boundary offset with counter values that stop at
-                # exactly that boundary.  An eager whole-chunk decode
-                # would run both ahead of submission and make a
-                # mid-chunk checkpoint unsound.
-                events = decoder.iter_events(chunk)
-                while True:
-                    t0 = tracer.start("decode") if tracer is not None else 0
-                    event = next(events, None)
-                    if event is None:
-                        # Partial trailing frame: the started span (if
-                        # any) is dropped — there was nothing to decode.
-                        break
-                    if t0:
-                        tracer.stop(
-                            "decode",
-                            t0,
-                            records=(
-                                len(event[1]) if event[0] == "columns" else 0
-                            ),
-                        )
-                    self._handle_wire2_event(event)
-                    if self._since_checkpoint >= self.checkpoint_every:
-                        self._checkpoint(offset + decoder.consumed)
-                self._c_skipped.set_total(reader.skipped)
-            if stream_ended:
-                # Trailing junk (a torn final frame) quarantines here;
-                # the flush itself charges the counters and the sink.
-                decoder.flush(complete=True)
-            self._c_skipped.set_total(reader.skipped)
-            return offset + decoder.consumed
-        finally:
-            reader.tracer = saved_tracer
-
-    def _handle_wire2_event(self, event: tuple) -> None:
-        if event[0] == "columns":
-            columns = event[1]
-            self._submit_columns(columns)
-            if self.throttle > 0:
-                time.sleep(self.throttle * len(columns))
-        # "header" and "corrupt" events need no action here: the decoder
-        # already stored the header on the reader / fired the quarantine
-        # sink and counters at decode time.
-
     def run(self) -> int:
-        """Serve the stream; returns a process exit code."""
+        """Serve the stream; returns a process exit code.
+
+        The one ingest loop, for every input: ``read1`` chunks go to the
+        stream's decoder, each decoded run goes to :meth:`_ingest`, and
+        a due checkpoint is taken between input units — an NDJSON line
+        (after the fault injector has released everything for it) or a
+        v2 frame — so checkpoints land at the same offsets at any batch
+        framing and read size.
+        """
         use_stdin = self.input_path == "-"
         fh = sys.stdin.buffer if use_stdin else open(self.input_path, "rb")
         try:
-            offset = 0
             checkpoint = self.store.load() if self.store is not None else None
-            # Wire sniff: a 4-byte magic probe distinguishes a v2 frame
-            # stream from NDJSON.  Only seekable inputs sniff — stdin
-            # stays NDJSON-only (un-reading a probe would corrupt the
-            # line reassembly the follow loop depends on).
-            wire_v2 = False
+            # A 4-byte magic probe tells a v2 frame stream from NDJSON.
+            # Only seekable inputs sniff: stdin cannot un-read the probe
+            # and stays NDJSON.
+            wire_v2 = not use_stdin and sniff_wire2(fh.read(4))
             if not use_stdin:
-                wire_v2 = sniff_wire2(fh.read(4))
                 fh.seek(0)
             if wire_v2 and self.injector is not None:
                 raise ValueError(
                     "fault injection requires an NDJSON input: wire-v2 "
                     "frames are not line-framed"
                 )
+            base = 0
             if checkpoint is not None:
                 if use_stdin:
                     raise CheckpointError("cannot resume a checkpoint from stdin")
@@ -1026,205 +852,104 @@ class BotMeterDaemon:
                 # it so family/granularity configuration is restored too.
                 if wire_v2:
                     peek = Wire2BatchDecoder(self.reader)
-                    for _event in peek.iter_events(fh.read(1 << 16)):
-                        break  # the META frame leads the stream
-                    self.reader.records = 0
-                    self.reader.blank = 0
-                    self.reader.corrupt = 0
+                    next(peek.iter_events(fh.read(1 << 16)), None)
                 else:
-                    first = fh.readline()
-                    if first:
-                        self.reader.feed(first)
-                        self.reader.records = 0
-                        self.reader.blank = 0
-                        self.reader.corrupt = 0
-                offset = self._restore(checkpoint)
-                fh.seek(offset)
+                    self.reader.feed(fh.readline())
+                self.reader.records = self.reader.blank = self.reader.corrupt = 0
+                base = self._restore(checkpoint)
+                fh.seek(base)
             else:
                 self._fresh_outputs()
             self._attach_trace_sink(resumed=checkpoint is not None)
-            idle_since: float | None = None
-            pending = b""  # stdin-follow: a partial tail we cannot seek back to
-            # Replay fast path: no tailing, no injector, no pacing —
-            # the stream is just bytes to decode as fast as possible.
-            chunked = wire_v2 or (
-                self.batch_lines > 1
-                and not self.follow
-                and self.injector is None
-                and self.throttle <= 0
-            )
+
+            def inject(line: bytes) -> list[str]:
+                # One raw line may deliver several records (or hold them
+                # back), so with an injector the checkpoint check runs
+                # here, at the raw-line boundary before the line: the
+                # injector, reader and engine never straddle one line.
+                if self._since_checkpoint >= self.checkpoint_every:
+                    self._checkpoint(base + decoder.consumed)
+                return self.injector.feed(line.decode("utf-8", errors="replace"))
+
             if wire_v2:
-                offset = self._run_wire2(fh, offset)
-            elif chunked:
-                offset = self._run_chunked(fh, offset)
-            while not chunked:
-                position = offset
-                line = fh.readline()
-                if pending:
-                    line, pending = pending + line, b""
-                if not line or (self.follow and not line.endswith(b"\n")):
-                    # EOF, or a line still being written by the producer.
-                    if not self.follow:
-                        if line:
-                            offset = position + len(line)
-                            self._consume(line, offset)
+                decoder = Wire2BatchDecoder(self.reader)
+
+                def runs(chunk: bytes, final: bool) -> Iterable[Sequence]:
+                    events = decoder.iter_events(chunk, final=final)
+                    return (e[1].materialize() for e in events if e[0] == "columns")
+
+            else:
+                decoder = NdjsonBatchDecoder(
+                    self.reader,
+                    line_filter=None if self.injector is None else inject,
+                )
+
+                def runs(chunk: bytes, final: bool) -> Iterable[Sequence]:
+                    records = decoder.iter_push(chunk, final=final)
+                    return ((record,) for record in records)
+
+            idle_since: float | None = None
+            while True:
+                chunk = fh.read1(READ_SIZE)
+                final = not chunk and not self.follow
+                if chunk or final:
+                    idle_since = None
+                    for run in runs(chunk, final):
+                        self._ingest(run)
+                        if (
+                            self._since_checkpoint >= self.checkpoint_every
+                            and self.injector is None
+                        ):
+                            self._checkpoint(base + decoder.consumed)
+                    if final:
                         break
-                    # Idle: don't sit on decoded records or journaled
-                    # dead-letter entries waiting for a full batch the
-                    # producer may never complete.
-                    self._flush_batch()
-                    self._write_corrupt()
-                    now = time.monotonic()
-                    if idle_since is None:
-                        idle_since = now
-                    else:
-                        idle = now - idle_since
-                        if (
-                            self.watchdog_deadline is not None
-                            and idle >= self.watchdog_deadline
-                        ):
-                            # Durable stop-point first, then hand the stall
-                            # to the supervisor as a restartable failure.
-                            if self.engine is not None:
-                                self._checkpoint(position)
-                            self._log_event(
-                                "watchdog_stall",
-                                idle_seconds=idle,
-                                input_offset=position,
-                            )
-                            if self.health is not None:
-                                self.health.on_stall()
-                            raise UpstreamStallError(
-                                None, "ingest stalled past the watchdog deadline"
-                            )
-                        if (
-                            self.idle_timeout is not None
-                            and idle >= self.idle_timeout
-                        ):
-                            if line:
-                                # The tail never got its newline: consume it
-                                # as possibly-truncated (not budgeted corrupt).
-                                offset = position + len(line)
-                                self._consume(line, offset, complete=False)
-                            break
-                    if line:
-                        if use_stdin:
-                            pending = line
-                        else:
-                            fh.seek(position)
-                    time.sleep(self.poll_interval)
                     continue
-                idle_since = None
-                offset = position + len(line)
-                self._consume(line, offset)
-                if self.throttle > 0:
-                    time.sleep(self.throttle)
+                # Idle: don't sit on decoded records or journaled
+                # dead-letter entries waiting for a full batch the
+                # producer may never complete.
+                self._flush_batch()
+                self._write_corrupt()
+                now = time.monotonic()
+                if idle_since is None:
+                    idle_since = now
+                elif (
+                    self.watchdog_deadline is not None
+                    and now - idle_since >= self.watchdog_deadline
+                ):
+                    # Durable stop-point first, then hand the stall to
+                    # the supervisor as a restartable failure.
+                    position = base + decoder.consumed
+                    if self.engine is not None:
+                        self._checkpoint(position)
+                    self._log_event(
+                        "watchdog_stall",
+                        idle_seconds=now - idle_since,
+                        input_offset=position,
+                    )
+                    if self.health is not None:
+                        self.health.on_stall()
+                    raise UpstreamStallError(
+                        None, "ingest stalled past the watchdog deadline"
+                    )
+                elif (
+                    self.idle_timeout is not None
+                    and now - idle_since >= self.idle_timeout
+                ):
+                    # A newline-less tail (or partial frame) may still be
+                    # in flight: probe it as possibly truncated — counted,
+                    # not budgeted corruption, and left unconsumed unless
+                    # it decodes to a whole record.
+                    probed = decoder.flush(complete=False)
+                    if not wire_v2:
+                        self._ingest(probed)
+                    break
+                time.sleep(self.poll_interval)
             # Stream end: release held lines, close every epoch, persist.
             if self.injector is not None:
-                for delivered in self.injector.flush():
-                    self._consume_one(delivered)
-            self._finish_stream(offset)
+                self._ingest_lines((line, None) for line in self.injector.flush())
+            self._finish_stream(base + decoder.consumed)
             return 0
         finally:
             if not use_stdin:
                 fh.close()
             self._cleanup()
-
-    def _consume(self, line: bytes, offset: int, complete: bool = True) -> None:
-        if self.injector is not None and complete:
-            text = (
-                line.decode("utf-8", errors="replace")
-                if isinstance(line, bytes)
-                else line
-            )
-            for delivered in self.injector.feed(text):
-                self._consume_one(delivered)
-        else:
-            self._consume_one(line, complete=complete)
-        # Checkpoints only land on raw-input-line boundaries, so the
-        # injector's state and the engine's never straddle one line.
-        if self._since_checkpoint >= self.checkpoint_every:
-            self._checkpoint(offset)
-
-    def _consume_one(self, line: bytes | str, complete: bool = True) -> None:
-        record = self.reader.feed(line, complete=complete)
-        self._after_feed(record)
-
-    def _consume_parsed(self, line: bytes | str, data: Any) -> None:
-        """Consume a complete line the caller already ``json.loads``-ed.
-
-        Identical to :meth:`_consume_one` on a complete line; the
-        network ingest tier parses every payload line for its merge key
-        anyway and uses this to skip the second parse.
-        """
-        record = self.reader.feed_parsed(line, data)
-        self._after_feed(record)
-
-    def _after_feed(self, record: ForwardedLookup | None) -> None:
-        self._c_skipped.set_total(self.reader.skipped)
-        if record is None:
-            return
-        self._submit_record(record)
-
-    def _submit_record(self, record: ForwardedLookup) -> None:
-        if self.batch_lines > 1:
-            self._enqueue(record)
-            return
-        if self._pending_controls:
-            self._apply_due_controls(self.reader.records - 1)
-        admitted, d3_mark = self._admit(record)
-        if not admitted:
-            return
-        if self._out_fh is None and self.out_path is not None:
-            self._out_fh = open(self.out_path, "a")
-        engine = self._ensure_engine()
-        self._write_corrupt()
-        self._emit(engine.submit(record), d3_snapshot=d3_mark)
-        self.records_consumed += 1
-        self._since_checkpoint += 1
-        if self.health is not None:
-            self.health.record_ok()
-
-    def _consume_parsed_many(
-        self, pairs: list[tuple[bytes | str, Any]]
-    ) -> None:
-        """Batched :meth:`_consume_parsed`: one call per released run of
-        lines instead of one per line.
-
-        Semantics are identical — records submit in order, each corrupt
-        line fires its quarantine sink at its own decode point — but the
-        bookkeeping the file fast path amortizes per chunk (the skipped
-        counter sync and the decode span) is amortized here per batch
-        instead of paid per line.  ``data is None`` entries (blank,
-        corrupt, or header lines the caller could not parse) take the
-        full :meth:`NdjsonReader.feed` path.
-        """
-        reader = self.reader
-        feed, feed_parsed = reader.feed, reader.feed_parsed
-        decoded = (
-            feed(line) if data is None else feed_parsed(line, data)
-            for line, data in pairs
-        )
-        if self.batch_lines <= 1:
-            # Unbatched submission interleaves emission with decoding:
-            # each record submits as soon as it decodes.
-            for record in decoded:
-                if record is not None:
-                    self._submit_record(record)
-            self._c_skipped.set_total(reader.skipped)
-            return
-        # Batched: decode the whole run (under one span when traced —
-        # the chunked file path's contract: downstream stage time never
-        # pollutes the decode histogram), then enqueue the stamped run.
-        tracer = self.tracer
-        reader.tracer = None
-        try:
-            t0 = tracer.start("decode") if tracer is not None else 0
-            stamped = self._decode_stamped(
-                record for record in decoded if record is not None
-            )
-            if t0:
-                tracer.stop("decode", t0, records=len(stamped))
-        finally:
-            reader.tracer = tracer
-        self._enqueue_stamped(stamped)

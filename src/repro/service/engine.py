@@ -270,6 +270,11 @@ class ShardedLandscapeEngine:
         return list(self._families)
 
     @property
+    def finalized(self) -> bool:
+        """Whether :meth:`finalize` has closed every epoch (no more input)."""
+        return self._finalized
+
+    @property
     def watermark(self) -> float:
         return self._watermark
 

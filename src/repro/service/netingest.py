@@ -667,9 +667,7 @@ class NetIngestServer:
         self._last_dups = 0
         self._last_resets = 0
         #: Lines the mux released during the current event, drained to
-        #: the daemon in one batched call per event instead of one
-        #: Python call stack per line (mirrors the file replay's
-        #: chunked fast path).
+        #: the daemon's ingest entry in one call per event.
         self._released: list[tuple[bytes, Any]] = []
 
     # -- daemon glue ---------------------------------------------------------
@@ -680,7 +678,7 @@ class NetIngestServer:
     def _drain_released(self) -> None:
         if self._released:
             batch, self._released = self._released, []
-            self.daemon._consume_parsed_many(batch)
+            self.daemon._ingest_lines(batch)
 
     def _extra_state(self) -> dict[str, Any]:
         state: dict[str, Any] = {"sensors": self._mux.cursors}

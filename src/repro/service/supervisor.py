@@ -31,6 +31,7 @@ import time
 from collections import deque
 from typing import IO, Any, Callable
 
+from .checkpoint import CheckpointError
 from .faults import InjectedFault
 from .metrics import Counter, Gauge, MetricsRegistry
 
@@ -121,11 +122,12 @@ class HealthMonitor:
             self._counter.inc(state=state.name.lower())
         self.publish()
 
-    def record_ok(self) -> None:
-        """One record charted cleanly."""
-        self._recent.append(0)
-        self._streak += 1
-        self._evaluate()
+    def record_ok(self, count: int = 1) -> None:
+        """``count`` records charted cleanly, evaluated one at a time."""
+        for _ in range(count):
+            self._recent.append(0)
+            self._streak += 1
+            self._evaluate()
 
     def record_quarantined(self) -> None:
         """One record dead-lettered (corrupt or late)."""
@@ -252,6 +254,8 @@ class Supervisor:
                 self._handle_failure(exc.kind, seq=exc.seq, message=str(exc))
                 if exc.seq is not None:
                     self.disarmed.add(exc.seq)
+            except CheckpointError:
+                raise  # a restart would resume the same checkpoint
             except Exception as exc:  # supervision boundary: restart, not die
                 self._handle_failure("exception", message=f"{type(exc).__name__}: {exc}")
             else:

@@ -418,9 +418,15 @@ class NdjsonBatchDecoder:
     ``consumed`` counts the bytes of every fully decoded line (newline
     included), i.e. the stream offset up to which the decode is durable
     — the daemon checkpoints input offsets from it.  The newline-less
-    tail is held back until more bytes arrive; at stream end call
-    :meth:`flush` to decode it (``complete=False`` applies the reader's
-    truncated-tail policy and *retains* the tail for a later retry).
+    tail is held back until more bytes arrive; at stream end pass
+    ``final=True`` (or call :meth:`flush`) to decode it
+    (``flush(complete=False)`` applies the reader's truncated-tail
+    policy and *retains* the tail for a later retry).
+
+    ``line_filter`` (optional) maps each complete raw line to the lines
+    the reader should decode in its place (the daemon's fault injector
+    sits here).  It is called before ``consumed`` moves past the line,
+    so a filter that checkpoints sees the offset of the line boundary.
     """
 
     def __init__(
@@ -429,12 +435,14 @@ class NdjsonBatchDecoder:
         *,
         max_corrupt: int | None = None,
         on_corrupt: Callable[[str, str], None] | None = None,
+        line_filter: Callable[[bytes], Iterable[bytes | str]] | None = None,
     ) -> None:
         self.reader = (
             reader
             if reader is not None
             else NdjsonReader(max_corrupt=max_corrupt, on_corrupt=on_corrupt)
         )
+        self.line_filter = line_filter
         self._tail = b""
         self.consumed = 0
 
@@ -443,19 +451,52 @@ class NdjsonBatchDecoder:
         """The held-back partial line (no newline seen yet)."""
         return self._tail
 
-    def iter_push(self, chunk: bytes) -> Iterator[ForwardedLookup]:
+    def iter_push(
+        self, chunk: bytes, final: bool = False
+    ) -> Iterator[ForwardedLookup]:
         """Decode one chunk lazily, yielding lookup records.
 
         ``consumed`` and the reader's counters advance as the iterator
         is drained, so a caller can observe per-record reader state
-        (e.g. the corrupt count) between yields.
+        (e.g. the corrupt count) between yields.  ``final=True`` marks
+        the end of the stream: the newline-less tail is decoded too, as
+        a complete last line.
         """
         data = self._tail + chunk
         lines = data.split(b"\n")
         self._tail = lines.pop()
-        for line in lines:
-            self.consumed += len(line) + 1
-            record = self.reader.feed(line)
+        if self.line_filter is None:
+            # The reader's per-line decode spans, sampled once per chunk
+            # (:meth:`StageTracer.plan`): an unsampled line pays an
+            # integer compare instead of a tracer call.
+            feed = self.reader._feed
+            tracer = self.reader.tracer
+            sampled = iter(() if tracer is None else tracer.plan("decode", len(lines)))
+            next_sampled = next(sampled, -1)
+            for index, line in enumerate(lines):
+                self.consumed += len(line) + 1
+                if index == next_sampled:
+                    t0 = tracer.clock()
+                    record = feed(line, True)
+                    records = 0 if record is None else 1
+                    tracer.record("decode", tracer.clock() - t0, records=records)
+                    next_sampled = next(sampled, -1)
+                else:
+                    record = feed(line, True)
+                if record is not None:
+                    yield record
+        else:
+            for line in lines:
+                yield from self._filtered(line, len(line) + 1)
+        if final and self._tail:
+            line, self._tail = self._tail, b""
+            yield from self._filtered(line, len(line))
+
+    def _filtered(self, line: bytes, size: int) -> Iterator[ForwardedLookup]:
+        delivered = [line] if self.line_filter is None else self.line_filter(line)
+        self.consumed += size
+        for text in delivered:
+            record = self.reader.feed(text)
             if record is not None:
                 yield record
 
@@ -469,16 +510,19 @@ class NdjsonBatchDecoder:
         ``complete=True`` (stream ended): the tail is a final line —
         decode it under the normal corrupt policy and consume it.
         ``complete=False`` (live tail, producer mid-write): probe it
-        under the reader's truncated-tail policy; if it parses it is
-        consumed, otherwise it is counted as ``truncated_tail`` and
-        *kept* for the next :meth:`push` to complete.
+        under the reader's truncated-tail policy, bypassing the line
+        filter; if it parses it is consumed, otherwise it is counted as
+        ``truncated_tail`` and *kept* for the next :meth:`push` to
+        complete.
         """
         if not self._tail:
             return []
+        if complete:
+            return list(self.iter_push(b"", final=True))
         line = self._tail
         before = self.reader.truncated_tail
-        record = self.reader.feed(line, complete=complete)
-        if not complete and self.reader.truncated_tail > before:
+        record = self.reader.feed(line, complete=False)
+        if self.reader.truncated_tail > before:
             return []  # still in flight; retry once more bytes arrive
         self._tail = b""
         self.consumed += len(line)

@@ -410,13 +410,21 @@ class Wire2BatchDecoder:
 
     # -- the chunk interface ---------------------------------------------------
 
-    def iter_events(self, chunk: bytes) -> Iterator[tuple]:
+    def iter_events(self, chunk: bytes, final: bool = False) -> Iterator[tuple]:
         """Decode one chunk lazily, yielding events in stream order.
 
         ``consumed`` and the reader's counters advance as the iterator
         is drained — frame by frame — so a caller can checkpoint at any
-        event boundary with a durable offset.
+        event boundary with a durable offset.  With the reader's tracer
+        set, each complete frame is one sampled ``decode`` span.
+        ``final=True`` marks the end of the stream: held bytes settle as
+        :meth:`flush` settles them.
         """
+        yield from self._iter_events(chunk)
+        if final:
+            yield from self.flush(complete=True)
+
+    def _iter_events(self, chunk: bytes) -> Iterator[tuple]:
         self._buf += chunk
         buf = self._buf
         while True:
@@ -449,6 +457,8 @@ class Wire2BatchDecoder:
                 continue
             if len(buf) < _HEADER_LEN + length:
                 return
+            tracer = self.reader.tracer
+            t0 = tracer.start("decode") if tracer is not None else 0
             payload = bytes(buf[_HEADER_LEN : _HEADER_LEN + length])
             del buf[: _HEADER_LEN + length]
             self.consumed += _HEADER_LEN + length
@@ -456,9 +466,13 @@ class Wire2BatchDecoder:
                 # The frame boundary came from the (untrusted) length
                 # field; if *it* was what flipped, the scan-for-magic
                 # path recovers at the next real frame.
-                yield self._charge_frame(payload, "frame crc mismatch")
-                continue
-            yield self._decode_frame(frame_type, payload)
+                event = self._charge_frame(payload, "frame crc mismatch")
+            else:
+                event = self._decode_frame(frame_type, payload)
+            if t0:
+                records = len(event[1]) if event[0] == "columns" else 0
+                tracer.stop("decode", t0, records=records)
+            yield event
 
     def push_events(self, chunk: bytes) -> list[tuple]:
         """Eager :meth:`iter_events`."""

@@ -3,7 +3,6 @@ serve — including the SIGKILL crash drill that enforces byte-identical
 recovery."""
 
 import json
-import multiprocessing
 import os
 import signal
 import subprocess
@@ -216,23 +215,6 @@ class TestBatchedReplay:
         assert "late" in reasons[: reasons.index("corrupt")]
         assert runs["256"][0] == runs["1"][0]
         assert runs["256"][1] == runs["1"][1]
-
-    def test_deprecated_ingest_workers_runs_in_process(
-        self, two_day_trace, tmp_path, capsys
-    ):
-        """``--ingest-workers N`` is still accepted for one release: it
-        warns once on stderr, runs in-process and changes no byte."""
-        reference = self._replay(
-            two_day_trace, tmp_path, "serial.ndjson", "--batch-lines", "1"
-        )
-        capsys.readouterr()
-        aliased = self._replay(
-            two_day_trace, tmp_path, "aliased.ndjson", "--ingest-workers", "4"
-        )
-        stderr = capsys.readouterr().err.splitlines()
-        assert len([line for line in stderr if "deprecated" in line]) == 1
-        assert aliased == reference
-        assert multiprocessing.active_children() == []
 
 
 class TestServe:

@@ -145,10 +145,7 @@ class MuxHarness:
         self.daemon._fresh_outputs()
 
     def _consume(self, raw, data):
-        if data is None:
-            self.daemon._consume_one(raw)
-        else:
-            self.daemon._consume_parsed(raw, data)
+        self.daemon._ingest_lines([(raw, data)])
 
     def feed_shard(self, conn_id, sensor, lines, fin=True, cursor=None):
         self.mux.attach(conn_id)

@@ -574,9 +574,9 @@ class TestTracingDeterminism:
             assert summary["records"] > 0, stage
 
     def test_corrupt_lines_keep_traced_replay_byte_identical(self, tmp_path):
-        """The chunked file path and the batched network path decode a
-        whole run before enqueueing, stamping each record with the
-        reader's corrupt count at its own yield.  Interleave garbage
+        """Batched submission holds records while later lines decode,
+        each pinned to the reader's corrupt count at its own decode;
+        file and network ingest share that entry.  Interleave garbage
         lines through a two-day stream (so epoch 0 is emitted mid-stream
         and must be charged only the garbage before it): every framing
         (1 and 256 lines), with tracing off or timing every span, and
