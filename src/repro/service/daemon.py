@@ -871,11 +871,20 @@ class BotMeterDaemon:
                     self._checkpoint(base + decoder.consumed)
                 return self.injector.feed(line.decode("utf-8", errors="replace"))
 
+            def ingest(runs: Iterable[Sequence[ForwardedLookup]]) -> None:
+                for run in runs:
+                    self._ingest(run)
+                    if (
+                        self._since_checkpoint >= self.checkpoint_every
+                        and self.injector is None
+                    ):
+                        self._checkpoint(base + decoder.consumed)
+
             if wire_v2:
                 decoder = Wire2BatchDecoder(self.reader)
 
-                def runs(chunk: bytes, final: bool) -> Iterable[Sequence]:
-                    events = decoder.iter_events(chunk, final=final)
+                def runs(chunk: bytes) -> Iterable[Sequence[ForwardedLookup]]:
+                    events = decoder.iter_events(chunk)
                     return (e[1].materialize() for e in events if e[0] == "columns")
 
             else:
@@ -884,31 +893,28 @@ class BotMeterDaemon:
                     line_filter=None if self.injector is None else inject,
                 )
 
-                def runs(chunk: bytes, final: bool) -> Iterable[Sequence]:
-                    records = decoder.iter_push(chunk, final=final)
-                    return ((record,) for record in records)
+                def runs(chunk: bytes) -> Iterable[Sequence[ForwardedLookup]]:
+                    return ((record,) for record in decoder.iter_push(chunk))
 
             idle_since: float | None = None
             while True:
                 chunk = fh.read1(READ_SIZE)
-                final = not chunk and not self.follow
-                if chunk or final:
+                if chunk:
                     idle_since = None
-                    for run in runs(chunk, final):
-                        self._ingest(run)
-                        if (
-                            self._since_checkpoint >= self.checkpoint_every
-                            and self.injector is None
-                        ):
-                            self._checkpoint(base + decoder.consumed)
-                    if final:
-                        break
+                    ingest(runs(chunk))
                     continue
+                if not self.follow:
+                    complete = True  # the stream ended: the tail is a last line
+                    break
                 # Idle: don't sit on decoded records or journaled
                 # dead-letter entries waiting for a full batch the
-                # producer may never complete.
+                # producer may never complete.  Every consumed line is
+                # fully ingested here, so a checkpoint the injector
+                # deferred to the next raw line is taken now.
                 self._flush_batch()
                 self._write_corrupt()
+                if self._since_checkpoint >= self.checkpoint_every:
+                    self._checkpoint(base + decoder.consumed)
                 now = time.monotonic()
                 if idle_since is None:
                     idle_since = now
@@ -939,11 +945,15 @@ class BotMeterDaemon:
                     # in flight: probe it as possibly truncated — counted,
                     # not budgeted corruption, and left unconsumed unless
                     # it decodes to a whole record.
-                    probed = decoder.flush(complete=False)
-                    if not wire_v2:
-                        self._ingest(probed)
+                    complete = False
                     break
                 time.sleep(self.poll_interval)
+            # Settle the held tail: v2 bytes only ever settle as corrupt
+            # events, an NDJSON tail is one last (or probed) line.
+            if wire_v2:
+                decoder.flush(complete=complete)
+            else:
+                ingest((record,) for record in decoder.iter_flush(complete))
             # Stream end: release held lines, close every epoch, persist.
             if self.injector is not None:
                 self._ingest_lines((line, None) for line in self.injector.flush())

@@ -127,7 +127,7 @@ class StageTracer:
     Batched callers go one cheaper: :meth:`plan` reserves a whole
     batch's spans in one call and returns the sampled offsets, so the
     per-record cost drops to an integer compare (the engine's traced
-    batch path and the daemon's chunked decode use this).
+    batch path uses this).
     """
 
     def __init__(

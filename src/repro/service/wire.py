@@ -269,7 +269,8 @@ class NdjsonReader:
         default=None, repr=False, compare=False
     )
     #: Optional :class:`~repro.service.tracing.StageTracer`; when set,
-    #: every ``feed`` becomes a sampled ``decode`` span.
+    #: every ``feed`` and every ``read`` call becomes a sampled
+    #: ``decode`` span.
     tracer: Any = field(default=None, repr=False, compare=False)
 
     @property
@@ -398,11 +399,27 @@ class NdjsonReader:
         return self._feed_object(stripped, data)
 
     def read(self, lines: Iterable[bytes | str]) -> Iterator[ForwardedLookup]:
-        """Decode a whole line stream, yielding lookup records."""
+        """Decode a line stream lazily, yielding lookup records.
+
+        With a tracer set, the whole call is one sampled ``decode`` span
+        (not one per line): it sums the lines' decode time only, not the
+        time the consumer spends between yields.
+        """
+        tracer = self.tracer
+        timed = tracer is not None and tracer.start("decode") != 0
+        spent = records = 0
         for line in lines:
-            record = self.feed(line)
+            if timed:
+                t0 = tracer.clock()
+                record = self._feed(line, True)
+                spent += tracer.clock() - t0
+            else:
+                record = self._feed(line, True)
             if record is not None:
+                records += 1
                 yield record
+        if timed:
+            tracer.record("decode", spent, records=records)
 
 
 class NdjsonBatchDecoder:
@@ -418,10 +435,10 @@ class NdjsonBatchDecoder:
     ``consumed`` counts the bytes of every fully decoded line (newline
     included), i.e. the stream offset up to which the decode is durable
     — the daemon checkpoints input offsets from it.  The newline-less
-    tail is held back until more bytes arrive; at stream end pass
-    ``final=True`` (or call :meth:`flush`) to decode it
-    (``flush(complete=False)`` applies the reader's truncated-tail
-    policy and *retains* the tail for a later retry).
+    tail is held back until more bytes arrive; at stream end call
+    :meth:`iter_flush` (or its eager form :meth:`flush`) to decode it
+    (``complete=False`` applies the reader's truncated-tail policy and
+    *retains* the tail for a later retry).
 
     ``line_filter`` (optional) maps each complete raw line to the lines
     the reader should decode in its place (the daemon's fault injector
@@ -451,79 +468,62 @@ class NdjsonBatchDecoder:
         """The held-back partial line (no newline seen yet)."""
         return self._tail
 
-    def iter_push(
-        self, chunk: bytes, final: bool = False
-    ) -> Iterator[ForwardedLookup]:
+    def iter_push(self, chunk: bytes) -> Iterator[ForwardedLookup]:
         """Decode one chunk lazily, yielding lookup records.
 
         ``consumed`` and the reader's counters advance as the iterator
         is drained, so a caller can observe per-record reader state
-        (e.g. the corrupt count) between yields.  ``final=True`` marks
-        the end of the stream: the newline-less tail is decoded too, as
-        a complete last line.
+        (e.g. the corrupt count) between yields.
         """
         data = self._tail + chunk
         lines = data.split(b"\n")
         self._tail = lines.pop()
-        if self.line_filter is None:
-            # The reader's per-line decode spans, sampled once per chunk
-            # (:meth:`StageTracer.plan`): an unsampled line pays an
-            # integer compare instead of a tracer call.
-            feed = self.reader._feed
-            tracer = self.reader.tracer
-            sampled = iter(() if tracer is None else tracer.plan("decode", len(lines)))
-            next_sampled = next(sampled, -1)
-            for index, line in enumerate(lines):
-                self.consumed += len(line) + 1
-                if index == next_sampled:
-                    t0 = tracer.clock()
-                    record = feed(line, True)
-                    records = 0 if record is None else 1
-                    tracer.record("decode", tracer.clock() - t0, records=records)
-                    next_sampled = next(sampled, -1)
-                else:
-                    record = feed(line, True)
-                if record is not None:
-                    yield record
-        else:
-            for line in lines:
-                yield from self._filtered(line, len(line) + 1)
-        if final and self._tail:
-            line, self._tail = self._tail, b""
-            yield from self._filtered(line, len(line))
+        yield from self.reader.read(self._delivered(lines, 1))
 
-    def _filtered(self, line: bytes, size: int) -> Iterator[ForwardedLookup]:
-        delivered = [line] if self.line_filter is None else self.line_filter(line)
-        self.consumed += size
-        for text in delivered:
-            record = self.reader.feed(text)
-            if record is not None:
-                yield record
+    def _delivered(
+        self, lines: Iterable[bytes], newline: int
+    ) -> Iterator[bytes | str]:
+        """The lines to decode for ``lines``, through the line filter;
+        ``consumed`` moves past each raw line before its lines decode."""
+        line_filter = self.line_filter
+        for line in lines:
+            delivered = (line,) if line_filter is None else line_filter(line)
+            self.consumed += len(line) + newline
+            yield from delivered
 
     def push(self, chunk: bytes) -> list[ForwardedLookup]:
         """Decode one chunk eagerly; returns its complete-line records."""
         return list(self.iter_push(chunk))
 
-    def flush(self, complete: bool = True) -> list[ForwardedLookup]:
+    def iter_flush(self, complete: bool = True) -> Iterator[ForwardedLookup]:
         """Decode the held tail at stream end (or probe a live tail).
 
-        ``complete=True`` (stream ended): the tail is a final line —
-        decode it under the normal corrupt policy and consume it.
+        ``complete=True`` (stream ended): the tail is a final line — it
+        goes through the line filter and is decoded under the normal
+        corrupt policy, lazily like :meth:`iter_push` (one tail line may
+        become several filtered lines).
         ``complete=False`` (live tail, producer mid-write): probe it
         under the reader's truncated-tail policy, bypassing the line
         filter; if it parses it is consumed, otherwise it is counted as
         ``truncated_tail`` and *kept* for the next :meth:`push` to
         complete.
         """
-        if not self._tail:
-            return []
-        if complete:
-            return list(self.iter_push(b"", final=True))
         line = self._tail
+        if not line:
+            return
+        if complete:
+            self._tail = b""
+            yield from self.reader.read(self._delivered((line,), 0))
+            return
         before = self.reader.truncated_tail
         record = self.reader.feed(line, complete=False)
         if self.reader.truncated_tail > before:
-            return []  # still in flight; retry once more bytes arrive
+            return  # still in flight; retry once more bytes arrive
         self._tail = b""
         self.consumed += len(line)
-        return [record] if record is not None else []
+        if record is not None:
+            yield record
+
+    def flush(self, complete: bool = True) -> list[ForwardedLookup]:
+        """Eager :meth:`iter_flush`."""
+        return list(self.iter_flush(complete))

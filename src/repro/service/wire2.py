@@ -410,21 +410,14 @@ class Wire2BatchDecoder:
 
     # -- the chunk interface ---------------------------------------------------
 
-    def iter_events(self, chunk: bytes, final: bool = False) -> Iterator[tuple]:
+    def iter_events(self, chunk: bytes) -> Iterator[tuple]:
         """Decode one chunk lazily, yielding events in stream order.
 
         ``consumed`` and the reader's counters advance as the iterator
         is drained — frame by frame — so a caller can checkpoint at any
         event boundary with a durable offset.  With the reader's tracer
         set, each complete frame is one sampled ``decode`` span.
-        ``final=True`` marks the end of the stream: held bytes settle as
-        :meth:`flush` settles them.
         """
-        yield from self._iter_events(chunk)
-        if final:
-            yield from self.flush(complete=True)
-
-    def _iter_events(self, chunk: bytes) -> Iterator[tuple]:
         self._buf += chunk
         buf = self._buf
         while True:

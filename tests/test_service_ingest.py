@@ -26,6 +26,7 @@ from repro.cli import main
 from repro.service import daemon as daemon_module
 from repro.service.checkpoint import CheckpointStore
 from repro.service.daemon import BotMeterDaemon
+from repro.service.faults import FaultInjector
 from repro.service.wire2 import Wire2BatchDecoder
 
 REPO_SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -97,7 +98,7 @@ def _replay(trace: Path, workdir: Path, **kwargs) -> tuple[bytes, bytes, list]:
 def _frame_ends(path: Path) -> set[int]:
     decoder = Wire2BatchDecoder()
     ends = set()
-    for _event in decoder.iter_events(path.read_bytes(), final=True):
+    for _event in decoder.iter_events(path.read_bytes()):
         ends.add(decoder.consumed)
     return ends
 
@@ -125,6 +126,40 @@ class TestCheckpointCadence:
         else:
             assert all(0 <= step - CHECKPOINT_EVERY < 64 for step in steps)
             assert {offset for offset, _ in cadence} <= _frame_ends(traces[wire])
+
+    def test_injected_follow_checkpoints_when_idle(self, traces, tmp_path):
+        """With ``--faults`` the checkpoint waits for the next raw line;
+        when a followed stream goes idle instead, it is taken there, so
+        the records before the idle stretch are saved while the daemon
+        waits rather than only when the stream ends."""
+        header, *rest = traces["ndjson"].read_bytes().split(b"\n")
+        records = [line for line in rest if line.startswith(b'{"')]
+        trace = tmp_path / "followed.ndjson"
+        kept = [header, *records[: 2 * CHECKPOINT_EVERY]]
+        trace.write_bytes(b"\n".join(kept) + b"\n")
+        saves = []
+        real_save = CheckpointStore.save
+
+        def save(store, state):
+            saves.append((state["input_offset"], daemon.engine.finalized))
+            return real_save(store, state)
+
+        daemon = BotMeterDaemon(
+            trace,
+            out_path=tmp_path / "out.ndjson",
+            checkpoint_path=tmp_path / "ck.json",
+            checkpoint_every=CHECKPOINT_EVERY,
+            follow=True,
+            idle_timeout=0.3,
+            poll_interval=0.01,
+            fault_injector=FaultInjector("seed=3"),
+            log_stream=io.StringIO(),
+            trace_sample=0,
+        )
+        with mock.patch.object(CheckpointStore, "save", save):
+            assert daemon.run() == 0
+        end = trace.stat().st_size
+        assert saves[-2:] == [(end, False), (end, True)]
 
 
 @pytest.fixture(scope="module")
@@ -214,6 +249,41 @@ class TestStreamEndCheckpoint:
             "--poll-interval", "0.05", "--checkpoint", str(workdir / "ck.json"),
             "--out", str(workdir / "out.ndjson"),
         ]
+
+    def test_filtered_last_line_keeps_dead_letter_order(self, traces, tmp_path):
+        """A newline-less last line the line filter expands into a late
+        record and a corrupt line is ingested record by record, exactly
+        like the same line with a newline: the late entry precedes the
+        corrupt one either way."""
+        first = traces["ndjson"].read_bytes().split(b"\n")[1]
+
+        class Expand:
+            """Follows every copy of the first record with garbage."""
+
+            def feed(self, line: str) -> list[str]:
+                return [line, "{garbage"] if line.encode() == first else [line]
+
+            def flush(self) -> list[str]:
+                return []
+
+            def export_state(self) -> dict:
+                return {}
+
+        bare = tmp_path / "bare.ndjson"
+        bare.write_bytes(traces["ndjson"].read_bytes() + b"\n" + first)
+        ended = tmp_path / "ended.ndjson"
+        ended.write_bytes(bare.read_bytes() + b"\n")
+        # A small reorder buffer closes epoch 0 mid-stream, so the
+        # repeated first record arrives late.
+        runs = [
+            _replay(
+                path, tmp_path / path.stem, fault_injector=Expand(), reorder_capacity=16
+            )[:2]
+            for path in (bare, ended)
+        ]
+        assert runs[0] == runs[1]
+        tail = [json.loads(line)["reason"] for line in runs[0][1].splitlines()[-2:]]
+        assert tail == ["late", "corrupt"]
 
     def test_offset_stops_at_the_last_consumed_byte(self, traces, tmp_path):
         """A newline-less tail that is not yet a record stays unconsumed:
