@@ -77,21 +77,57 @@ trace-smoke:
 	@echo "trace-smoke OK: landscape bytes identical with tracing on (1- and 256-line batches)"
 	python -m repro.cli trace-report trace-smoke/events256.ndjson
 
-# Sensornet end-to-end: 3 sensors stream shards of a synthetic day over
-# localhost TCP, then over a Unix-domain socket; both merged landscapes
-# must be byte-identical to the concatenated-file replay.
+# Sensornet end-to-end: a real `serve --listen` process takes 3 concurrent
+# `sensor-send` shards of a synthetic trace, once over localhost TCP and
+# once over a Unix-domain socket; both merged landscapes must be
+# byte-identical to the file replay.
 netingest-smoke:
 	rm -rf netingest-smoke && mkdir -p netingest-smoke
-	python -m repro.cli netingest-smoke --workdir netingest-smoke
-	@cat netingest-smoke/smoke-report.json
+	python -m repro.cli export-trace --source sim --family murofet \
+		--bots 24 --servers 3 --days 2 --seed 7 --out netingest-smoke/trace.ndjson
+	python -m repro.cli replay netingest-smoke/trace.ndjson --trace-sample 0 \
+		--out netingest-smoke/reference.ndjson
+	$(call sensornet,tcp,--listen 127.0.0.1:0)
+	$(call sensornet,uds,--listen-uds netingest-smoke/ingest.sock)
+	@echo "netingest-smoke OK: 3 sensors over TCP == 3 sensors over UDS == file replay"
 
-# Chartmesh end-to-end: route a synthetic day across 3 partition
-# daemons, merge, live-reshard 2 -> 3 mid-trace, and byte-compare both
-# merged landscapes against the single-daemon replay.
+# $(call sensornet,KIND,LISTEN): one `serve` process plus 3 `sensor-send`
+# processes (shard i/3 each, found through the addr file); waits for all
+# four, then diffs the merged landscape against the file replay.
+define sensornet
+	timeout 120 python -m repro.cli serve $(2) \
+		--addr-file netingest-smoke/addr-$(1).json --expect-sensors 3 \
+		--checkpoint netingest-smoke/ck-$(1).json --trace-sample 0 \
+		--out netingest-smoke/net-$(1).ndjson 2> netingest-smoke/serve-$(1).log & pids=$$!; \
+	for i in 0 1 2; do \
+		python -m repro.cli sensor-send netingest-smoke/trace.ndjson \
+			--sensor sensor-0$$i --shard $$i/3 --prefer $(1) \
+			--addr-file netingest-smoke/addr-$(1).json \
+			> netingest-smoke/sensor-$(1)-$$i.json & pids="$$pids $$!"; \
+	done; \
+	status=0; for pid in $$pids; do wait $$pid || status=1; done; exit $$status
+	diff netingest-smoke/net-$(1).ndjson netingest-smoke/reference.ndjson
+endef
+
+# Chartmesh end-to-end: a 3-partition replay and a live 2 -> 3 reshard
+# at the trace's midpoint, both merged landscapes byte-compared against
+# the single-daemon replay.
 cluster-smoke:
 	rm -rf cluster-smoke && mkdir -p cluster-smoke
-	python -m repro.cli cluster-smoke --workdir cluster-smoke
-	@cat cluster-smoke/smoke-report.json
+	python -m repro.cli export-trace --source sim --family murofet \
+		--bots 24 --servers 6 --days 2 --seed 11 --out cluster-smoke/trace.ndjson
+	python -m repro.cli replay cluster-smoke/trace.ndjson --trace-sample 0 \
+		--out cluster-smoke/reference.ndjson
+	python -m repro.cli cluster-replay cluster-smoke/trace.ndjson \
+		--workdir cluster-smoke/flat --partitions 3 --no-verify \
+		> cluster-smoke/flat.json
+	diff cluster-smoke/flat/landscape.ndjson cluster-smoke/reference.ndjson
+	half=$$(( ($$(wc -l < cluster-smoke/trace.ndjson) - 1) / 2 )); \
+	python -m repro.cli cluster-replay cluster-smoke/trace.ndjson \
+		--workdir cluster-smoke/reshard --plan 2:$$half,3 --no-verify \
+		> cluster-smoke/reshard.json
+	diff cluster-smoke/reshard/landscape.ndjson cluster-smoke/reference.ndjson
+	@echo "cluster-smoke OK: 3 partitions == 2 -> 3 reshard at the midpoint == single daemon"
 
 # Meshguard chaos drill: SIGKILL/wedge every partition mid-stream on a
 # seeded epoch-anchored schedule; the merged landscape must stay
@@ -100,7 +136,7 @@ cluster-smoke:
 # spools, ledgers, and degraded/restated sequences.
 cluster-chaos:
 	rm -rf cluster-chaos && mkdir -p cluster-chaos
-	python -m repro.cli cluster-chaos --workdir cluster-chaos
+	python -m tests.harness cluster-chaos cluster-chaos
 	@cat cluster-chaos/chaos-report.json
 
 # Fastlane end-to-end: export a synthetic trace, convert NDJSON <-> v2
@@ -175,22 +211,21 @@ liveview-smoke:
 # reconciliation, loss-bounded degradation, byte-identical determinism.
 soak:
 	rm -rf service-soak && mkdir -p service-soak
-	python -m repro.cli faults-soak --workdir service-soak \
-		--bots 16 --days 2 --report service-soak/report.json
+	python -m tests.harness soak service-soak
 	@cat service-soak/report.json
 
 test-logged:
 	pytest tests/ 2>&1 | tee test_output.txt
 
 # Every test_perf_* suite, artifacts collected into perf-artifacts/ and
-# folded into one summary table (repro bench-summary).
+# folded into one summary table (benchmarks/summary.py).
 bench:
 	mkdir -p perf-artifacts
 	REPRO_PERF_DIR=perf-artifacts pytest -q -s benchmarks/test_perf_service.py \
 		benchmarks/test_perf_faults.py benchmarks/test_perf_tracing.py \
 		benchmarks/test_perf_netingest.py benchmarks/test_perf_cluster.py \
 		benchmarks/test_perf_wire.py benchmarks/test_accuracy_liveview.py
-	python -m repro.cli bench-summary perf-artifacts
+	python benchmarks/summary.py perf-artifacts
 
 bench-logged:
 	pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt

@@ -1,7 +1,7 @@
 """Liveview accuracy-regression tier: ``BENCH_accuracy.json``.
 
 Three measured-accuracy anchors, merged into one ``repro-perf-v1``
-artifact so ``repro bench-summary`` and the CI ``liveview-smoke`` job
+artifact so ``benchmarks/summary.py`` and the CI ``liveview-smoke`` smoke row
 can archive them together:
 
 * **Lexical D3 on the committed training fixture** — per-family

@@ -5,7 +5,7 @@ default sampling with no sink, and default sampling with a span-event
 sink — and emits the ``BENCH_tracing.json`` (repro-perf-v1) artifact.
 The sampled-tracing run must stay within 5% of the untraced baseline;
 the bound is enforced under ``REPRO_PERF_STRICT=1`` (the CI
-``tracing-overhead`` job) and advisory elsewhere.
+``trace-smoke`` smoke row) and advisory elsewhere.
 
 Three measurement choices keep the guard stable on shared runners:
 
@@ -43,7 +43,11 @@ from repro.sim import SimConfig, simulate
 OVERHEAD_BUDGET = 0.05
 
 #: Interleaved rounds; the median paired ratio filters scheduler noise.
-RUNS = 7
+#: With 7 rounds of a one-day replay (0.19 s CPU) the median crossed the
+#: budget in 2 of 10 runs on a 2-vCPU host with no code change; 15
+#: rounds of a two-day replay (EXPERIMENTS.md) let the gate judge the
+#: code rather than the host.
+RUNS = 15
 
 VARIANTS = {
     "untraced": (0, False),
@@ -68,7 +72,7 @@ def write_artifact(path: Path, payload: dict) -> None:
 
 def test_perf_tracing_overhead(tmp_path):
     run = simulate(
-        SimConfig(family="murofet", n_bots=32, n_local_servers=4, n_days=1, seed=13)
+        SimConfig(family="murofet", n_bots=32, n_local_servers=4, n_days=2, seed=13)
     )
     trace = tmp_path / "trace.ndjson"
     with open(trace, "w") as fh:

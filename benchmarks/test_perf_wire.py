@@ -5,7 +5,7 @@ per-line NDJSON reader (``json.loads`` + validation per record), once
 through the wire-v2 columnar batch decoder (struct-framed chunks into
 numpy arrays) — and emits the ``BENCH_wire.json`` ``repro-perf-v1``
 artifact comparing single-core decode throughput.  Under
-``REPRO_PERF_STRICT=1`` (the CI ``wire-smoke`` job) the columnar path
+``REPRO_PERF_STRICT=1`` (the CI ``wire-smoke`` smoke row) the columnar path
 must clear a **4x** floor; elsewhere the ratio is advisory.  Both paths
 must decode to exactly the same records — a perf run that drifts
 behaviourally is worthless, so the identity is asserted here too.

@@ -14,8 +14,6 @@ Gives operators the Figure-2 workflow without writing Python:
   NDJSON wire format (or compact binary wire v2 with ``--wire v2``);
 * ``repro convert-trace`` — convert a recorded trace between NDJSON
   and binary wire v2 (direction auto-detected);
-* ``repro bench-summary`` — aggregate ``BENCH_*.json`` perf artifacts
-  into one table;
 * ``repro replay``    — drain a recorded trace through botmeterd (or
   the batch reference) and print the landscape series;
 * ``repro serve``     — run botmeterd live: follow a file or stdin,
@@ -25,34 +23,16 @@ Gives operators the Figure-2 workflow without writing Python:
   the Sensornet ingest tier);
 * ``repro sensor-send`` — stream an NDJSON trace (or one round-robin
   shard of it) to a listening botmeterd, with reconnect-and-resume;
-* ``repro netingest-smoke`` — the Sensornet smoke drill: sharded
-  concurrent replay over localhost TCP and a Unix socket, byte-diffed
-  against the single-file replay;
-* ``repro faults-soak`` — the Faultline soak: replay a multi-family
-  trace through a seeded fault schedule under supervision and verify
-  survival, exact dead-letter accounting, bounded degradation and
-  determinism;
 * ``repro trace-report`` — aggregate one ``--trace-out`` span-event
   file (or several, with ``--merge``) into a per-stage latency table
   (Stagewatch);
 * ``repro cluster-replay`` — drain a trace through an N-partition
   botmeterd cluster (Chartmesh) and merge the per-partition landscapes
   into one chart, byte-verified against the single-daemon replay;
-* ``repro reshard`` — the live-reshard drill: drain N partitions at a
-  stream split point, re-key their checkpoints to M partitions, resume
-  and verify the merged chart is byte-identical to an unpartitioned
-  replay;
 * ``repro cluster-serve`` — run the cluster live: a router listener
   splits sensor streams by server hash across N partition backends
   (``--supervised`` adds Meshguard heartbeat supervision, seeded
-  restarts, and durable router spooling);
-* ``repro cluster-smoke`` — the Chartmesh smoke drill: flat partitioned
-  replay plus a midpoint reshard, both byte-diffed against the
-  single-daemon replay;
-* ``repro cluster-chaos`` — the Meshguard fault drill: SIGKILL/wedge
-  every partition mid-stream on a seeded schedule and demand zero
-  record loss, degraded-interval containment, and run-to-run
-  determinism.
+  restarts, and durable router spooling).
 
 Run ``python -m repro.cli <command> --help`` for per-command options.
 """
@@ -299,15 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="records per RECORDS frame when converting to v2",
     )
 
-    bench_summary = sub.add_parser(
-        "bench-summary",
-        help="aggregate repro-perf-v1 BENCH_*.json artifacts into one table",
-    )
-    bench_summary.add_argument(
-        "dir", nargs="?", default="perf-artifacts",
-        help="directory holding BENCH_*.json artifacts",
-    )
-
     replay = sub.add_parser(
         "replay", help="drain a recorded NDJSON trace; print the landscape series"
     )
@@ -377,42 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     send.add_argument("--throttle", type=float, default=0.0,
                       help="seconds to sleep per line (drill pacing)")
 
-    nsmoke = sub.add_parser(
-        "netingest-smoke",
-        help="sharded concurrent replay over TCP and UDS, byte-diffed "
-             "against the single-file replay",
-    )
-    nsmoke.add_argument("--workdir", required=True, help="scratch directory")
-    nsmoke.add_argument("--sensors", type=int, default=3)
-    nsmoke.add_argument("--bots", type=int, default=24)
-    nsmoke.add_argument("--servers", type=int, default=3)
-    nsmoke.add_argument("--days", type=int, default=2)
-    nsmoke.add_argument("--seed", type=int, default=7)
-
-    soak = sub.add_parser(
-        "faults-soak",
-        help="replay a multi-family trace through a seeded fault schedule "
-             "under supervision and verify recovery, accounting and bounds",
-    )
-    soak.add_argument("--workdir", required=True, help="scratch directory")
-    soak.add_argument(
-        "--family", action="append", default=None, metavar="NAME[:SEED]",
-        help="soak family (repeatable; default: murofet:3 and new_goz:7)",
-    )
-    soak.add_argument("--bots", type=int, default=32)
-    soak.add_argument("--days", type=int, default=2)
-    soak.add_argument("--servers", type=int, default=2)
-    soak.add_argument("--seed", type=int, default=5, help="simulation seed")
-    soak.add_argument("--faults", default=None, metavar="SPEC",
-                      help="fault schedule (default: the built-in soak mix)")
-    soak.add_argument("--runs", type=int, default=2,
-                      help="same-seed supervised runs (determinism check)")
-    soak.add_argument("--bound-factor", type=float, default=0.5)
-    soak.add_argument("--bound-slack", type=float, default=3.0)
-    soak.add_argument("--max-restarts", type=int, default=25)
-    soak.add_argument("--report", default=None, metavar="PATH",
-                      help="write the JSON soak report here (default: stdout)")
-
     trace = sub.add_parser(
         "trace-report",
         help="aggregate Stagewatch --trace-out file(s) into a per-stage table",
@@ -468,9 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="reshard plan: run N partitions up to payload line LINE, "
              "then re-key to M, ... (the last segment runs to the end)",
     )
-    creplay.add_argument("--serial", action="store_true",
-                         help="run partitions in-process instead of forking "
-                              "(debugging; output bytes never change)")
     creplay.add_argument(
         "--verify", action=argparse.BooleanOptionalAction, default=True,
         help="byte-compare the merged chart against a single-daemon replay",
@@ -478,32 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     creplay.add_argument("--checkpoint-every", type=int, default=100_000,
                          metavar="N", help="records between mid-segment checkpoints")
     _add_cluster_engine_options(creplay)
-
-    reshard = sub.add_parser(
-        "reshard",
-        help="live-reshard drill: drain N partitions, re-key to M, resume; "
-             "gated on byte-identity with the unpartitioned replay",
-    )
-    reshard.add_argument("trace", help="NDJSON trace (from `repro export-trace`)")
-    reshard.add_argument("--workdir", required=True,
-                         help="cluster state directory (resumable)")
-    reshard.add_argument("--from", dest="from_partitions", type=int, required=True,
-                         metavar="N", help="partition count before the reshard")
-    reshard.add_argument("--to", dest="to_partitions", type=int, required=True,
-                         metavar="M", help="partition count after the reshard")
-    reshard.add_argument(
-        "--split", type=int, default=None, metavar="LINE",
-        help="payload line at which to drain and re-key (default: midpoint)",
-    )
-    reshard.add_argument("--serial", action="store_true",
-                         help="run partitions in-process instead of forking")
-    reshard.add_argument(
-        "--verify", action=argparse.BooleanOptionalAction, default=True,
-        help="the byte-identity gate (on by default; --no-verify to skip)",
-    )
-    reshard.add_argument("--checkpoint-every", type=int, default=100_000,
-                         metavar="N", help="records between mid-segment checkpoints")
-    _add_cluster_engine_options(reshard)
 
     cserve = sub.add_parser(
         "cluster-serve",
@@ -535,37 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
     cserve.add_argument("--mesh-seed", type=int, default=0, metavar="SEED",
                         help="seed for restart-backoff jitter (supervised only)")
     _add_cluster_engine_options(cserve)
-
-    cchaos = sub.add_parser(
-        "cluster-chaos",
-        help="seeded fault drill: SIGKILL/wedge every partition mid-stream, "
-             "demand zero loss, CI containment, and run-to-run determinism",
-    )
-    cchaos.add_argument("--workdir", required=True, help="scratch directory")
-    cchaos.add_argument("--partitions", type=int, default=3)
-    cchaos.add_argument("--bots", type=int, default=24)
-    cchaos.add_argument("--servers", type=int, default=6)
-    cchaos.add_argument("--days", type=int, default=4)
-    cchaos.add_argument("--seed", type=int, default=11,
-                        help="trace simulation seed")
-    cchaos.add_argument("--chaos-seed", type=int, default=7,
-                        help="fault schedule seed")
-    cchaos.add_argument("--runs", type=int, default=2,
-                        help="supervised passes (>=2 checks determinism)")
-    cchaos.add_argument("--max-partition-restarts", type=int, default=3,
-                        metavar="N")
-
-    csmoke = sub.add_parser(
-        "cluster-smoke",
-        help="flat partitioned replay plus a midpoint reshard, byte-diffed "
-             "against the single-daemon replay",
-    )
-    csmoke.add_argument("--workdir", required=True, help="scratch directory")
-    csmoke.add_argument("--partitions", type=int, default=3)
-    csmoke.add_argument("--bots", type=int, default=24)
-    csmoke.add_argument("--servers", type=int, default=6)
-    csmoke.add_argument("--days", type=int, default=2)
-    csmoke.add_argument("--seed", type=int, default=11)
 
     report = sub.add_parser("report", help="full reproduction report (Markdown)")
     report.add_argument("--trials", type=int, default=3)
@@ -847,47 +722,6 @@ def _cmd_convert_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_summary(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
-
-    directory = Path(args.dir)
-    artifacts = sorted(directory.glob("BENCH_*.json"))
-    if not artifacts:
-        print(f"no BENCH_*.json artifacts under {directory}", file=sys.stderr)
-        return 1
-    rows = []
-    for path in artifacts:
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"skipping unreadable artifact {path}: {exc}", file=sys.stderr)
-            continue
-        if payload.get("schema") != "repro-perf-v1":
-            print(f"skipping foreign-schema artifact {path}", file=sys.stderr)
-            continue
-        for key in sorted(payload):
-            value = payload[key]
-            if (
-                key in ("schema", "cpu_count")
-                or isinstance(value, bool)
-                or not isinstance(value, (int, float))
-            ):
-                continue
-            rows.append((path.name, key, value))
-    if not rows:
-        print(f"no repro-perf-v1 metrics under {directory}", file=sys.stderr)
-        return 1
-    name_w = max(len(name) for name, _, _ in rows)
-    key_w = max(len(key) for _, key, _ in rows)
-    print(f"{'artifact':<{name_w}}  {'metric':<{key_w}}  value")
-    print(f"{'-' * name_w}  {'-' * key_w}  -----")
-    for name, key, value in rows:
-        rendered = f"{value:.4f}" if isinstance(value, float) else str(value)
-        print(f"{name:<{name_w}}  {key:<{key_w}}  {rendered}")
-    return 0
-
-
 def _print_stage_attribution(daemon) -> None:
     """The Stagewatch per-stage table for ``--profile`` runs."""
     tracer = getattr(daemon, "tracer", None)
@@ -1034,6 +868,20 @@ def _make_injector(args: argparse.Namespace, disarmed=None):
     return FaultInjector(args.faults, disarmed=disarmed)
 
 
+def _listen_address(spec: str | None) -> tuple[str, int] | None:
+    """``--listen HOST:PORT`` -> ``(host, port)``; ``None`` when unset.
+
+    An empty host binds 127.0.0.1; port 0 is ephemeral.  Raises
+    :class:`ValueError` on anything else.
+    """
+    if not spec:
+        return None
+    host, sep, port = spec.rpartition(":")
+    if not sep or not port.isdigit():
+        raise ValueError(f"--listen wants HOST:PORT, got {spec!r}")
+    return (host or "127.0.0.1", int(port))
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .service.daemon import BotMeterDaemon
 
@@ -1089,14 +937,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if net_mode:
         from .service.netingest import NetIngestServer
 
-        tcp = None
-        if args.listen:
-            host, sep, port = args.listen.rpartition(":")
-            if not sep or not port.isdigit():
-                print(f"serve: --listen wants HOST:PORT, got {args.listen!r}",
-                      file=sys.stderr)
-                return 2
-            tcp = (host or "127.0.0.1", int(port))
+        try:
+            tcp = _listen_address(args.listen)
+        except ValueError as exc:
+            print(f"serve: {exc}", file=sys.stderr)
+            return 2
         daemon = build_daemon()
         server = NetIngestServer(
             daemon,
@@ -1213,66 +1058,6 @@ def _cmd_sensor_send(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_netingest_smoke(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from .service.netingest import SmokeFailure, run_smoke
-
-    try:
-        run_smoke(
-            Path(args.workdir),
-            sensors=args.sensors,
-            bots=args.bots,
-            servers=args.servers,
-            days=args.days,
-            seed=args.seed,
-            log=sys.stderr,
-        )
-    except SmokeFailure as exc:
-        print(f"NETINGEST SMOKE FAILED: {exc}", file=sys.stderr)
-        return 1
-    print("netingest-smoke passed", file=sys.stderr)
-    return 0
-
-
-def _cmd_faults_soak(args: argparse.Namespace) -> int:
-    import json as _json
-    from pathlib import Path
-
-    from .service.soak import SoakConfig, SoakFailure, run_soak
-
-    kwargs = dict(
-        workdir=Path(args.workdir),
-        bots=args.bots,
-        days=args.days,
-        servers=args.servers,
-        sim_seed=args.seed,
-        runs=args.runs,
-        bound_factor=args.bound_factor,
-        bound_slack=args.bound_slack,
-        max_restarts=args.max_restarts,
-    )
-    if args.family:
-        kwargs["families"] = tuple(
-            (name, int(seed) if seed else 0)
-            for name, _, seed in (spec.partition(":") for spec in args.family)
-        )
-    if args.faults:
-        kwargs["faults"] = args.faults
-    try:
-        report = run_soak(SoakConfig(**kwargs), log_stream=sys.stderr)
-    except SoakFailure as exc:
-        print(f"SOAK FAILED: {exc}", file=sys.stderr)
-        return 1
-    payload = _json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
-    if args.report:
-        Path(args.report).write_text(payload)
-        print(f"soak passed; report written to {args.report}", file=sys.stderr)
-    else:
-        print(payload, end="")
-    return 0
-
-
 def _parse_plan_spec(spec: str):
     """``N[:LINE],M[:LINE],...`` -> ``[(n_partitions, end_line|None)]``."""
     plan = []
@@ -1311,7 +1096,6 @@ def _cmd_cluster_replay(args: argparse.Namespace) -> int:
             partitions=args.partitions,
             plan=plan,
             verify=args.verify,
-            serial=args.serial,
             estimator=args.estimator,
             grace=args.grace,
             reorder_capacity=args.reorder_capacity,
@@ -1330,67 +1114,17 @@ def _cmd_cluster_replay(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_reshard(args: argparse.Namespace) -> int:
-    import json as _json
-    from pathlib import Path
-
-    from .service.cluster import (
-        ClusterError,
-        ClusterVerifyError,
-        cluster_replay,
-        split_header,
-    )
-
-    trace = Path(args.trace)
-    split = args.split
-    if split is None:
-        try:
-            payload = split_header(trace.read_bytes().splitlines())[1]
-        except OSError as exc:
-            print(f"reshard: {exc}", file=sys.stderr)
-            return 1
-        split = len(payload) // 2
-    plan = [(args.from_partitions, split), (args.to_partitions, None)]
-    try:
-        report = cluster_replay(
-            trace,
-            Path(args.workdir),
-            plan=plan,
-            verify=args.verify,
-            serial=args.serial,
-            estimator=args.estimator,
-            grace=args.grace,
-            reorder_capacity=args.reorder_capacity,
-            batch_lines=args.batch_lines,
-            checkpoint_every=args.checkpoint_every,
-            trace_sample=args.trace_sample,
-            log=sys.stderr,
-        )
-    except ClusterVerifyError as exc:
-        print(f"RESHARD VERIFY FAILED: {exc}", file=sys.stderr)
-        return 1
-    except ClusterError as exc:
-        print(f"reshard: {exc}", file=sys.stderr)
-        return 1
-    report["plan"] = [[n, end] for n, end in plan]
-    print(_json.dumps(report, indent=2, sort_keys=True))
-    return 0
-
-
 def _cmd_cluster_serve(args: argparse.Namespace) -> int:
     import json as _json
     from pathlib import Path
 
     from .service.cluster import ClusterError, cluster_serve
 
-    tcp = None
-    if args.listen:
-        host, sep, port = args.listen.rpartition(":")
-        if not sep or not port.isdigit():
-            print(f"cluster-serve: --listen wants HOST:PORT, got {args.listen!r}",
-                  file=sys.stderr)
-            return 2
-        tcp = (host or "127.0.0.1", int(port))
+    try:
+        tcp = _listen_address(args.listen)
+    except ValueError as exc:
+        print(f"cluster-serve: {exc}", file=sys.stderr)
+        return 2
     try:
         report = cluster_serve(
             Path(args.workdir),
@@ -1417,62 +1151,6 @@ def _cmd_cluster_serve(args: argparse.Namespace) -> int:
     return int(report.get("exit_code", 0) or 0)
 
 
-def _cmd_cluster_chaos(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from .service.cluster import ClusterError
-    from .service.meshguard import run_cluster_chaos
-    from .service.netingest import SmokeFailure
-
-    try:
-        report = run_cluster_chaos(
-            Path(args.workdir),
-            partitions=args.partitions,
-            bots=args.bots,
-            servers=args.servers,
-            days=args.days,
-            seed=args.seed,
-            chaos_seed=args.chaos_seed,
-            runs=args.runs,
-            max_partition_restarts=args.max_partition_restarts,
-            log=sys.stderr,
-        )
-    except (SmokeFailure, ClusterError) as exc:
-        print(f"CLUSTER CHAOS FAILED: {exc}", file=sys.stderr)
-        return 1
-    print(
-        f"cluster-chaos passed: {report['runs']} run(s) byte-identical, "
-        f"{report['degraded_rows']} degraded rows "
-        f"({report['ci_contained']} CI-contained), "
-        f"{report['restated_rows']} restated",
-        file=sys.stderr,
-    )
-    return 0
-
-
-def _cmd_cluster_smoke(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from .service.cluster import run_cluster_smoke
-    from .service.netingest import SmokeFailure
-
-    try:
-        run_cluster_smoke(
-            Path(args.workdir),
-            partitions=args.partitions,
-            bots=args.bots,
-            servers=args.servers,
-            days=args.days,
-            seed=args.seed,
-            log=sys.stderr,
-        )
-    except SmokeFailure as exc:
-        print(f"CLUSTER SMOKE FAILED: {exc}", file=sys.stderr)
-        return 1
-    print("cluster-smoke passed", file=sys.stderr)
-    return 0
-
-
 _HANDLERS = {
     "simulate": _cmd_simulate,
     "chart": _cmd_chart,
@@ -1483,18 +1161,12 @@ _HANDLERS = {
     "report": _cmd_report,
     "export-trace": _cmd_export_trace,
     "convert-trace": _cmd_convert_trace,
-    "bench-summary": _cmd_bench_summary,
     "replay": _cmd_replay,
     "serve": _cmd_serve,
     "sensor-send": _cmd_sensor_send,
-    "netingest-smoke": _cmd_netingest_smoke,
-    "faults-soak": _cmd_faults_soak,
     "trace-report": _cmd_trace_report,
     "cluster-replay": _cmd_cluster_replay,
-    "reshard": _cmd_reshard,
     "cluster-serve": _cmd_cluster_serve,
-    "cluster-chaos": _cmd_cluster_chaos,
-    "cluster-smoke": _cmd_cluster_smoke,
 }
 
 

@@ -25,8 +25,7 @@ Modules:
 * :mod:`~repro.service.deadletter` — NDJSON quarantine sidecar with
   reason codes;
 * :mod:`~repro.service.supervisor` — health state machine, bounded
-  backoff, restart supervision;
-* :mod:`~repro.service.soak` — the end-to-end fault soak harness.
+  backoff, restart supervision.
 """
 
 from .checkpoint import CHECKPOINT_SCHEMA, CheckpointError, CheckpointStore

@@ -54,7 +54,7 @@ exactly one partition segment (the shard cursor gate); and the
 aggregator re-sums in sorted-server order, which is the insertion order
 ``Landscape.total`` uses.  :func:`cluster_replay` can verify the claim
 end to end (``verify=True`` replays the trace through one daemon and
-byte-compares), and the ``reshard`` CLI verb gates on it.
+byte-compares), and ``repro cluster-replay`` gates on it by default.
 """
 
 from __future__ import annotations
@@ -89,7 +89,6 @@ __all__ = [
     "partition_for_server",
     "reshard_checkpoints",
     "restate_rows",
-    "run_cluster_smoke",
     "run_partition",
     "split_header",
     "route_line",
@@ -864,7 +863,7 @@ def cluster_replay(
     exactly like a standalone daemon would.  With ``verify=True`` the
     merged landscape is byte-compared against a fresh single-daemon
     replay and a mismatch raises :class:`ClusterVerifyError` — the gate
-    the ``reshard`` verb ships behind.
+    ``repro cluster-replay`` runs unless given ``--no-verify``.
     """
     trace = Path(trace)
     workdir = Path(workdir)
@@ -1471,100 +1470,3 @@ def cluster_serve(
         for stream in streams:
             stream.close()
         devnull.close()
-
-
-# ---------------------------------------------------------------------------
-# Smoke
-# ---------------------------------------------------------------------------
-
-
-def run_cluster_smoke(
-    workdir: str | Path,
-    partitions: int = 3,
-    bots: int = 24,
-    servers: int = 6,
-    days: int = 2,
-    seed: int = 11,
-    log: IO[str] | None = None,
-) -> dict[str, Any]:
-    """The cluster smoke drill (the ``cluster-smoke`` CLI verb).
-
-    Exports a seeded trace, replays it through one daemon for
-    reference, then (1) through a ``partitions``-wide cluster and (2)
-    through a live 2→``partitions`` reshard at the stream's midpoint —
-    demanding byte-identical merged landscapes both times.  Raises
-    :class:`~repro.service.netingest.SmokeFailure` on any mismatch.
-    """
-    from ..cli import main as cli_main
-    from .netingest import SmokeFailure
-
-    log = log if log is not None else sys.stderr
-    workdir = Path(workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
-    trace = workdir / "trace.ndjson"
-    if cli_main(
-        [
-            "export-trace",
-            "--source", "sim",
-            "--family", "murofet",
-            "--bots", str(bots),
-            "--servers", str(servers),
-            "--days", str(days),
-            "--seed", str(seed),
-            "--out", str(trace),
-        ]
-    ):
-        raise SmokeFailure("export-trace failed")
-    reference = workdir / "reference.ndjson"
-    if cli_main(
-        ["replay", str(trace), "--out", str(reference), "--trace-sample", "0"]
-    ):
-        raise SmokeFailure("reference file replay failed")
-    reference_bytes = reference.read_bytes()
-    payload_lines = len(split_header(trace.read_bytes().splitlines())[1])
-
-    flat_dir = workdir / "flat"
-    flat = cluster_replay(
-        trace, flat_dir, partitions=partitions, verify=False
-    )
-    if (flat_dir / "landscape.ndjson").read_bytes() != reference_bytes:
-        raise SmokeFailure(
-            f"{partitions}-partition merged landscape differs from the "
-            "single-daemon replay"
-        )
-    print(
-        f"cluster-smoke [flat]: {partitions} partitions, "
-        f"{payload_lines} payload lines, byte-identical",
-        file=log,
-    )
-
-    reshard_dir = workdir / "reshard"
-    plan = [(2, payload_lines // 2), (partitions, None)]
-    resharded = cluster_replay(trace, reshard_dir, plan=plan, verify=False)
-    if (reshard_dir / "landscape.ndjson").read_bytes() != reference_bytes:
-        raise SmokeFailure(
-            f"2->{partitions} reshard merged landscape differs from the "
-            "single-daemon replay"
-        )
-    print(
-        f"cluster-smoke [reshard]: 2->{partitions} at line "
-        f"{payload_lines // 2}, byte-identical",
-        file=log,
-    )
-
-    report = {
-        "schema": "botmeter-cluster-smoke-v1",
-        "partitions": partitions,
-        "payload_lines": payload_lines,
-        "reference_bytes": len(reference_bytes),
-        "flat": {"identical": True, "rows": flat["rows"]},
-        "reshard": {
-            "identical": True,
-            "plan": [[n, end] for n, end in plan],
-            "rows": resharded["rows"],
-        },
-    }
-    (workdir / "smoke-report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n"
-    )
-    return report

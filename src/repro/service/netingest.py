@@ -92,13 +92,12 @@ import os
 import select
 import selectors
 import socket
-import sys
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from .daemon import BotMeterDaemon
 from .wire2 import sniff_wire2, wire2_to_ndjson_lines
@@ -108,7 +107,6 @@ __all__ = [
     "CONTROL_TYPES",
     "ProtocolError",
     "SensorError",
-    "SmokeFailure",
     "SensorMux",
     "NetIngestServer",
     "SensorClient",
@@ -118,7 +116,6 @@ __all__ = [
     "read_address_file",
     "write_address_file",
     "shard_trace_lines",
-    "run_smoke",
 ]
 
 NET_SCHEMA = "botmeter-netingest-v1"
@@ -137,10 +134,6 @@ class ProtocolError(ValueError):
 
 class SensorError(RuntimeError):
     """The sensor client gave up (protocol error or retry deadline)."""
-
-
-class SmokeFailure(RuntimeError):
-    """The netingest smoke drill found a byte difference."""
 
 
 def _merge_key(data: Any) -> tuple[float, str, str] | None:
@@ -796,7 +789,7 @@ class NetIngestServer:
         self._stop = True
 
     def run_in_thread(self) -> threading.Thread:
-        """Start :meth:`serve` on a daemon thread (smoke + tests).
+        """Start :meth:`serve` on a daemon thread (cluster backends + tests).
 
         The thread records the outcome in :attr:`exit_code` /
         :attr:`error` instead of raising into nowhere.
@@ -1522,7 +1515,7 @@ class SensorStream:
 
 
 # ---------------------------------------------------------------------------
-# Sharding + smoke
+# Sharding
 # ---------------------------------------------------------------------------
 
 
@@ -1550,135 +1543,3 @@ def shard_trace_lines(
             header = [lines[0]]
             lines = lines[1:]
     return header + [line for i, line in enumerate(lines) if i % count == index]
-
-
-def _drive_sensors(
-    address: tuple[str, ...],
-    shards: Sequence[Sequence[bytes]],
-    retry_deadline: float = 60.0,
-) -> list[SensorReport]:
-    """Run one SensorClient per shard on threads; re-raise any failure."""
-    reports: list[SensorReport | None] = [None] * len(shards)
-    errors: list[BaseException] = []
-
-    def _one(i: int, shard: Sequence[bytes]) -> None:
-        try:
-            client = SensorClient(
-                address, f"sensor-{i:02d}", retry_deadline=retry_deadline
-            )
-            reports[i] = client.replay_lines(list(shard))
-        except BaseException as exc:  # noqa: BLE001 — re-raised below
-            errors.append(exc)
-
-    threads = [
-        threading.Thread(target=_one, args=(i, shard), daemon=True)
-        for i, shard in enumerate(shards)
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=120)
-    if errors:
-        raise errors[0]
-    return [report for report in reports if report is not None]
-
-
-def run_smoke(
-    workdir: str | Path,
-    sensors: int = 3,
-    bots: int = 24,
-    servers: int = 3,
-    days: int = 2,
-    seed: int = 7,
-    log: IO[str] | None = None,
-) -> dict[str, Any]:
-    """The netingest smoke drill (the ``netingest-smoke`` CLI verb).
-
-    Exports a seeded trace, replays it through a file run for
-    reference, then runs it through a real socket server — once over
-    localhost TCP and once over a Unix-domain socket, ``sensors``
-    concurrent clients each — and demands byte-identical landscape
-    output both times.  Raises :class:`SmokeFailure` on any mismatch.
-    """
-    from ..cli import main as cli_main
-
-    log = log if log is not None else sys.stderr
-    workdir = Path(workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
-    trace = workdir / "trace.ndjson"
-    if cli_main(
-        [
-            "export-trace",
-            "--source", "sim",
-            "--family", "murofet",
-            "--bots", str(bots),
-            "--servers", str(servers),
-            "--days", str(days),
-            "--seed", str(seed),
-            "--out", str(trace),
-        ]
-    ):
-        raise SmokeFailure("export-trace failed")
-    reference = workdir / "reference.ndjson"
-    if cli_main(
-        ["replay", str(trace), "--out", str(reference), "--trace-sample", "0"]
-    ):
-        raise SmokeFailure("reference file replay failed")
-    lines = trace.read_bytes().splitlines()
-    shards = [shard_trace_lines(lines, i, sensors) for i in range(sensors)]
-    report: dict[str, Any] = {
-        "schema": "botmeter-netingest-smoke-v1",
-        "sensors": sensors,
-        "trace_lines": len(lines),
-        "reference_bytes": len(reference.read_bytes()),
-        "transports": {},
-    }
-    for kind in ("tcp", "uds"):
-        out = workdir / f"net-{kind}.ndjson"
-        daemon = BotMeterDaemon(
-            f"net:{kind}",
-            out_path=out,
-            checkpoint_path=workdir / f"checkpoint-{kind}.json",
-            batch_lines=256,
-            trace_sample=0,
-            log_stream=open(os.devnull, "w"),
-        )
-        server = NetIngestServer(
-            daemon,
-            tcp=("127.0.0.1", 0) if kind == "tcp" else None,
-            uds=(workdir / "ingest.sock") if kind == "uds" else None,
-            expect_sensors=sensors,
-        )
-        thread = server.run_in_thread()
-        address: tuple[str, ...]
-        if kind == "tcp":
-            assert server.tcp_address is not None
-            address = ("tcp", server.tcp_address[0], server.tcp_address[1])
-        else:
-            assert server.uds_path is not None
-            address = ("uds", server.uds_path)
-        try:
-            sensor_reports = _drive_sensors(address, shards)
-        finally:
-            server.stop()
-            thread.join(timeout=60)
-        if server.error is not None:
-            raise SmokeFailure(f"{kind} server failed: {server.error!r}")
-        if out.read_bytes() != reference.read_bytes():
-            raise SmokeFailure(
-                f"{kind} landscape output differs from the file replay"
-            )
-        report["transports"][kind] = {
-            "bytes": len(out.read_bytes()),
-            "identical": True,
-            "acked": {r.sensor: r.acked for r in sensor_reports},
-        }
-        print(
-            f"netingest-smoke [{kind}]: {sensors} sensors, "
-            f"{len(lines)} lines, byte-identical",
-            file=log,
-        )
-    (workdir / "smoke-report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n"
-    )
-    return report

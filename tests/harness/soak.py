@@ -13,9 +13,9 @@ fault schedule under supervision, and prove four properties at once:
    landscape output, dead-letter sidecars and ledgers, including the
    supervised restart schedule.
 
-The harness is deliberately plain-Python (no pytest dependency) so the
-``faults-soak`` CLI verb, the CI job and the test suite all drive the
-same code path.
+The harness is deliberately plain-Python (no pytest dependency) so
+``make soak`` (through ``python -m tests.harness``) and the test suite
+drive the same code path.
 """
 
 from __future__ import annotations
@@ -25,12 +25,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from ..sim.network import SimConfig, simulate
-from ..sim.trace import sort_observable
-from .daemon import BotMeterDaemon
-from .deadletter import read_deadletters
-from .faults import FaultInjector, parse_fault_spec
-from .supervisor import BackoffPolicy, HealthMonitor, Supervisor
+from repro.service.daemon import BotMeterDaemon
+from repro.service.deadletter import read_deadletters
+from repro.service.faults import FaultInjector, parse_fault_spec
+from repro.service.supervisor import BackoffPolicy, HealthMonitor, Supervisor
+from repro.sim.network import SimConfig, simulate
+from repro.sim.trace import sort_observable
 
 __all__ = ["SoakConfig", "SoakFailure", "build_soak_trace", "run_soak"]
 
@@ -99,7 +99,7 @@ def build_soak_trace(cfg: SoakConfig) -> tuple[Path, int]:
     day range and server count, merged in deterministic trace order
     under a single header declaring every family.
     """
-    from .wire import encode_header, encode_record
+    from repro.service.wire import encode_header, encode_record
 
     merged = []
     granularity = None
@@ -209,7 +209,8 @@ def _run_faulted(
 
 
 def run_soak(cfg: SoakConfig, log_stream: Any = None) -> SoakReport:
-    """Run the full soak; raises :class:`SoakFailure` on any violation."""
+    """Run the full soak and write ``report.json`` into the workdir;
+    raises :class:`SoakFailure` on any violation."""
     import io
 
     log = log_stream if log_stream is not None else io.StringIO()
@@ -342,4 +343,7 @@ def run_soak(cfg: SoakConfig, log_stream: Any = None) -> SoakReport:
                 f"(clean {clean_value:.2f}, degraded {degraded_value:.2f}); "
                 f"allowed {allowed:.2f} at loss fraction {loss_fraction:.4f}"
             )
+    (cfg.workdir / "report.json").write_text(
+        json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+    )
     return report

@@ -1,8 +1,27 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
+
+
+#: The operator product: the paper's Figure-2 workflow, botmeterd and
+#: the cluster that scales it.  Test drills live under tests/harness.
+PRODUCT_VERBS = {
+    "simulate", "chart", "taxonomy", "families", "sweep", "enterprise", "report",
+    "export-trace", "convert-trace", "replay", "serve", "sensor-send",
+    "trace-report", "cluster-replay", "cluster-serve",
+}
+
+
+def test_help_lists_only_product_verbs(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    verbs = re.search(r"\{([a-z,-]+)\}", capsys.readouterr().out).group(1)
+    assert sorted(verbs.split(",")) == sorted(PRODUCT_VERBS)
 
 
 class TestParser:

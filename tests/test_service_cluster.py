@@ -657,23 +657,27 @@ class TestClusterServe:
 
 
 class TestClusterCli:
-    def test_reshard_verb_runs_the_identity_gate(self, tiny_trace, tmp_path, capsys):
+    def test_cluster_replay_plan_reshards_under_the_identity_gate(
+        self, tiny_trace, tiny_payload_lines, tmp_path, capsys
+    ):
+        half = tiny_payload_lines // 2
         assert (
             main(
                 [
-                    "reshard",
+                    "cluster-replay",
                     str(tiny_trace),
                     "--workdir", str(tmp_path / "rs"),
-                    "--from", "1",
-                    "--to", "2",
-                    "--serial",
+                    "--plan", f"1:{half},2",
                 ]
             )
             == 0
         )
         report = json.loads(capsys.readouterr().out)
         assert report["verified"] is True
-        assert report["plan"][0][0] == 1 and report["plan"][1][0] == 2
+        assert [
+            (seg["partitions"], seg["start"], seg["end"])
+            for seg in report["segments"]
+        ] == [(1, 0, half), (2, half, tiny_payload_lines)]
 
     def test_cluster_replay_verb_verifies(self, tiny_trace, tmp_path, capsys):
         assert (
@@ -683,7 +687,6 @@ class TestClusterCli:
                     str(tiny_trace),
                     "--workdir", str(tmp_path / "cr"),
                     "--partitions", "2",
-                    "--serial",
                 ]
             )
             == 0

@@ -41,11 +41,8 @@ from repro.service.meshguard import (
     ClusterSupervisor,
     FailoverSensorStream,
     PartitionHealth,
-    chaos_schedule,
-    emission_lines,
     partition_states_from_heartbeats,
     read_heartbeat,
-    read_spool,
     write_heartbeat,
 )
 from repro.service.supervisor import (
@@ -53,6 +50,7 @@ from repro.service.supervisor import (
     HealthMonitor,
     HealthState,
 )
+from tests.harness.chaos import chaos_schedule, emission_lines, read_spool
 
 
 def _beat(path, *, mono, pid=4242, seq=0, checkpoint_age=None):

@@ -11,8 +11,7 @@ import json
 
 import pytest
 
-from repro.cli import main
-from repro.service.soak import (
+from tests.harness.soak import (
     DEFAULT_FAULTS,
     SoakConfig,
     SoakFailure,
@@ -65,9 +64,11 @@ class TestRunSoak:
             assert ledger[kind] > 0, f"{kind} never fired at test scale"
 
     def test_report_is_json_ready(self, soak_report):
-        _workdir, report = soak_report
-        document = json.loads(json.dumps(report.to_dict()))
+        workdir, report = soak_report
+        document = json.loads((workdir / "report.json").read_text())
+        assert document == json.loads(json.dumps(report.to_dict()))
         assert document["deterministic"] is True
+        assert len(document["runs"]) == 2
         assert document["max_deviation"] <= document["max_allowed"]
 
     def test_quality_annotations_reach_the_output(self, soak_report):
@@ -118,24 +119,6 @@ class TestBuildTrace:
 
 
 class TestSoakCli:
-    def test_faults_soak_verb_writes_report(self, tmp_path, capsys):
-        report_path = tmp_path / "report.json"
-        code = main(
-            [
-                "faults-soak",
-                "--workdir", str(tmp_path / "work"),
-                "--bots", "4",
-                "--days", "2",
-                "--faults", TEST_FAULTS,
-                "--report", str(report_path),
-            ]
-        )
-        capsys.readouterr()
-        assert code == 0
-        document = json.loads(report_path.read_text())
-        assert document["deterministic"] is True
-        assert len(document["runs"]) == 2
-
     def test_default_faults_spec_parses(self):
         from repro.service.faults import parse_fault_spec
 
