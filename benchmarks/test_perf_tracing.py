@@ -43,10 +43,10 @@ from repro.sim import SimConfig, simulate
 OVERHEAD_BUDGET = 0.05
 
 #: Interleaved rounds; the median paired ratio filters scheduler noise.
-#: With 7 rounds of a one-day replay (0.19 s CPU) the median crossed the
-#: budget in 2 of 10 runs on a 2-vCPU host with no code change; 15
-#: rounds of a two-day replay (EXPERIMENTS.md) let the gate judge the
-#: code rather than the host.
+#: 15 rounds of a two-day replay narrow its spread against 7 rounds of
+#: one day, whose median crossed the budget in 2 of 10 runs on a 2-vCPU
+#: host with no code change.  On a host whose CPU time moves by ±30%
+#: between runs the gate can still fail (EXPERIMENTS.md).
 RUNS = 15
 
 VARIANTS = {
