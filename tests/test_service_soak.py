@@ -119,6 +119,18 @@ class TestBuildTrace:
 
 
 class TestSoakCli:
+    def test_faults_soak_verb_writes_report(self, tmp_path, capsys):
+        # The `soak` row of the drill runner, with the fixed arguments
+        # `make soak` uses: exit code 0 and a report.json in the workdir.
+        from tests.harness.__main__ import main as harness_main
+
+        code = harness_main(["soak", str(tmp_path)])
+        capsys.readouterr()
+        assert code == 0
+        document = json.loads((tmp_path / "report.json").read_text())
+        assert document["deterministic"] is True
+        assert len(document["runs"]) == 2
+
     def test_default_faults_spec_parses(self):
         from repro.service.faults import parse_fault_spec
 
