@@ -87,31 +87,39 @@ netingest-smoke:
 		--bots 24 --servers 3 --days 2 --seed 7 --out netingest-smoke/trace.ndjson
 	python -m repro.cli replay netingest-smoke/trace.ndjson --trace-sample 0 \
 		--out netingest-smoke/reference.ndjson
-	$(call sensornet,tcp,--listen 127.0.0.1:0)
-	$(call sensornet,uds,--listen-uds netingest-smoke/ingest.sock)
+	$(call sensornet,netingest-smoke,tcp,3,serve --listen 127.0.0.1:0 \
+		--checkpoint netingest-smoke/ck-tcp.json --trace-sample 0 \
+		--out netingest-smoke/net-tcp.ndjson,netingest-smoke/net-tcp.ndjson)
+	$(call sensornet,netingest-smoke,uds,3,serve \
+		--listen-uds netingest-smoke/ingest.sock \
+		--checkpoint netingest-smoke/ck-uds.json --trace-sample 0 \
+		--out netingest-smoke/net-uds.ndjson,netingest-smoke/net-uds.ndjson)
 	@echo "netingest-smoke OK: 3 sensors over TCP == 3 sensors over UDS == file replay"
 
-# $(call sensornet,KIND,LISTEN): one `serve` process plus 3 `sensor-send`
-# processes (shard i/3 each, found through the addr file); waits for all
-# four, then diffs the merged landscape against the file replay.
+# $(call sensornet,DIR,KIND,K,SERVER,OUT): one `repro SERVER` process
+# (a listening `serve` or `cluster-serve`, given --addr-file
+# DIR/addr-KIND.json and --expect-sensors K) plus K `sensor-send`
+# processes (shard i/K each of DIR/trace.ndjson, preferring transport
+# KIND); waits for all of them under `timeout 120`, then diffs the
+# landscape OUT against DIR/reference.ndjson.
 define sensornet
-	timeout 120 python -m repro.cli serve $(2) \
-		--addr-file netingest-smoke/addr-$(1).json --expect-sensors 3 \
-		--checkpoint netingest-smoke/ck-$(1).json --trace-sample 0 \
-		--out netingest-smoke/net-$(1).ndjson 2> netingest-smoke/serve-$(1).log & pids=$$!; \
-	for i in 0 1 2; do \
-		python -m repro.cli sensor-send netingest-smoke/trace.ndjson \
-			--sensor sensor-0$$i --shard $$i/3 --prefer $(1) \
-			--addr-file netingest-smoke/addr-$(1).json \
-			> netingest-smoke/sensor-$(1)-$$i.json & pids="$$pids $$!"; \
+	timeout 120 python -m repro.cli $(4) \
+		--addr-file $(1)/addr-$(2).json --expect-sensors $(3) \
+		2> $(1)/serve-$(2).log & pids=$$!; \
+	for i in $$(seq 0 $$(( $(3) - 1 ))); do \
+		timeout 120 python -m repro.cli sensor-send $(1)/trace.ndjson \
+			--sensor sensor-0$$i --shard $$i/$(3) --prefer $(2) \
+			--addr-file $(1)/addr-$(2).json \
+			> $(1)/sensor-$(2)-$$i.json & pids="$$pids $$!"; \
 	done; \
 	status=0; for pid in $$pids; do wait $$pid || status=1; done; exit $$status
-	diff netingest-smoke/net-$(1).ndjson netingest-smoke/reference.ndjson
+	diff $(5) $(1)/reference.ndjson
 endef
 
-# Chartmesh end-to-end: a 3-partition replay and a live 2 -> 3 reshard
-# at the trace's midpoint, both merged landscapes byte-compared against
-# the single-daemon replay.
+# Chartmesh end-to-end: a 3-partition replay, a live 2 -> 3 reshard at
+# the trace's midpoint, and a live `cluster-serve --partitions 3` fed by
+# 2 `sensor-send` processes; all three merged landscapes byte-compared
+# against the single-daemon replay.
 cluster-smoke:
 	rm -rf cluster-smoke && mkdir -p cluster-smoke
 	python -m repro.cli export-trace --source sim --family murofet \
@@ -127,7 +135,10 @@ cluster-smoke:
 		--workdir cluster-smoke/reshard --plan 2:$$half,3 --no-verify \
 		> cluster-smoke/reshard.json
 	diff cluster-smoke/reshard/landscape.ndjson cluster-smoke/reference.ndjson
-	@echo "cluster-smoke OK: 3 partitions == 2 -> 3 reshard at the midpoint == single daemon"
+	$(call sensornet,cluster-smoke,tcp,2,cluster-serve \
+		--workdir cluster-smoke/serve --partitions 3 \
+		--listen 127.0.0.1:0,cluster-smoke/serve/landscape.ndjson)
+	@echo "cluster-smoke OK: 3 partitions == 2 -> 3 reshard at the midpoint == live 3-partition cluster-serve == single daemon"
 
 # Meshguard chaos drill: SIGKILL/wedge every partition mid-stream on a
 # seeded epoch-anchored schedule; the merged landscape must stay

@@ -30,9 +30,9 @@ Gives operators the Figure-2 workflow without writing Python:
   botmeterd cluster (Chartmesh) and merge the per-partition landscapes
   into one chart, byte-verified against the single-daemon replay;
 * ``repro cluster-serve`` — run the cluster live: a router listener
-  splits sensor streams by server hash across N partition backends
-  (``--supervised`` adds Meshguard heartbeat supervision, seeded
-  restarts, and durable router spooling).
+  splits sensor streams by server hash across N supervised partition
+  processes (Meshguard heartbeats, seeded restarts, durable router
+  spooling).
 
 Run ``python -m repro.cli <command> --help`` for per-command options.
 """
@@ -430,16 +430,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="gate the router merge until K sensors said hello")
     cserve.add_argument("--checkpoint-every", type=int, default=500, metavar="N",
                         help="records between per-partition checkpoints")
-    cserve.add_argument(
-        "--supervised", action="store_true",
-        help="run partitions under the Meshguard supervisor: heartbeat "
-             "health, seeded-backoff restarts, durable router spooling",
-    )
     cserve.add_argument("--max-partition-restarts", type=int, default=3,
                         metavar="N", help="restart budget before a partition "
-                                          "is disarmed (supervised only)")
-    cserve.add_argument("--mesh-seed", type=int, default=0, metavar="SEED",
-                        help="seed for restart-backoff jitter (supervised only)")
+                                          "is disarmed")
     _add_cluster_engine_options(cserve)
 
     report = sub.add_parser("report", help="full reproduction report (Markdown)")
@@ -1139,9 +1132,7 @@ def _cmd_cluster_serve(args: argparse.Namespace) -> int:
             batch_lines=args.batch_lines,
             checkpoint_every=args.checkpoint_every,
             trace_sample=args.trace_sample,
-            supervised=args.supervised,
             max_partition_restarts=args.max_partition_restarts,
-            mesh_seed=args.mesh_seed,
             log=sys.stderr,
         )
     except ClusterError as exc:

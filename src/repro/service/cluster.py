@@ -17,10 +17,11 @@ Three moving parts:
   :class:`~repro.service.netingest.NetIngestServer`: sensors speak the
   ordinary Sensornet protocol to the router, which re-streams each
   released line to its partition's own ingest socket over a
-  :class:`~repro.service.netingest.SensorStream`.
+  :class:`~repro.service.meshguard.FailoverSensorStream`.
 
 * **The partitions.**  Plain :class:`~repro.service.daemon.BotMeterDaemon`
-  processes.  A non-final replay segment runs with
+  processes (supervised ones behind ingest sockets when live, see
+  :mod:`repro.service.meshguard`).  A non-final replay segment runs with
   ``finalize_at_eof=False`` — at EOF it *drains*: flushes batches and
   checkpoints the open engine state (reorder buffer included) without
   force-closing epochs.  Only the last segment finalizes.
@@ -88,7 +89,6 @@ __all__ = [
     "merge_landscape_rows",
     "partition_for_server",
     "reshard_checkpoints",
-    "restate_rows",
     "run_partition",
     "split_header",
     "route_line",
@@ -446,36 +446,6 @@ def merge_landscape_rows(
     return merged
 
 
-def restate_rows(
-    exact_rows: Iterable[bytes | str],
-    degraded_keys: Iterable[tuple[int, str]],
-) -> list[str]:
-    """Exact re-emissions for rows previously published degraded.
-
-    Once a down partition recovers and its spool drains, the rows that
-    went out with ``degraded_partitions`` markings have exact
-    replacements in the final merge.  This returns those replacements
-    flagged ``"restated": true`` — same bytes as the exact row plus the
-    flag, so a consumer can idempotently supersede the degraded
-    version.  Order follows ``exact_rows``.
-    """
-    keys = {(int(epoch), str(family)) for epoch, family in degraded_keys}
-    restated: list[str] = []
-    for line in exact_rows:
-        if isinstance(line, bytes):
-            line = line.decode("utf-8")
-        line = line.strip()
-        if not line:
-            continue
-        row = json.loads(line)
-        if (int(row["epoch"]), str(row["family"])) in keys:
-            row["restated"] = True
-            restated.append(
-                json.dumps(row, sort_keys=True, separators=(",", ":"))
-            )
-    return restated
-
-
 # ---------------------------------------------------------------------------
 # Resharding
 # ---------------------------------------------------------------------------
@@ -754,6 +724,27 @@ def _atomic_write_json(path: Path, document: Mapping[str, Any]) -> None:
     )
 
 
+def _write_merge(
+    workdir: Path, out_paths: Sequence[Path], checkpoint_paths: Sequence[Path]
+) -> tuple[list[str], Path]:
+    """Merge partition outputs into ``workdir/landscape.ndjson`` and the
+    metrics of the final checkpoints into ``workdir/metrics.prom``.
+
+    A partition that neither ingested nor emitted anything never created
+    its output file: an empty contribution.
+    """
+    merged = merge_landscape_rows(
+        [path.read_bytes().splitlines() for path in out_paths if path.exists()]
+    )
+    landscape_path = workdir / "landscape.ndjson"
+    landscape_path.write_text("\n".join(merged) + ("\n" if merged else ""))
+    folded = merge_registry_states(
+        [CheckpointStore(path).load()["metrics"] for path in checkpoint_paths]
+    )
+    (workdir / "metrics.prom").write_text(folded.render_prometheus())
+    return merged, landscape_path
+
+
 def _normalize_plan(
     partitions: int | None,
     plan: Sequence[tuple[int, int | None]] | None,
@@ -1004,27 +995,19 @@ def cluster_replay(
             file=log,
         )
 
-    row_streams = []
-    for segment in segments:
-        for i in range(segment["partitions"]):
-            out_path = _seg_paths(workdir, segment["index"], i)["out"]
-            # A partition that neither ingested nor emitted anything in
-            # its segment never created the file — an empty contribution.
-            if out_path.exists():
-                row_streams.append(out_path.read_bytes().splitlines())
-    merged = merge_landscape_rows(row_streams)
-    landscape_path = workdir / "landscape.ndjson"
-    landscape_path.write_text("\n".join(merged) + ("\n" if merged else ""))
     last = segments[-1]
-    final_metrics = merge_registry_states(
+    merged, landscape_path = _write_merge(
+        workdir,
         [
-            CheckpointStore(
-                _seg_paths(workdir, last["index"], i)["checkpoint"]
-            ).load()["metrics"]
+            _seg_paths(workdir, segment["index"], i)["out"]
+            for segment in segments
+            for i in range(segment["partitions"])
+        ],
+        [
+            _seg_paths(workdir, last["index"], i)["checkpoint"]
             for i in range(last["partitions"])
-        ]
+        ],
     )
-    (workdir / "metrics.prom").write_text(final_metrics.render_prometheus())
 
     report: dict[str, Any] = {
         "schema": "botmeterd-cluster-report-v1",
@@ -1078,7 +1061,7 @@ class ClusterRouterFrontend:
     router, whose mux merges them into one deterministic released-line
     sequence; this front end splits that sequence by
     ``partition_for_server`` and re-streams each slice to its partition
-    daemon's ingest socket (a :class:`~repro.service.netingest.SensorStream`
+    daemon's ingest socket (a :class:`~repro.service.meshguard.FailoverSensorStream`
     per partition).  Headers broadcast to every partition (setting one
     twice is free); non-lookup payload rides with partition 0, matching
     the offline splitter.
@@ -1095,10 +1078,8 @@ class ClusterRouterFrontend:
         self,
         streams: Sequence[Any],
         log_stream: IO[str] | None = None,
-        on_finish: Any = None,
     ) -> None:
         self.streams = list(streams)
-        self._on_finish = on_finish
         if not self.streams:
             raise ClusterError("a cluster router needs at least one partition")
         self.metrics = MetricsRegistry()
@@ -1115,7 +1096,6 @@ class ClusterRouterFrontend:
         )
         #: Final durable cursor per partition stream (set at finish).
         self.cursors: dict[str, int] = {}
-        self.finished = False
 
     # -- daemon surface the ingest server drives -----------------------------
 
@@ -1160,15 +1140,8 @@ class ClusterRouterFrontend:
                 self._c_routed.inc(len(bucket), partition=f"{index:02d}")
 
     def _finish_stream(self, lines_released: int) -> None:
-        if self._on_finish is not None:
-            # Fires *before* partition streams finish: the supervised
-            # serve path uses this to stand down the watch loop, which
-            # would otherwise read the partitions' clean exits as
-            # faults and restart them mid-shutdown.
-            self._on_finish()
         for stream in self.streams:
             self.cursors[stream.sensor] = stream.finish()
-        self.finished = True
         self._log_event(
             "cluster_router_finished",
             lines=lines_released,
@@ -1180,37 +1153,53 @@ class ClusterRouterFrontend:
             stream.close()
 
 
-def _supervised_cluster_serve(
-    workdir: Path,
-    n: int,
+def cluster_serve(
+    workdir: str | Path,
+    partitions: int = 3,
     *,
-    tcp: tuple[str, int] | None,
-    uds: str | Path | None,
-    addr_file: str | Path | None,
-    expect_sensors: int | None,
-    estimator: Any,
-    grace: float,
-    reorder_capacity: int,
-    batch_lines: int,
-    checkpoint_every: int,
-    trace_sample: int,
-    max_partition_restarts: int,
-    mesh_seed: int,
-    heartbeat_interval: float,
-    lag_after: float,
-    down_after: float,
-    log: IO[str],
+    tcp: tuple[str, int] | None = None,
+    uds: str | Path | None = None,
+    addr_file: str | Path | None = None,
+    expect_sensors: int | None = None,
+    estimator: Any = "auto",
+    grace: float = 900.0,
+    reorder_capacity: int = 1024,
+    batch_lines: int = 256,
+    checkpoint_every: int = 500,
+    trace_sample: int = 0,
+    max_partition_restarts: int = 3,
+    log: IO[str] | None = None,
 ) -> dict[str, Any]:
-    """The fault-tolerant serve path: partition *processes* under a
-    :class:`~repro.service.meshguard.ClusterSupervisor`, failover
-    streams with durable spools, and a background supervision loop
-    restarting dead or wedged partitions from their own checkpoints."""
+    """Serve Sensornet ingest through an N-partition cluster.
+
+    The partitions run as *processes* under a
+    :class:`~repro.service.meshguard.ClusterSupervisor` (heartbeats,
+    seeded-backoff restarts from each partition's own checkpoint,
+    disarming past ``max_partition_restarts``), each behind its own UDS
+    ingest server under ``workdir``.  Each router-to-partition stream is
+    a :class:`~repro.service.meshguard.FailoverSensorStream`: a dead
+    partition's lines spool durably and replay on recovery, so a
+    partition crash costs latency, not records.  A restarted
+    ``cluster-serve`` resumes every partition from its checkpoint while
+    sensors resend from their acked cursors.  On a clean finish the
+    per-partition landscapes merge into ``workdir/landscape.ndjson``,
+    the folded metrics into ``workdir/metrics.prom``, and the restart
+    ledger into ``workdir/mesh-ledger.json``.
+    """
     import threading
 
     from .meshguard import ClusterSupervisor, FailoverSensorStream
     from .netingest import NetIngestServer
     from .supervisor import BackoffPolicy
 
+    workdir = Path(workdir)
+    workdir.mkdir(parents=True, exist_ok=True)
+    log = log if log is not None else sys.stderr
+    n = int(partitions)
+    if n < 1:
+        raise ClusterError(f"cannot serve {n} partitions")
+    if tcp is None and uds is None:
+        tcp = ("127.0.0.1", 0)
     supervisor = ClusterSupervisor(
         workdir,
         n,
@@ -1221,17 +1210,14 @@ def _supervised_cluster_serve(
         checkpoint_every=checkpoint_every,
         trace_sample=trace_sample,
         max_partition_restarts=max_partition_restarts,
-        backoff=BackoffPolicy(seed=mesh_seed),
-        heartbeat_interval=heartbeat_interval,
-        lag_after=lag_after,
-        down_after=down_after,
+        backoff=BackoffPolicy(seed=0),
         log_stream=log,
     )
     streams: list[Any] = []
     quiesced = threading.Event()
 
     def _watch() -> None:
-        while not quiesced.wait(heartbeat_interval):
+        while not quiesced.wait(supervisor.heartbeat_interval):
             supervisor.poll()
             supervisor.quorum_ok()
 
@@ -1249,9 +1235,7 @@ def _supervised_cluster_serve(
             stream.connect()
             streams.append(stream)
         watcher.start()
-        frontend = ClusterRouterFrontend(
-            streams, log_stream=log, on_finish=quiesced.set
-        )
+        frontend = ClusterRouterFrontend(streams, log_stream=log)
         router = NetIngestServer(
             frontend,
             tcp=tcp,
@@ -1259,7 +1243,11 @@ def _supervised_cluster_serve(
             addr_file=addr_file,
             expect_sensors=expect_sensors,
         )
+        # The watch loop runs until every partition stream has finished:
+        # a partition that dies while its stream drains is restarted and
+        # finish() replays to it.  Clean zero exits are never restarted.
         code = router.serve()
+        quiesced.set()
         codes = supervisor.wait()
         bad = [c for c in codes if c not in (0, None)]
         if bad:
@@ -1271,22 +1259,11 @@ def _supervised_cluster_serve(
         for stream in streams:
             stream.close()
         supervisor.stop()
-    merged = merge_landscape_rows(
-        [
-            (workdir / f"p{i:02d}.out.ndjson").read_bytes().splitlines()
-            for i in range(n)
-            if (workdir / f"p{i:02d}.out.ndjson").exists()
-        ]
+    merged, landscape_path = _write_merge(
+        workdir,
+        [workdir / f"p{i:02d}.out.ndjson" for i in range(n)],
+        [workdir / f"p{i:02d}.ck.json" for i in range(n)],
     )
-    landscape_path = workdir / "landscape.ndjson"
-    landscape_path.write_text("\n".join(merged) + ("\n" if merged else ""))
-    folded = merge_registry_states(
-        [
-            CheckpointStore(workdir / f"p{i:02d}.ck.json").load()["metrics"]
-            for i in range(n)
-        ]
-    )
-    (workdir / "metrics.prom").write_text(folded.render_prometheus())
     (workdir / "mesh-metrics.prom").write_text(
         supervisor.metrics.render_prometheus()
     )
@@ -1307,166 +1284,7 @@ def _supervised_cluster_serve(
         "rows": len(merged),
         "landscape": str(landscape_path),
         "cursors": dict(frontend.cursors),
-        "supervised": True,
         "restarts": sum(part.restarts for part in supervisor.partitions),
         "spooled": sum(stream.spooled for stream in streams),
         "replayed": sum(stream.replayed for stream in streams),
     }
-
-
-def cluster_serve(
-    workdir: str | Path,
-    partitions: int = 3,
-    *,
-    tcp: tuple[str, int] | None = None,
-    uds: str | Path | None = None,
-    addr_file: str | Path | None = None,
-    expect_sensors: int | None = None,
-    estimator: Any = "auto",
-    grace: float = 900.0,
-    reorder_capacity: int = 1024,
-    batch_lines: int = 256,
-    checkpoint_every: int = 500,
-    trace_sample: int = 0,
-    supervised: bool = False,
-    max_partition_restarts: int = 3,
-    mesh_seed: int = 0,
-    heartbeat_interval: float = 0.25,
-    lag_after: float = 5.0,
-    down_after: float = 15.0,
-    log: IO[str] | None = None,
-) -> dict[str, Any]:
-    """Serve Sensornet ingest through an N-partition cluster.
-
-    Spins up ``partitions`` in-process partition daemons (each behind
-    its own UDS ingest server under ``workdir``), connects the router's
-    per-partition streams, then serves the public listener until every
-    expected sensor has finned.  Partitions checkpoint independently —
-    a restarted ``cluster-serve`` resumes them from their own
-    checkpoints while sensors resend from their acked cursors, exactly
-    the single-daemon Sensornet recovery story, N times over.  On a
-    clean finish the per-partition landscapes merge into
-    ``workdir/landscape.ndjson`` and the folded metrics into
-    ``workdir/metrics.prom``.
-
-    With ``supervised=True`` the partitions run as *processes* under a
-    :class:`~repro.service.meshguard.ClusterSupervisor` (heartbeats,
-    seeded-backoff restarts, disarming) and the router's streams become
-    :class:`~repro.service.meshguard.FailoverSensorStream` — a dead
-    partition's lines spool durably and replay on recovery, so a
-    partition crash costs latency, not records.
-    """
-    workdir = Path(workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
-    log = log if log is not None else sys.stderr
-    n = int(partitions)
-    if n < 1:
-        raise ClusterError(f"cannot serve {n} partitions")
-    if tcp is None and uds is None:
-        tcp = ("127.0.0.1", 0)
-    if supervised:
-        return _supervised_cluster_serve(
-            workdir,
-            n,
-            tcp=tcp,
-            uds=uds,
-            addr_file=addr_file,
-            expect_sensors=expect_sensors,
-            estimator=estimator,
-            grace=grace,
-            reorder_capacity=reorder_capacity,
-            batch_lines=batch_lines,
-            checkpoint_every=checkpoint_every,
-            trace_sample=trace_sample,
-            max_partition_restarts=max_partition_restarts,
-            mesh_seed=mesh_seed,
-            heartbeat_interval=heartbeat_interval,
-            lag_after=lag_after,
-            down_after=down_after,
-            log=log,
-        )
-    from .netingest import NetIngestServer, SensorStream
-
-    backends: list[Any] = []
-    threads: list[Any] = []
-    streams: list[Any] = []
-    devnull = open(os.devnull, "w")
-    try:
-        for i in range(n):
-            daemon = BotMeterDaemon(
-                f"cluster:p{i:02d}",
-                out_path=workdir / f"p{i:02d}.out.ndjson",
-                checkpoint_path=workdir / f"p{i:02d}.ck.json",
-                estimator=estimator,
-                grace=grace,
-                reorder_capacity=reorder_capacity,
-                batch_lines=batch_lines,
-                checkpoint_every=checkpoint_every,
-                trace_out=(
-                    workdir / f"p{i:02d}.trace.ndjson" if trace_sample > 0 else None
-                ),
-                trace_sample=trace_sample,
-                log_stream=devnull,
-            )
-            backends.append(
-                NetIngestServer(
-                    daemon, uds=workdir / f"p{i:02d}.sock", expect_sensors=1
-                )
-            )
-        for server in backends:
-            threads.append(server.run_in_thread())
-        for i, server in enumerate(backends):
-            stream = SensorStream(("uds", server.uds_path), f"router-p{i:02d}")
-            stream.connect()
-            streams.append(stream)
-        frontend = ClusterRouterFrontend(streams, log_stream=log)
-        router = NetIngestServer(
-            frontend,
-            tcp=tcp,
-            uds=uds,
-            addr_file=addr_file,
-            expect_sensors=expect_sensors,
-        )
-        try:
-            code = router.serve()
-        finally:
-            if not frontend.finished:
-                # The router died mid-stream: release the partition
-                # servers from their wait so the threads can unwind.
-                for server in backends:
-                    server.stop()
-        for thread in threads:
-            thread.join(timeout=60)
-        for i, server in enumerate(backends):
-            if server.error is not None:
-                raise ClusterError(
-                    f"partition {i} ingest failed: {server.error!r}"
-                ) from server.error
-        merged = merge_landscape_rows(
-            [
-                (workdir / f"p{i:02d}.out.ndjson").read_bytes().splitlines()
-                for i in range(n)
-                if (workdir / f"p{i:02d}.out.ndjson").exists()
-            ]
-        )
-        landscape_path = workdir / "landscape.ndjson"
-        landscape_path.write_text("\n".join(merged) + ("\n" if merged else ""))
-        folded = merge_registry_states(
-            [
-                CheckpointStore(workdir / f"p{i:02d}.ck.json").load()["metrics"]
-                for i in range(n)
-            ]
-        )
-        (workdir / "metrics.prom").write_text(folded.render_prometheus())
-        return {
-            "schema": "botmeterd-cluster-serve-v1",
-            "partitions": n,
-            "exit_code": code,
-            "rows": len(merged),
-            "landscape": str(landscape_path),
-            "cursors": dict(frontend.cursors),
-        }
-    finally:
-        for stream in streams:
-            stream.close()
-        devnull.close()

@@ -34,12 +34,15 @@ partitions actually failing, without giving up the exactness anchor:
   fresh partition has closed, marked
   ``quality.degraded_partitions`` and carrying a confidence interval
   widened by the down partitions' last-known census share
-  (:func:`repro.core.confidence.widen_for_loss`).  Once the partition
-  recovers and its spool drains, the exact rows are re-emitted flagged
-  ``restated`` (:func:`repro.service.cluster.restate_rows`).
+  (:func:`repro.core.confidence.widen_for_loss`).
 
-The seeded chaos drill that kills and wedges every partition and checks
-all of the above end to end is test code (``make cluster-chaos``).
+:func:`repro.service.cluster.cluster_serve` always runs its partitions
+under the supervisor and failover streams, and publishes the exact
+merge at a clean finish; it publishes no degraded rows.  The seeded
+chaos drill (``tests/harness/chaos.py``, ``make cluster-chaos``)
+exercises the degraded merge end to end: it kills and wedges every
+partition, re-emits the exact rows flagged ``restated`` once a
+partition recovers, and checks all of the above.
 """
 
 from __future__ import annotations
@@ -430,6 +433,7 @@ class ClusterSupervisor:
         if n < 1:
             raise ClusterError(f"cannot supervise {n} partitions")
         self.max_partition_restarts = int(max_partition_restarts)
+        self.heartbeat_interval = heartbeat_interval
         self._backoff = backoff if backoff is not None else BackoffPolicy(base=0.2, cap=5.0)
         self._clock = clock
         self._sleep = sleep
@@ -530,16 +534,6 @@ class ClusterSupervisor:
     def is_alive(self, index: int) -> bool:
         proc = self.partitions[index].proc
         return proc is not None and proc.is_alive()
-
-    def kill(self, index: int, *, wedge: bool = False) -> None:
-        """Drill hook: SIGKILL (default) or SIGSTOP (``wedge``) one
-        partition process."""
-        proc = self.partitions[index].proc
-        if proc is None or proc.pid is None:
-            raise ClusterError(f"partition {index} has no process to kill")
-        os.kill(proc.pid, signal.SIGSTOP if wedge else signal.SIGKILL)
-        if not wedge:
-            proc.join(timeout=10)
 
     # -- supervision ---------------------------------------------------------
 
@@ -702,8 +696,7 @@ class FailoverSensorStream:
       stream is primed at the durable frontier, so absolute positions
       line up and the merged landscape stays byte-identical.
 
-    Reconnects are gated: ``reconnect_gate`` (drills pass a line-count
-    driven callable) or, by default, a seeded-backoff clock gate.
+    Reconnects while down are gated by a seeded-backoff clock.
     ``sync``/``finish`` block on reconnection — they are the barriers
     that must not complete while lines are only spooled.
     """
@@ -717,7 +710,6 @@ class FailoverSensorStream:
         metrics: MetricsRegistry | None = None,
         tracer: Any = None,
         backoff: BackoffPolicy | None = None,
-        reconnect_gate: Callable[[], bool] | None = None,
         clock: Callable[[], float] = time.monotonic,
         retry_deadline: float = 30.0,
         retry_interval: float = 0.02,
@@ -737,7 +729,6 @@ class FailoverSensorStream:
         self._backoff = backoff if backoff is not None else BackoffPolicy(
             base=0.05, cap=2.0
         )
-        self._gate = reconnect_gate
         self._next_attempt = 0.0
         self._attempts = 0
         self.tracer = tracer
@@ -878,10 +869,7 @@ class FailoverSensorStream:
         """Gated, non-blocking reconnect attempt while down."""
         if not self.down:
             return True
-        if self._gate is not None:
-            if not self._gate():
-                return False
-        elif self._clock() < self._next_attempt:
+        if self._clock() < self._next_attempt:
             return False
         try:
             self._open()

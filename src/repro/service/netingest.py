@@ -789,7 +789,7 @@ class NetIngestServer:
         self._stop = True
 
     def run_in_thread(self) -> threading.Thread:
-        """Start :meth:`serve` on a daemon thread (cluster backends + tests).
+        """Start :meth:`serve` on a daemon thread (tests and benchmarks).
 
         The thread records the outcome in :attr:`exit_code` /
         :attr:`error` instead of raising into nowhere.

@@ -23,15 +23,16 @@ reason).
 from __future__ import annotations
 
 import json
+import os
+import signal
 import sys
 import time
 from pathlib import Path
-from typing import IO, Any, Mapping, Sequence
+from typing import IO, Any, Iterable, Mapping, Sequence
 
 from repro.service.cluster import (
     ClusterError,
     merge_landscape_rows,
-    restate_rows,
     route_line,
     single_daemon_replay,
     split_header,
@@ -55,6 +56,49 @@ class ChaosFailure(AssertionError):
 def read_spool(path: str | Path) -> list[dict[str, Any]]:
     """Parse a failover spool back into its entries."""
     return read_deadletters(path)
+
+
+def kill_partition(
+    supervisor: ClusterSupervisor, index: int, *, wedge: bool = False
+) -> None:
+    """SIGKILL (default) or SIGSTOP (``wedge``) one partition process
+    of ``supervisor``."""
+    proc = supervisor.partitions[index].proc
+    if proc is None or proc.pid is None:
+        raise ClusterError(f"partition {index} has no process to kill")
+    os.kill(proc.pid, signal.SIGSTOP if wedge else signal.SIGKILL)
+    if not wedge:
+        proc.join(timeout=10)
+
+
+def restate_rows(
+    exact_rows: Iterable[bytes | str],
+    degraded_keys: Iterable[tuple[int, str]],
+) -> list[str]:
+    """Exact re-emissions for rows previously published degraded.
+
+    Once a down partition recovers and its spool drains, the rows that
+    went out with ``degraded_partitions`` markings have exact
+    replacements in the final merge.  This returns those replacements
+    flagged ``"restated": true`` — same bytes as the exact row plus the
+    flag, so a consumer can idempotently supersede the degraded
+    version.  Order follows ``exact_rows``.
+    """
+    keys = {(int(epoch), str(family)) for epoch, family in degraded_keys}
+    restated: list[str] = []
+    for line in exact_rows:
+        if isinstance(line, bytes):
+            line = line.decode("utf-8")
+        line = line.strip()
+        if not line:
+            continue
+        row = json.loads(line)
+        if (int(row["epoch"]), str(row["family"])) in keys:
+            row["restated"] = True
+            restated.append(
+                json.dumps(row, sort_keys=True, separators=(",", ":"))
+            )
+    return restated
 
 
 def emission_lines(
@@ -367,7 +411,7 @@ def _chaos_run(
                 # sync, its retained window is empty, so the spool will
                 # hold *exactly* the outage-window lines.
                 streams[target].sync()
-                supervisor.kill(target, wedge=event["kind"] == "wedge")
+                kill_partition(supervisor, target, wedge=event["kind"] == "wedge")
                 streams[target].force_down(event["kind"])
                 down.add(target)
                 supervisor.quorum_ok(quorum)
@@ -397,7 +441,7 @@ def _chaos_run(
                 if recovery["kind"] == "wedge":
                     # SIGKILL takes a SIGSTOPped process too; the poll
                     # below then sees a dead partition and restarts it.
-                    supervisor.kill(target)
+                    kill_partition(supervisor, target)
                 supervisor.poll()
                 supervisor.wait_ready(index=target)
                 t0 = tracer.start("restate")
@@ -678,7 +722,7 @@ def run_cluster_chaos(
         "schedule": list(schedule),
         "runs": len(outcomes),
         "identical": True,
-        "deterministic": len(outcomes) < 2 or True,
+        "deterministic": len(outcomes) >= 2,
         "rows": outcomes[0]["rows"],
         "degraded_rows": outcomes[0]["degraded_rows"],
         "restated_rows": outcomes[0]["restated_rows"],

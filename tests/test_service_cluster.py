@@ -6,7 +6,8 @@ single unpartitioned daemon emits — at any partition count, through any
 reshard path (hypothesis draws arbitrary ``N -> M -> ...`` width chains
 with arbitrary split points), with tracing on or off, across a SIGKILL
 at either reshard phase, across a partition killed mid-segment, and over
-a real router socket with live sensors.  Unit tests pin the two exact
+a real router socket with live sensors (also after a served partition
+process is SIGKILLed and restarted by its supervisor).  Unit tests pin the two exact
 algorithms underneath: the ``(epoch, family)`` row merge and the
 checkpoint re-keying (min-watermark synthesis, fold-to-partition-0
 accounting).
@@ -37,15 +38,16 @@ from repro.service.cluster import (
     merge_landscape_rows,
     partition_for_server,
     reshard_checkpoints,
-    restate_rows,
     route_line,
     single_daemon_replay,
     split_header,
 )
 from repro.service.meshguard import (
     partition_states_from_heartbeats,
+    read_heartbeat,
     write_heartbeat,
 )
+from tests.harness.chaos import restate_rows
 
 REPO_SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -595,60 +597,97 @@ class TestCrashDrills:
 # ---------------------------------------------------------------------------
 
 
+def _serve_two_sensors(trace, tmp_path, before_sensors=None):
+    """Run ``cluster_serve`` (2 partitions, UDS router) against two
+    sensors replaying round-robin shards of ``trace``.  Once the router
+    socket is bound, ``before_sensors(workdir)`` runs before any sensor
+    connects.  Returns the serve report and the workdir."""
+    from repro.service.netingest import SensorClient, shard_trace_lines
+
+    lines = trace.read_bytes().splitlines()
+    shards = [shard_trace_lines(lines, i, 2) for i in range(2)]
+    uds = tmp_path / "router.sock"
+    workdir = tmp_path / "serve"
+    result: dict = {}
+    failures: list = []
+
+    def _serve():
+        try:
+            result.update(
+                cluster_serve(
+                    workdir,
+                    partitions=2,
+                    uds=uds,
+                    expect_sensors=2,
+                    log=io.StringIO(),
+                )
+            )
+        except BaseException as exc:  # noqa: BLE001 — surfaced below
+            failures.append(exc)
+
+    server_thread = threading.Thread(target=_serve, daemon=True)
+    server_thread.start()
+    deadline = time.time() + 60
+    while time.time() < deadline and not uds.exists():
+        time.sleep(0.05)
+    assert uds.exists(), "router never bound its socket"
+    if before_sensors is not None:
+        before_sensors(workdir)
+
+    def _sensor(i):
+        try:
+            SensorClient(
+                ("uds", str(uds)), f"edge-{i:02d}", retry_deadline=60
+            ).replay_lines(shards[i])
+        except BaseException as exc:  # noqa: BLE001 — surfaced below
+            failures.append(exc)
+
+    sensor_threads = [
+        threading.Thread(target=_sensor, args=(i,), daemon=True)
+        for i in range(2)
+    ]
+    for t in sensor_threads:
+        t.start()
+    for t in sensor_threads:
+        t.join(timeout=120)
+    server_thread.join(timeout=120)
+    if failures:
+        raise failures[0]
+    assert not server_thread.is_alive(), "cluster_serve did not finish"
+    return result, workdir
+
+
 class TestClusterServe:
     def test_router_fanout_byte_identical(self, trace, reference, tmp_path):
-        from repro.service.netingest import SensorClient, shard_trace_lines
-
-        lines = trace.read_bytes().splitlines()
-        shards = [shard_trace_lines(lines, i, 2) for i in range(2)]
-        uds = tmp_path / "router.sock"
-        workdir = tmp_path / "serve"
-        result: dict = {}
-        failures: list = []
-
-        def _serve():
-            try:
-                result.update(
-                    cluster_serve(
-                        workdir,
-                        partitions=2,
-                        uds=uds,
-                        expect_sensors=2,
-                        log=io.StringIO(),
-                    )
-                )
-            except BaseException as exc:  # noqa: BLE001 — surfaced below
-                failures.append(exc)
-
-        server_thread = threading.Thread(target=_serve, daemon=True)
-        server_thread.start()
-        deadline = time.time() + 60
-        while time.time() < deadline and not uds.exists():
-            time.sleep(0.05)
-        assert uds.exists(), "router never bound its socket"
-
-        def _sensor(i):
-            try:
-                SensorClient(
-                    ("uds", str(uds)), f"edge-{i:02d}", retry_deadline=60
-                ).replay_lines(shards[i])
-            except BaseException as exc:  # noqa: BLE001 — surfaced below
-                failures.append(exc)
-
-        sensor_threads = [
-            threading.Thread(target=_sensor, args=(i,), daemon=True)
-            for i in range(2)
-        ]
-        for t in sensor_threads:
-            t.start()
-        for t in sensor_threads:
-            t.join(timeout=120)
-        server_thread.join(timeout=120)
-        if failures:
-            raise failures[0]
+        result, workdir = _serve_two_sensors(trace, tmp_path)
         assert result["exit_code"] == 0
         assert (workdir / "landscape.ndjson").read_bytes() == reference
         assert sorted(result["cursors"]) == ["router-p00", "router-p01"]
+        assert result["restarts"] == 0
+        assert result["spooled"] == 0
+
+    def test_killed_partition_restarts_and_merges_identically(
+        self, trace, reference, tmp_path
+    ):
+        def _kill_partition_zero(workdir):
+            heartbeat_path = workdir / "p00.hb.json"
+            deadline = time.time() + 30
+            heartbeat = read_heartbeat(heartbeat_path)
+            while heartbeat is None and time.time() < deadline:
+                time.sleep(0.05)
+                heartbeat = read_heartbeat(heartbeat_path)
+            assert heartbeat is not None, "partition 0 never wrote a heartbeat"
+            os.kill(int(heartbeat["pid"]), signal.SIGKILL)
+
+        result, workdir = _serve_two_sensors(
+            trace, tmp_path, before_sensors=_kill_partition_zero
+        )
+        assert result["exit_code"] == 0
+        assert (workdir / "landscape.ndjson").read_bytes() == reference
+        assert result["restarts"] == 1
+        ledger = json.loads((workdir / "mesh-ledger.json").read_text())["ledger"]
+        [entry] = ledger
+        assert (entry["partition"], entry["reason"]) == (0, "exit")
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,12 @@ from repro.service.supervisor import (
     HealthMonitor,
     HealthState,
 )
-from tests.harness.chaos import chaos_schedule, emission_lines, read_spool
+from tests.harness.chaos import (
+    chaos_schedule,
+    emission_lines,
+    kill_partition,
+    read_spool,
+)
 
 
 def _beat(path, *, mono, pid=4242, seq=0, checkpoint_age=None):
@@ -539,7 +544,7 @@ class TestSupervisedFailover:
                     # Pin the victim's durable frontier so the spool
                     # holds exactly the outage-window lines.
                     streams[victim].sync()
-                    supervisor.kill(victim)
+                    kill_partition(supervisor, victim)
                     streams[victim].force_down("kill")
                 if index == recover_at:
                     supervisor.poll()
