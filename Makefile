@@ -154,7 +154,10 @@ cluster-chaos:
 # both ways (byte-identity both directions), replay both formats
 # (landscape bytes identical, NDJSON line-at-a-time too), then SIGKILL a
 # throttled daemon mid-v2-stream and prove the resumed output still
-# matches. Mirrors the CI wire-smoke job.
+# matches. Last, replay the jitter golden and its v2 twin through a
+# 4-record reorder buffer (block and drop-oldest, 1- and 256-line
+# batches), so dropped and late records cross the columnar path on real
+# bytes. Mirrors the CI wire-smoke job.
 wire-smoke:
 	rm -rf wire-smoke && mkdir -p wire-smoke
 	python -m repro.cli export-trace --source sim --family new_goz \
@@ -185,7 +188,23 @@ wire-smoke:
 		--checkpoint wire-smoke/ck.json --checkpoint-every 200 \
 		--out wire-smoke/served.ndjson
 	diff wire-smoke/served.ndjson wire-smoke/ndjson.landscape
-	@echo "wire-smoke OK: NDJSON <-> v2 byte-exact both ways, replays identical (v2, NDJSON 1- and 256-line batches), SIGKILL resume on v2 == uninterrupted"
+	python -m repro.cli convert-trace tests/golden/new_goz_jitter.ndjson \
+		--out wire-smoke/jitter.v2 --frame-records 256
+	for policy in block drop-oldest; do \
+		python -m repro.cli replay tests/golden/new_goz_jitter.ndjson \
+			--reorder-capacity 4 --policy $$policy --batch-lines 1 \
+			--out wire-smoke/jitter-$$policy.landscape || exit 1; \
+		for input in tests/golden/new_goz_jitter.ndjson wire-smoke/jitter.v2; do \
+			for lines in 1 256; do \
+				python -m repro.cli replay $$input --reorder-capacity 4 \
+					--policy $$policy --batch-lines $$lines \
+					--out wire-smoke/jitter-run.landscape || exit 1; \
+				diff wire-smoke/jitter-run.landscape \
+					wire-smoke/jitter-$$policy.landscape || exit 1; \
+			done; \
+		done; \
+	done
+	@echo "wire-smoke OK: NDJSON <-> v2 byte-exact both ways, replays identical (v2, NDJSON 1- and 256-line batches), SIGKILL resume on v2 == uninterrupted, jitter golden at a 4-record buffer identical across block/drop-oldest x NDJSON/v2 x 1/256-line batches"
 
 # Liveview end-to-end: a takedown/re-key campaign replayed with the
 # real lexical D3 inline, line-at-a-time and in 256-line batches

@@ -58,7 +58,7 @@ from .eval.parallel import TrialRunner
 from .eval.realdata import run_enterprise_study
 from .sim.network import SimConfig, simulate
 from .sim.trace import load_observable_csv, save_observable_csv
-from .timebase import SECONDS_PER_DAY, Timeline
+from .timebase import Timeline
 
 __all__ = ["main", "build_parser"]
 
@@ -765,8 +765,9 @@ def _run_daemon(args: argparse.Namespace, fn, daemon) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    from .service.daemon import BotMeterDaemon, batch_series, families_from_header
-    from .service.wire import NdjsonReader, encode_landscape
+    from .service.daemon import BotMeterDaemon
+    from .service.reference import batch_series
+    from .service.wire import NdjsonReader, encode_landscape, families_from_header
 
     dgas = _parse_family_specs(args.family)
     if args.engine == "streaming":

@@ -10,7 +10,10 @@ forwarding server.
 from __future__ import annotations
 
 import re
+from itertools import repeat
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from ..dga.base import Dga
 from ..dns.message import ForwardedLookup
@@ -56,7 +59,7 @@ class DayIndex:
         self._detection_windows = detection_windows or {}
         self._tables: dict[int, dict[str, Routes]] = {}
         self._day: int | None = None
-        self._table: dict[str, Routes] = {}
+        self._current: dict[str, Routes] = {}
 
     def _window(self, family: str, day: int) -> frozenset[str]:
         """The domains ``family`` generates for day index ``day``."""
@@ -86,14 +89,34 @@ class DayIndex:
         self._tables[day] = table
         return table
 
-    def routes(self, domain: str, timestamp: float) -> Routes:
-        """Where a record with this domain and timestamp goes."""
-        day = int(timestamp // SECONDS_PER_DAY)
+    def _day_table(self, day: int) -> dict[str, Routes]:
         if day != self._day:
             table = self._tables.get(day)
-            self._table = self._build(day) if table is None else table
+            self._current = self._build(day) if table is None else table
             self._day = day
-        return self._table.get(domain, ())
+        return self._current
+
+    def routes(self, domain: str, timestamp: float) -> Routes:
+        """Where a record with this domain and timestamp goes."""
+        return self._day_table(int(timestamp // SECONDS_PER_DAY)).get(domain, ())
+
+    def route_columns(
+        self, ts: np.ndarray, domain_id: np.ndarray, domains: Sequence[str]
+    ) -> list[Routes]:
+        """:meth:`routes` of many records, probing the index once per
+        distinct (domain id, day), days ascending."""
+        days = np.floor_divide(ts, SECONDS_PER_DAY).astype(np.int64)
+        order = np.lexsort((domain_id, days))
+        days, ids = days[order], domain_id[order]
+        new = np.ones(len(order), dtype=bool)
+        new[1:] = (days[1:] != days[:-1]) | (ids[1:] != ids[:-1])
+        days, ids, found = days[new], ids[new], []
+        for day in dict.fromkeys(days.tolist()):
+            names = map(domains.__getitem__, ids[days == day].tolist())
+            found.extend(map(self._day_table(day).get, names, repeat(())))
+        which = np.empty(len(order), dtype=np.int64)
+        which[order] = np.cumsum(new) - 1
+        return list(map(found.__getitem__, which.tolist()))
 
 
 class DgaDomainMatcher:

@@ -2,11 +2,12 @@
 
 The batch :class:`~repro.core.botmeter.BotMeter` wants the whole
 observation window up front; a deployed tap sees an endless stream.
-:class:`StreamingBotMeter` consumes forwarded lookups one at a time (in
-roughly chronological order), matches them incrementally against the
-daily detection windows, and emits one :class:`Landscape` per completed
-epoch — either returned from :meth:`ingest` or delivered to an
-``on_epoch`` callback.
+:class:`StreamingBotMeter` consumes forwarded lookups in roughly
+chronological order — one at a time, or as column slices
+(:meth:`~StreamingBotMeter.ingest_lookups`) — matches them
+incrementally against the daily detection windows, and emits one
+:class:`Landscape` per completed epoch — either returned from the
+ingest call or delivered to an ``on_epoch`` callback.
 
 Epoch closure is watermark-based: an epoch is finalised once a record
 arrives ``grace`` seconds past its end, which tolerates the bounded
@@ -16,14 +17,17 @@ produces.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from itertools import repeat
+from typing import Any, Callable, Iterable, Iterator
+
+import numpy as np
 
 from ..dga.base import Dga
 from ..dns.message import ForwardedLookup
 from ..timebase import SECONDS_PER_DAY, Timeline
 from .botmeter import Landscape, make_estimator
 from .estimator import EstimationContext, Estimator, MatchedLookup, PopulationEstimate
-from .matcher import DayIndex, group_by_server
+from .matcher import DayIndex
 from .taxonomy import recommended_estimator
 
 __all__ = ["StreamingBotMeter"]
@@ -71,7 +75,10 @@ class StreamingBotMeter:
         else:
             self._estimator = estimator
 
-        self._pending: dict[int, list[MatchedLookup]] = {}
+        #: Open epochs' matches as column slices ``(timestamps, server,
+        #: domains)``, in ingest order; ``server`` is one name for the
+        #: whole slice or an object array per record.
+        self._pending: dict[int, list[tuple[np.ndarray, Any, np.ndarray]]] = {}
         self._index: DayIndex | None = None  # built by the first unrouted ingest
         self._watermark = float("-inf")
         self._set_cursor(0)
@@ -86,19 +93,47 @@ class StreamingBotMeter:
         self._next_epoch_to_close = day
         self._deadline = (day + 1) * SECONDS_PER_DAY + self._grace
 
-    def _match_day(self, record: ForwardedLookup) -> int | None:
+    def _match_day(self, record: ForwardedLookup) -> int:
+        """The day whose window holds ``record``, or -1 (no match)."""
         if self._index is None:
             name = self._dga.name
             self._index = DayIndex(
                 {name: self._dga}, self._timeline, {name: self._detection_windows or {}}
             )
         routes = self._index.routes(record.domain, record.timestamp)
-        return routes[0][1] if routes else None
+        return routes[0][1] if routes else -1
+
+    def _matches(self, day: int) -> Iterator[MatchedLookup]:
+        """The pending matches of ``day``, in ingest order."""
+        for ts, server, domains in self._pending.get(day, ()):
+            servers = repeat(server) if isinstance(server, str) else server.tolist()
+            yield from map(
+                MatchedLookup, ts.tolist(), servers, domains.tolist(), repeat(day)
+            )
+
+    def _by_server(self, day: int) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """The pending matches of ``day`` per server: timestamps and
+        domains, in ingest order."""
+        parts: dict[str, tuple[list, list]] = {}
+        for ts, server, domains in self._pending.get(day, ()):
+            if isinstance(server, str):
+                pieces = ((server, slice(None)),)
+            else:
+                pieces = ((s, server == s) for s in dict.fromkeys(server.tolist()))
+            for name, pick in pieces:
+                times, names = parts.setdefault(name, ([], []))
+                times.append(ts[pick])
+                names.append(domains[pick])
+        return {
+            server: (np.concatenate(times), np.concatenate(names))
+            for server, (times, names) in parts.items()
+        }
 
     # -- epoch lifecycle ----------------------------------------------------
 
     def _close_epoch(self, day: int) -> Landscape:
-        matches = self._pending.pop(day, [])
+        by_server = self._by_server(day)
+        self._pending.pop(day, None)
         context = EstimationContext(
             dga=self._dga,
             timeline=self._timeline,
@@ -111,8 +146,17 @@ class StreamingBotMeter:
         landscape = Landscape(
             dga_name=self._dga.name, estimator_name=self._estimator.name
         )
-        for server, server_matches in sorted(group_by_server(matches).items()):
-            ordered = sorted(server_matches, key=lambda m: m.timestamp)
+        for server, (ts, domains) in sorted(by_server.items()):
+            order = np.argsort(ts, kind="stable")
+            ordered = list(
+                map(
+                    MatchedLookup,
+                    ts[order].tolist(),
+                    repeat(server),
+                    domains[order].tolist(),
+                    repeat(day),
+                )
+            )
             try:
                 estimate = self._estimator.estimate(ordered, context)
             except Exception:
@@ -170,8 +214,11 @@ class StreamingBotMeter:
             "matched": self._matched,
             "estimate_failures": self._estimate_failures,
             "pending": {
-                str(day): [[m.timestamp, m.server, m.domain, m.day_index] for m in matches]
-                for day, matches in sorted(self._pending.items())
+                str(day): [
+                    [m.timestamp, m.server, m.domain, m.day_index]
+                    for m in self._matches(day)
+                ]
+                for day in sorted(self._pending)
             },
         }
 
@@ -183,13 +230,19 @@ class StreamingBotMeter:
         self._ingested = int(state["ingested"])
         self._matched = int(state["matched"])
         self._estimate_failures = int(state.get("estimate_failures", 0))
-        self._pending = {
-            int(day): [
-                MatchedLookup(float(t), server, domain, int(match_day))
-                for t, server, domain, match_day in matches
-            ]
-            for day, matches in state["pending"].items()
-        }
+        self._pending = {}
+        for day, matches in state["pending"].items():
+            if matches:
+                ts, servers, domains, _ = zip(*matches)
+                self._pending[int(day)] = [
+                    (
+                        np.array(ts, dtype=np.float64),
+                        np.array(servers, dtype=object),
+                        np.array(domains, dtype=object),
+                    )
+                ]
+            else:
+                self._pending[int(day)] = []
 
     def skip_to_epoch(self, day: int) -> None:
         """Start the epoch cursor at ``day`` (a shard born mid-stream in
@@ -206,24 +259,79 @@ class StreamingBotMeter:
         record's watermark just closed (usually empty).
 
         ``matched_day`` is the day whose window holds the record, passed
-        by a caller that already matched it (the sharded engine routes
-        with :class:`~repro.core.matcher.DayIndex`); ``None`` matches the
-        record here by the same rule.
+        by a caller that already matched it; ``None`` matches the record
+        here by the same rule.
         """
-        self._ingested += 1
         if matched_day is None:
             matched_day = self._match_day(record)
-        if matched_day is not None:
-            self._matched += 1
-            if matched_day >= self._next_epoch_to_close:
-                self._pending.setdefault(matched_day, []).append(
-                    MatchedLookup(record.timestamp, record.server, record.domain, matched_day)
+        return self.ingest_lookups(
+            np.array([record.timestamp], dtype=np.float64),
+            record.server,
+            np.array([record.domain], dtype=object),
+            np.array([matched_day], dtype=np.int64),
+        )
+
+    def ingest_lookups(
+        self, ts: np.ndarray, server: Any, domains: np.ndarray, days: np.ndarray
+    ) -> list[Landscape]:
+        """Consume records in stream order, as columns; return the
+        landscapes of the epochs they closed.
+
+        ``server`` is one server name for every record or an object
+        array per record; ``days`` holds each record's matched day (the
+        sharded engine routes with :class:`~repro.core.matcher.DayIndex`)
+        or -1 for a record no window holds.  The result equals ingesting
+        the records one at a time: the slice is cut after the record
+        whose timestamp reaches the open epoch's deadline, that epoch
+        closes there, and later records of a closed epoch are counted
+        but not kept.
+        """
+        n = len(ts)
+        self._ingested += n
+        self._matched += int(np.count_nonzero(days >= 0))
+        closed: list[Landscape] = []
+        start = 0
+        while start < n:
+            stop = n
+            if self._watermark >= self._deadline:
+                stop = start + 1
+            elif ts[start:].max() >= self._deadline:
+                stop = start + int(np.argmax(ts[start:] >= self._deadline)) + 1
+            self._keep(ts, server, domains, days, start, stop)
+            top = float(ts[start:stop].max())
+            if top > self._watermark:
+                self._watermark = top
+            if self._watermark >= self._deadline:
+                closed.extend(self.advance_watermark(self._watermark))
+            start = stop
+        return closed
+
+    def _keep(
+        self,
+        ts: np.ndarray,
+        server: Any,
+        domains: np.ndarray,
+        days: np.ndarray,
+        start: int,
+        stop: int,
+    ) -> None:
+        """Add records ``start:stop`` whose epoch is still open to the
+        pending matches, one slice per matched day."""
+        part = days[start:stop]
+        first = int(part[0])
+        if first >= self._next_epoch_to_close and (part == first).all():
+            picks: Iterable[tuple[int, Any]] = ((first, slice(start, stop)),)
+        else:
+            open_days = np.unique(part[part >= self._next_epoch_to_close]).tolist()
+            picks = ((day, np.flatnonzero(part == day) + start) for day in open_days)
+        for day, pick in picks:
+            self._pending.setdefault(day, []).append(
+                (
+                    ts[pick],
+                    server if isinstance(server, str) else server[pick],
+                    domains[pick],
                 )
-        if record.timestamp > self._watermark:
-            self._watermark = record.timestamp
-        if self._watermark >= self._deadline:
-            return self.advance_watermark(self._watermark)
-        return []
+            )
 
     def advance_watermark(self, timestamp: float) -> list[Landscape]:
         """Advance the watermark without a record (e.g. driven by the
@@ -239,10 +347,13 @@ class StreamingBotMeter:
 
     def ingest_many(self, records: Iterable[ForwardedLookup]) -> list[Landscape]:
         """Consume a batch; returns every landscape closed along the way."""
-        closed: list[Landscape] = []
-        for record in records:
-            closed.extend(self.ingest(record))
-        return closed
+        records = list(records)
+        return self.ingest_lookups(
+            np.array([r.timestamp for r in records], dtype=np.float64),
+            np.array([r.server for r in records], dtype=object),
+            np.array([r.domain for r in records], dtype=object),
+            np.array([self._match_day(r) for r in records], dtype=np.int64),
+        )
 
     def finalize(self) -> list[Landscape]:
         """Close every epoch that still has pending matches (stream end)."""

@@ -29,7 +29,7 @@ Modules:
 """
 
 from .checkpoint import CHECKPOINT_SCHEMA, CheckpointError, CheckpointStore
-from .daemon import BotMeterDaemon, batch_series, families_from_header
+from .daemon import BotMeterDaemon
 from .deadletter import DEADLETTER_SCHEMA, DeadLetterQueue, read_deadletters
 from .engine import EpochLandscape, ShardedLandscapeEngine
 from .faults import (
@@ -42,6 +42,7 @@ from .faults import (
     parse_fault_spec,
 )
 from .metrics import Counter, Gauge, MetricsRegistry
+from .reference import batch_series
 from .reorder import Backpressure, ReorderBuffer
 from .supervisor import (
     BackoffPolicy,
@@ -57,6 +58,7 @@ from .wire import (
     encode_header,
     encode_landscape,
     encode_record,
+    families_from_header,
     finalize_quality,
     landscape_to_dict,
 )

@@ -74,7 +74,7 @@ from typing import IO, Any, Iterable, Mapping, Sequence
 from ..core.confidence import ConfidenceInterval, widen_for_loss
 from .checkpoint import CheckpointStore
 from .daemon import BotMeterDaemon
-from .engine import ENGINE_STATE_SCHEMA, validate_engine_state
+from .engine import ENGINE_STATE_SCHEMA
 from .metrics import MetricsRegistry, merge_registry_states
 from .wire import NdjsonReader
 from .wire2 import Wire2BatchDecoder, Wire2Writer, sniff_wire2
@@ -459,6 +459,63 @@ def _sum_key(documents: Sequence[Mapping[str, Any]], *path: str) -> int:
             node = node.get(key, {})
         total += int(node.get(path[-1], 0))
     return total
+
+
+def validate_engine_state(state: Mapping[str, Any]) -> Mapping[str, Any]:
+    """Structurally validate an :meth:`ShardedLandscapeEngine.export_state`
+    document and return it.
+
+    The cluster reshard re-keys shard lists *between* engines — this is
+    the checkpoint-surgery guard that a synthesized state is something
+    :meth:`~ShardedLandscapeEngine.import_state` will accept, raising
+    :class:`ValueError` with the offending key instead of failing deep
+    inside a partition restart.
+    """
+    if not isinstance(state, Mapping):
+        raise ValueError(f"engine state must be a mapping, got {type(state).__name__}")
+    schema = state.get("schema")
+    if schema != ENGINE_STATE_SCHEMA:
+        raise ValueError(f"unknown engine state schema {schema!r}")
+    families = state.get("families")
+    if not isinstance(families, list) or not all(
+        isinstance(f, str) for f in families
+    ):
+        raise ValueError(f"engine state families must be a list of names: {families!r}")
+    watermark = state.get("watermark")
+    if watermark is not None and not isinstance(watermark, (int, float)):
+        raise ValueError(f"engine state watermark must be null or a number: {watermark!r}")
+    for key in ("next_epoch_to_emit", "late_total", "late_mark", "dropped_mark"):
+        value = state.get(key, 0)
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"engine state {key} must be an int, got {value!r}")
+    if not isinstance(state.get("finalized"), bool):
+        raise ValueError("engine state finalized must be a bool")
+    reorder = state.get("reorder")
+    if not isinstance(reorder, Mapping) or "contents" not in reorder:
+        raise ValueError("engine state reorder must carry the buffer contents")
+    dynamic = state.get("dynamic", [])
+    if not isinstance(dynamic, list):
+        raise ValueError("engine state dynamic must be a list of registration specs")
+    for spec in dynamic:
+        if not isinstance(spec, Mapping) or not isinstance(spec.get("name"), str):
+            raise ValueError(f"malformed dynamic-family spec {spec!r}")
+    shards = state.get("shards")
+    if not isinstance(shards, list):
+        raise ValueError("engine state shards must be a list")
+    family_set = set(families)
+    for entry in shards:
+        if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
+            raise ValueError(f"malformed shard entry {entry!r}")
+        family, server, shard_state = entry
+        if family not in family_set:
+            raise ValueError(f"shard entry for unknown family {family!r}")
+        if not isinstance(server, str):
+            raise ValueError(f"shard entry server must be a string: {server!r}")
+        if not isinstance(shard_state, Mapping) or "next_epoch_to_close" not in shard_state:
+            raise ValueError(
+                f"shard state for ({family!r}, {server!r}) lacks next_epoch_to_close"
+            )
+    return state
 
 
 def reshard_checkpoints(
@@ -1188,8 +1245,8 @@ def cluster_serve(
     """
     import threading
 
-    from .meshguard import ClusterSupervisor, FailoverSensorStream
-    from .netingest import NetIngestServer
+    from .meshguard import DISARMED, ClusterSupervisor, FailoverSensorStream
+    from .netingest import NetIngestServer, SensorError
     from .supervisor import BackoffPolicy
 
     workdir = Path(workdir)
@@ -1246,7 +1303,23 @@ def cluster_serve(
         # The watch loop runs until every partition stream has finished:
         # a partition that dies while its stream drains is restarted and
         # finish() replays to it.  Clean zero exits are never restarted.
-        code = router.serve()
+        try:
+            code = router.serve()
+        except SensorError as exc:
+            # A disarmed partition never comes back, so its stream
+            # gives up reconnecting: that is the cluster's failure.
+            disarmed = [
+                part.label
+                for part in supervisor.partitions
+                if part.health.state == DISARMED
+            ]
+            if not disarmed:
+                raise
+            raise ClusterError(
+                f"partition(s) {', '.join(disarmed)} disarmed: the restart "
+                f"budget ({max_partition_restarts}) is used up and their "
+                f"records could not be delivered ({exc})"
+            ) from exc
         quiesced.set()
         codes = supervisor.wait()
         bad = [c for c in codes if c not in (0, None)]

@@ -9,16 +9,13 @@ checkpoints atomically every ``checkpoint_every`` records, so a
 ``SIGKILL``-ed daemon resumes from its last checkpoint and the combined
 output is byte-identical to an uninterrupted run.
 
-Two entry points: :meth:`BotMeterDaemon.run` (the ``serve``/``replay``
-loop) and :func:`batch_series` (the offline reference — per-epoch batch
-:class:`~repro.core.botmeter.BotMeter` charts in the daemon's emission
-order), whose equality with the streamed series is the subsystem's
-acceptance test.
+The entry point is :meth:`BotMeterDaemon.run` (the ``serve``/``replay``
+loop); :func:`repro.service.reference.batch_series` is the offline
+reference its streamed series is checked against.
 """
 
 from __future__ import annotations
 
-import datetime as _dt
 import json
 import sys
 import time
@@ -27,86 +24,35 @@ from collections import deque
 from pathlib import Path
 from typing import IO, Any, Iterable, Mapping, Sequence
 
-from ..core.botmeter import BotMeter
 from ..core.estimator import Estimator
 from ..dga.base import Dga
 from ..dga.families import family_names, make_family
 from ..dns.message import ForwardedLookup
-from ..sim.trace import sort_observable
-from ..timebase import SECONDS_PER_DAY, Timeline
+from ..timebase import Timeline
 from .checkpoint import CheckpointError, CheckpointStore
 from .deadletter import MAX_LINE_SNIPPET, DeadLetterQueue
 from .engine import EpochLandscape, ShardedLandscapeEngine
-from .faults import FaultInjector, InjectedFault, UpstreamStallError
+from .faults import FaultInjector, UpstreamStallError
 from .liveview import StreamingDetector
+from .lookups import LookupBatch
 from .metrics import MetricsRegistry
 from .reorder import Backpressure
 from .supervisor import HealthMonitor
 from .tracing import DEFAULT_SAMPLE, StageTracer, TraceSink
-from .wire import NdjsonBatchDecoder, NdjsonReader, encode_landscape
+from .wire import (
+    NdjsonBatchDecoder,
+    NdjsonReader,
+    encode_landscape,
+    families_from_header,
+    timeline_from_header,
+)
 from .wire2 import Wire2BatchDecoder, sniff_wire2
 
-__all__ = ["BotMeterDaemon", "batch_series", "families_from_header"]
+__all__ = ["BotMeterDaemon"]
 
 #: Most bytes one ``read1`` of the input returns; a pipe or a growing
 #: file yields what is there.  Output bytes never depend on it.
 READ_SIZE = 1 << 18
-
-
-def families_from_header(header: Mapping[str, Any]) -> dict[str, Dga]:
-    """Instantiate the DGA families a trace header declares."""
-    entries = header.get("families")
-    if not entries:
-        raise ValueError("trace header declares no families")
-    dgas: dict[str, Dga] = {}
-    for entry in entries:
-        dgas[entry["name"]] = make_family(entry["name"], int(entry.get("seed", 0)))
-    return dgas
-
-
-def _timeline_from_header(header: Mapping[str, Any] | None) -> Timeline | None:
-    if header and "origin" in header:
-        return Timeline(_dt.date.fromisoformat(header["origin"]))
-    return None
-
-
-def batch_series(
-    records: Iterable[ForwardedLookup],
-    dgas: Mapping[str, Dga],
-    estimator: Estimator | str = "auto",
-    detection_windows: Mapping[str, Mapping[int, frozenset[str]]] | None = None,
-    negative_ttl: float = 7_200.0,
-    timestamp_granularity: float = 0.1,
-    timeline: Timeline | None = None,
-) -> list[EpochLandscape]:
-    """The offline reference series: one batch chart per (day, family).
-
-    Emission order matches the streaming engine — days ascending,
-    families sorted within each day — so two serialized series can be
-    compared line by line.
-    """
-    ordered = sort_observable(records)
-    if not ordered:
-        return []
-    last_day = int(ordered[-1].timestamp // SECONDS_PER_DAY)
-    out: list[EpochLandscape] = []
-    meters = {
-        family: BotMeter(
-            dga,
-            estimator=estimator,
-            detection_windows=(detection_windows or {}).get(family),
-            negative_ttl=negative_ttl,
-            timestamp_granularity=timestamp_granularity,
-            timeline=timeline,
-        )
-        for family, dga in dgas.items()
-    }
-    for day in range(last_day + 1):
-        window = (day * SECONDS_PER_DAY, (day + 1) * SECONDS_PER_DAY)
-        for family in sorted(dgas):
-            landscape = meters[family].chart(ordered, *window)
-            out.append(EpochLandscape(family, day, landscape))
-    return out
 
 
 class BotMeterDaemon:
@@ -270,7 +216,9 @@ class BotMeterDaemon:
         self.resumed = False
         self.batch_lines = max(1, int(batch_lines))
         self.finalize_at_eof = bool(finalize_at_eof)
-        self._pending_records: list[ForwardedLookup] = []
+        #: Decoded runs held for the next submission (records or v2
+        #: frames), with one corrupt mark per record.
+        self._pending_records: list[Sequence[ForwardedLookup] | LookupBatch] = []
         self._pending_marks: list[int] = []
         #: Optional provider of extra checkpoint keys (the network ingest
         #: tier rides its per-sensor cursor map on the daemon checkpoint).
@@ -347,7 +295,7 @@ class BotMeterDaemon:
         if self._granularity is None:
             self._granularity = float(header.get("granularity", 0.1))
         if self._timeline is None:
-            self._timeline = _timeline_from_header(header) or Timeline()
+            self._timeline = timeline_from_header(header) or Timeline()
         if self._doh_adoption is None:
             self._doh_adoption = float(header.get("doh_adoption", 0.0) or 0.0)
 
@@ -646,19 +594,16 @@ class BotMeterDaemon:
 
     # -- the one ingest entry ------------------------------------------------
 
-    def _ingest(self, records: Sequence[ForwardedLookup]) -> None:
-        """Take one run of just-decoded records: an NDJSON record line
-        or a v2 RECORDS frame, with the reader's counters standing at
-        the run's end (a run never spans a corrupt line).
-
-        Due control lines apply first, then the inline D3 gate; admitted
-        records are held for the next batched submission, each pinned
-        to the reader's corrupt count (and the detector's counters) as
-        they stand now, so dead-letter order and emission attribution
-        do not depend on batch framing.  A rejected record still counts
-        as consumed: it was read and judged, it just never reaches the
-        engine.
-        """
+    def _ingest(self, records: Sequence[ForwardedLookup] | LookupBatch) -> None:
+        """Take one run of just-decoded records — an NDJSON record line
+        or a v2 RECORDS frame, kept as columns — with the reader's
+        counters standing at the run's end (a run never spans a corrupt
+        line).  Due control lines apply first, then the inline D3 gate;
+        admitted records are held for the next batched submission, each
+        pinned to the reader's corrupt count (and the detector's
+        counters) as they stand now, so dead-letter order and emission
+        attribution do not depend on batch framing.  A rejected record
+        still counts as consumed."""
         n = len(records)
         if not n:
             return
@@ -669,12 +614,13 @@ class BotMeterDaemon:
         else:
             detector = self._ensure_d3()
             admitted, d3_marks = [], []
-            for record in records:
+            rows = records.materialize() if isinstance(records, LookupBatch) else records
+            for record in rows:
                 if detector.admit(record):
                     admitted.append(record)
                     d3_marks.append(detector.snapshot())
             records = admitted
-        self._pending_records.extend(records)
+        self._pending_records.append(records)
         self._pending_marks.extend((self.reader.corrupt,) * len(records))
         self._pending_d3.extend(d3_marks)
         self.records_consumed += n
@@ -683,7 +629,7 @@ class BotMeterDaemon:
             self.health.record_ok(n)
         if self.throttle > 0:
             time.sleep(self.throttle * n)
-        if len(self._pending_records) >= self.batch_lines:
+        if len(self._pending_marks) >= self.batch_lines:
             self._flush_batch()
 
     def _ingest_lines(self, pairs: Iterable[tuple[bytes | str, Any]]) -> None:
@@ -715,9 +661,9 @@ class BotMeterDaemon:
         return engine
 
     def _flush_batch(self) -> None:
-        if not self._pending_records:
+        if not self._pending_marks:
             return
-        records = self._pending_records
+        records = LookupBatch.concat(self._pending_records)
         marks = self._pending_marks
         d3_marks = self._pending_d3
         self._pending_records = []
@@ -725,9 +671,8 @@ class BotMeterDaemon:
         self._pending_d3 = []
         engine = self._live_engine()
         # Submit in runs of equal corrupt mark (marks never decrease),
-        # writing each run's corrupt entries before it, so late entries
-        # fired by earlier records precede them.  With nothing journaled
-        # the whole batch is one run.
+        # each run's corrupt entries written before it, after the late
+        # entries of earlier records.  With nothing journaled, one run.
         n = len(records)
         start = 0
         while start < n:
@@ -738,7 +683,7 @@ class BotMeterDaemon:
             )
             self._write_corrupt(marks[start])
             engine.submit_batch(
-                records[start:end],
+                records.slice(start, end),
                 on_emit=lambda index, epochs, base=start: self._emit(
                     epochs,
                     corrupt_snapshot=marks[base + index],
@@ -871,7 +816,7 @@ class BotMeterDaemon:
                     self._checkpoint(base + decoder.consumed)
                 return self.injector.feed(line.decode("utf-8", errors="replace"))
 
-            def ingest(runs: Iterable[Sequence[ForwardedLookup]]) -> None:
+            def ingest(runs: Iterable[Sequence[ForwardedLookup] | LookupBatch]) -> None:
                 for run in runs:
                     self._ingest(run)
                     if (
@@ -883,9 +828,9 @@ class BotMeterDaemon:
             if wire_v2:
                 decoder = Wire2BatchDecoder(self.reader)
 
-                def runs(chunk: bytes) -> Iterable[Sequence[ForwardedLookup]]:
+                def runs(chunk: bytes) -> Iterable[LookupBatch]:
                     events = decoder.iter_events(chunk)
-                    return (e[1].materialize() for e in events if e[0] == "columns")
+                    return (e[1] for e in events if e[0] == "columns")
 
             else:
                 decoder = NdjsonBatchDecoder(

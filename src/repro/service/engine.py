@@ -21,8 +21,11 @@ reorder buffer and every shard, so a killed daemon resumes bit-exactly.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, Sequence
+
+import numpy as np
 
 from ..core.botmeter import Landscape, make_estimator
 from ..core.estimator import Estimator
@@ -34,6 +37,7 @@ from ..dga.base import Dga
 from ..dga.families import make_family
 from ..dns.message import ForwardedLookup
 from ..timebase import SECONDS_PER_DAY, Timeline
+from .lookups import LookupBatch
 from .metrics import MetricsRegistry
 from .reorder import Backpressure, ReorderBuffer
 
@@ -41,67 +45,9 @@ __all__ = [
     "ENGINE_STATE_SCHEMA",
     "EpochLandscape",
     "ShardedLandscapeEngine",
-    "validate_engine_state",
 ]
 
 ENGINE_STATE_SCHEMA = "botmeterd-engine-v1"
-
-
-def validate_engine_state(state: Mapping[str, Any]) -> Mapping[str, Any]:
-    """Structurally validate an :meth:`ShardedLandscapeEngine.export_state`
-    document and return it.
-
-    The cluster reshard re-keys shard lists *between* engines — this is
-    the checkpoint-surgery guard that a synthesized state is something
-    :meth:`~ShardedLandscapeEngine.import_state` will accept, raising
-    :class:`ValueError` with the offending key instead of failing deep
-    inside a partition restart.
-    """
-    if not isinstance(state, Mapping):
-        raise ValueError(f"engine state must be a mapping, got {type(state).__name__}")
-    schema = state.get("schema")
-    if schema != ENGINE_STATE_SCHEMA:
-        raise ValueError(f"unknown engine state schema {schema!r}")
-    families = state.get("families")
-    if not isinstance(families, list) or not all(
-        isinstance(f, str) for f in families
-    ):
-        raise ValueError(f"engine state families must be a list of names: {families!r}")
-    watermark = state.get("watermark")
-    if watermark is not None and not isinstance(watermark, (int, float)):
-        raise ValueError(f"engine state watermark must be null or a number: {watermark!r}")
-    for key in ("next_epoch_to_emit", "late_total", "late_mark", "dropped_mark"):
-        value = state.get(key, 0)
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"engine state {key} must be an int, got {value!r}")
-    if not isinstance(state.get("finalized"), bool):
-        raise ValueError("engine state finalized must be a bool")
-    reorder = state.get("reorder")
-    if not isinstance(reorder, Mapping) or "contents" not in reorder:
-        raise ValueError("engine state reorder must carry the buffer contents")
-    dynamic = state.get("dynamic", [])
-    if not isinstance(dynamic, list):
-        raise ValueError("engine state dynamic must be a list of registration specs")
-    for spec in dynamic:
-        if not isinstance(spec, Mapping) or not isinstance(spec.get("name"), str):
-            raise ValueError(f"malformed dynamic-family spec {spec!r}")
-    shards = state.get("shards")
-    if not isinstance(shards, list):
-        raise ValueError("engine state shards must be a list")
-    family_set = set(families)
-    for entry in shards:
-        if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
-            raise ValueError(f"malformed shard entry {entry!r}")
-        family, server, shard_state = entry
-        if family not in family_set:
-            raise ValueError(f"shard entry for unknown family {family!r}")
-        if not isinstance(server, str):
-            raise ValueError(f"shard entry server must be a string: {server!r}")
-        if not isinstance(shard_state, Mapping) or "next_epoch_to_close" not in shard_state:
-            raise ValueError(
-                f"shard state for ({family!r}, {server!r}) lacks next_epoch_to_close"
-            )
-    return state
 
 
 @dataclass(frozen=True)
@@ -146,10 +92,10 @@ class ShardedLandscapeEngine:
             construction and spills to at :meth:`close` (see
             :mod:`repro.core.kernels`).
         tracer: optional :class:`~repro.service.tracing.StageTracer`.
-            When set, the engine records ``route`` and ``estimate``
-            spans and publishes the slow-shard top-K gauge.  Purely
-            observational: the emitted landscape stream is
-            byte-identical with or without it.
+            When set, the engine records ``reorder``, ``route`` and
+            ``estimate`` spans and publishes the slow-shard top-K
+            gauge.  Purely observational: the emitted landscape stream
+            is byte-identical with or without it.
     """
 
     #: How many of the slowest (family × server) shards the
@@ -186,20 +132,12 @@ class ShardedLandscapeEngine:
         }
         self._estimator_spec = estimator
         self._dynamic: dict[str, dict[str, Any]] = {}
-        self._estimators: dict[str, Estimator] = {}
-        for family, dga in self._dgas.items():
-            if isinstance(estimator, str):
-                self._estimators[family] = (
-                    recommended_estimator(dga)
-                    if estimator == "auto"
-                    else make_estimator(estimator)
-                )
-            else:
-                self._estimators[family] = estimator
+        self._estimators = {
+            family: self._estimator_for(dga) for family, dga in self._dgas.items()
+        }
         self._index = DayIndex(self._dgas, self._timeline, self._detection_windows)
         self._reorder = ReorderBuffer(reorder_capacity, policy)
         self._tracer = tracer
-        self._reorder.tracer = tracer
         self._shard_estimate_ns: dict[tuple[str, str], int] = {}
         self._shards: dict[tuple[str, str], StreamingBotMeter] = {}
         self._closed: dict[tuple[str, int], dict[str, Landscape]] = {}
@@ -290,6 +228,13 @@ class ShardedLandscapeEngine:
     def estimator_name(self, family: str) -> str:
         return self._estimators[family].name
 
+    def _estimator_for(self, dga: Dga) -> Estimator:
+        """The construction-time estimator policy applied to ``dga``."""
+        spec = self._estimator_spec
+        if not isinstance(spec, str):
+            return spec
+        return recommended_estimator(dga) if spec == "auto" else make_estimator(spec)
+
     def dga_for(self, family: str):
         """The generator behind ``family`` (dynamic families included)."""
         return self._dgas[family]
@@ -320,14 +265,7 @@ class ShardedLandscapeEngine:
             raise ValueError(f"family {name!r} is already registered")
         self._dgas[name] = dga
         self._families = sorted(self._dgas)
-        if isinstance(self._estimator_spec, str):
-            self._estimators[name] = (
-                recommended_estimator(dga)
-                if self._estimator_spec == "auto"
-                else make_estimator(self._estimator_spec)
-            )
-        else:
-            self._estimators[name] = self._estimator_spec
+        self._estimators[name] = self._estimator_for(dga)
         self._index = DayIndex(self._dgas, self._timeline, self._detection_windows)
         shared_cache().warm_family(dga.params)
         self._dynamic[name] = (
@@ -368,13 +306,10 @@ class ShardedLandscapeEngine:
         self._deadline = (day + 1) * SECONDS_PER_DAY + self._grace
 
     def _publish(self, ingested: int = 0) -> None:
-        """Bring the ingest metrics up to the engine's exact totals.
-
-        The ingest loops count records and matches in plain ints and
-        publish them here: at the end of every submit call, before every
-        ``on_emit`` callback, in :meth:`finalize` and in
-        :meth:`export_state`.  Every observer of the metrics therefore
-        sees exact totals, at a cost per batch instead of per record.
+        """Bring the ingest metrics up to the engine's exact totals: at
+        the end of every submit call, before every ``on_emit`` callback,
+        in :meth:`finalize` and in :meth:`export_state`, so every
+        observer sees exact totals at a cost per batch, not per record.
         """
         if ingested:
             self._c_ingested.inc(ingested)
@@ -389,120 +324,129 @@ class ShardedLandscapeEngine:
 
     def submit(self, record: ForwardedLookup) -> list[EpochLandscape]:
         """Buffer one record; return any epochs its arrival closed."""
-        if self._finalized:
-            raise RuntimeError("engine already finalized")
-        return self._submit_serial([record], None)
+        return self.submit_batch((record,))
 
     def submit_batch(
         self,
-        records: list[ForwardedLookup],
+        records: LookupBatch | Sequence[ForwardedLookup],
         on_emit: Callable[[int, list[EpochLandscape]], None] | None = None,
     ) -> list[EpochLandscape]:
         """Buffer a batch; return every epoch the batch closed, in order.
 
-        ``on_emit(index, epochs)`` fires as each record's emission
-        happens, with the index of the triggering record — the daemon
+        ``on_emit(index, epochs)`` fires as each emission happens, with
+        the index of the record whose push triggered it — the daemon
         uses it to attribute reader-level quarantine deltas to the right
         emission even when the trigger sits mid-batch.
         """
-        if self._finalized:
-            raise RuntimeError("engine already finalized")
-        return self._submit_serial(records, on_emit)
+        if not isinstance(records, LookupBatch):
+            records = LookupBatch.from_records(records)
+        return self._submit(records, on_emit)
 
     def submit_columns(
         self,
-        columns: Any,
+        columns: LookupBatch,
         on_emit: Callable[[int, list[EpochLandscape]], None] | None = None,
     ) -> list[EpochLandscape]:
-        """Buffer one decoded wire-v2 frame of columns; return closed epochs.
+        """Buffer one decoded wire-v2 frame; return closed epochs."""
+        return self._submit(columns, on_emit)
 
-        The frame's records go through :meth:`submit_batch`, in frame
-        order: routing and emission are per record either way.
-        """
-        return self.submit_batch(columns.materialize(), on_emit)
-
-    def _submit_serial(
+    def _submit(
         self,
-        records: list[ForwardedLookup],
+        batch: LookupBatch,
         on_emit: Callable[[int, list[EpochLandscape]], None] | None,
     ) -> list[EpochLandscape]:
-        """The one ingest loop: reorder, route and emit, record by record.
-
-        Reorder push and routing stay interleaved per record (an
-        emission reads ``reorder.dropped``), and the emission check is
-        one float compare against the next epoch's deadline.  With a
-        tracer, the sampling decision for the reorder and route stages
-        is made once per call (:meth:`StageTracer.plan`), so an
-        unsampled record pays two integer compares instead of two tracer
-        calls.
-        """
-        push = self._reorder._push
-        route = self._route
+        """The one ingest pass: reorder, route and emit a whole batch, in
+        segments cut where the watermark first reaches the next deadline,
+        so emissions and late checks happen at the same record as in a
+        push-at-a-time loop.  Traced as one ``reorder`` span (records
+        pushed) and one ``route`` span (records released)."""
+        if self._finalized:
+            raise RuntimeError("engine already finalized")
+        n = len(batch)
+        if not n:
+            return []
+        reorder = self._reorder
         tracer = self._tracer
-        n = len(records)
-        if tracer is None:
-            reorder_sampled = route_sampled = iter(())
-        else:
-            clock = tracer.clock
-            reorder_sampled = iter(tracer.plan("reorder", n))
-            route_sampled = iter(tracer.plan("route", n))
-        next_reorder = next(reorder_sampled, -1)
-        next_route = next(route_sampled, -1)
+        timed = tracer is not None and bool(tracer.plan("reorder", 1))
+        timed_route = tracer is not None and bool(tracer.plan("route", 1))
+        clock = tracer.clock if tracer is not None else int
+        reorder_ns = route_ns = routed = 0
         out: list[EpochLandscape] = []
-        published = 0
-        for index, record in enumerate(records):
-            if index == next_reorder:
-                t0 = clock()
-                released = push(record)
-                tracer.record("reorder", clock() - t0, records=len(released))
-                next_reorder = next(reorder_sampled, -1)
-            else:
-                released = push(record)
-            if index == next_route:
-                t0 = clock()
-                route(released)
-                tracer.record("route", clock() - t0, records=len(released))
-                next_route = next(route_sampled, -1)
-            elif released:
-                route(released)
+        pos = published = 0
+        while pos < n:
+            t0 = clock()
+            segment = batch.slice(pos)
+            plan = reorder.plan(segment)
+            released = plan.released
+            ts = released.ts
+            if len(ts) and ts.max() >= self._deadline:
+                stop = max(plan.first_step + int(np.argmax(ts >= self._deadline)), 0) + 1
+                if stop < plan.pushed:
+                    plan = reorder.plan(segment.slice(0, stop))
+                    released = plan.released
+            reorder.commit(plan)
+            t1 = clock()
+            self._route(released)
+            reorder_ns += t1 - t0
+            route_ns += clock() - t1
+            routed += len(released)
+            pos += plan.pushed
             if self._watermark >= self._deadline:
-                self._publish(index + 1 - published)
-                published = index + 1
+                self._publish(pos - published)
+                published = pos
                 epochs = self._emittable()
                 if on_emit is not None:
-                    on_emit(index, epochs)
+                    on_emit(pos - 1, epochs)
                 out.extend(epochs)
+        if timed:
+            tracer.record("reorder", reorder_ns, records=n)
+        if timed_route:
+            tracer.record("route", route_ns, records=routed)
         self._publish(n - published)
         return out
 
-    def _route(self, released: list[ForwardedLookup]) -> None:
-        """Feed each released record to the shards its domain routes to
-        (one :class:`DayIndex` probe per record)."""
-        routes = self._index.routes
-        matched = self._unpublished_matched
+    def _route(self, released: LookupBatch) -> None:
+        """Feed released records to their shards: one column slice per
+        ``(family, server)`` shard, in stream order (new shards in the
+        order of their first record)."""
+        if not len(released):
+            return
+        ts, servers, domains = released.ts, released.servers, released.domains
+        self._watermark = max(self._watermark, float(ts.max()))
+        sids = released.server_id.tolist()
         cursor = self._next_epoch_to_emit
-        for record in released:
-            if record.timestamp > self._watermark:
-                self._watermark = record.timestamp
-            for family, matched_day in routes(record.domain, record.timestamp):
-                matched[family] = matched.get(family, 0) + 1
-                if matched_day < cursor:
-                    self._c_late.inc()
-                    self._late_total += 1
-                    if self._on_late is not None:
-                        self._on_late(record, matched_day)
-                self._shard(family, record.server).ingest(record, matched_day)
+        rows_of, days_of = defaultdict(list), defaultdict(list)  # by (family, server id)
+        late = []
+        routed = self._index.route_columns(ts, released.domain_id, domains)
+        for i, (routes, sid) in enumerate(zip(routed, sids)):
+            for family, day in routes:
+                rows_of[family, sid].append(i)
+                days_of[family, sid].append(day)
+                if day < cursor:
+                    late.append((i, day))
+        for i, day in late:
+            self._c_late.inc()
+            self._late_total += 1
+            if self._on_late is not None:
+                domain = domains[released.domain_id[i]]
+                self._on_late(ForwardedLookup(float(ts[i]), servers[sids[i]], domain), day)
+        matched = self._unpublished_matched
+        for (family, sid), rows in rows_of.items():
+            matched[family] = matched.get(family, 0) + len(rows)
+            names = map(domains.__getitem__, released.domain_id[rows].tolist())
+            self._shard(family, servers[sid]).ingest_lookups(
+                ts[rows],
+                servers[sid],
+                np.array(list(names), dtype=object),
+                np.array(days_of[family, sid], dtype=np.int64),
+            )
 
     def _advance_shards(self, target: float) -> None:
         """Advance every shard, timing each as an ``estimate`` span over
         the matched lookups it closed."""
         tracer = self._tracer
-        if tracer is None:
-            for shard in self._shards.values():
-                shard.advance_watermark(target)
-            return
         for (family, server), shard in self._shards.items():
-            t0 = tracer.start("estimate")
+            t0 = tracer.start("estimate") if tracer is not None else 0
             closed = shard.advance_watermark(target)
             if not t0:
                 continue
@@ -564,7 +508,7 @@ class ShardedLandscapeEngine:
         landscapes, so the series is rectangular: families × days."""
         if self._finalized:
             return []
-        flushed = self._reorder.flush()
+        flushed = self._reorder.flush_batch()
         tracer = self._tracer
         t0 = tracer.start("route") if tracer is not None else 0
         self._route(flushed)

@@ -42,12 +42,16 @@ consumers can widen confidence intervals for degraded input
 
 from __future__ import annotations
 
+import datetime as _dt
 import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from ..core.botmeter import Landscape
+from ..dga.base import Dga
+from ..dga.families import make_family
 from ..dns.message import ForwardedLookup
+from ..timebase import Timeline
 
 __all__ = [
     "WIRE_VERSION",
@@ -55,6 +59,8 @@ __all__ = [
     "encode_record",
     "decode_record",
     "encode_header",
+    "families_from_header",
+    "timeline_from_header",
     "encode_register",
     "encode_landscape",
     "landscape_to_dict",
@@ -125,6 +131,24 @@ def _decode_record_slow(data: Mapping[str, Any]) -> ForwardedLookup:
 def encode_header(meta: Mapping[str, Any]) -> str:
     """The stream-metadata line (families, seeds, granularity, ...)."""
     return _dumps({"v": WIRE_VERSION, "type": "header", **meta})
+
+
+def families_from_header(header: Mapping[str, Any]) -> dict[str, Dga]:
+    """Instantiate the DGA families a trace header declares."""
+    entries = header.get("families")
+    if not entries:
+        raise ValueError("trace header declares no families")
+    dgas: dict[str, Dga] = {}
+    for entry in entries:
+        dgas[entry["name"]] = make_family(entry["name"], int(entry.get("seed", 0)))
+    return dgas
+
+
+def timeline_from_header(header: Mapping[str, Any] | None) -> Timeline | None:
+    """The timeline a trace header's ``origin`` fixes, if it has one."""
+    if header and "origin" in header:
+        return Timeline(_dt.date.fromisoformat(header["origin"]))
+    return None
 
 
 def encode_register(family: str, base: str, seed: int) -> str:

@@ -41,12 +41,12 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from dataclasses import dataclass
 from typing import IO, Any, Iterable, Iterator, Mapping
 
 import numpy as np
 
 from ..dns.message import ForwardedLookup
+from .lookups import LookupBatch
 from .wire import NdjsonReader, encode_record
 
 __all__ = [
@@ -99,39 +99,11 @@ def sniff_wire2(prefix: bytes) -> bool:
     return prefix[:4] == WIRE2_MAGIC
 
 
-@dataclass(frozen=True)
-class LookupColumns:
-    """One RECORDS frame, decoded to columns.
-
-    ``timestamps`` / ``server_ids`` / ``domain_ids`` are parallel numpy
-    arrays (``float64`` / ``uint32`` / ``uint32``); ``servers`` and
-    ``domains`` are the frame-scoped string tables the id columns index
-    into.  :meth:`materialize` produces the exact
-    :class:`~repro.dns.message.ForwardedLookup` sequence the equivalent
-    v1 lines would decode to — the byte-identity anchor.
-    """
-
-    timestamps: np.ndarray
-    server_ids: np.ndarray
-    domain_ids: np.ndarray
-    servers: tuple[str, ...]
-    domains: tuple[str, ...]
-
-    def __len__(self) -> int:
-        return len(self.timestamps)
-
-    def materialize(self) -> list[ForwardedLookup]:
-        """Per-record :class:`ForwardedLookup` objects, in frame order."""
-        servers = self.servers
-        domains = self.domains
-        return [
-            ForwardedLookup(t, servers[s], domains[d])
-            for t, s, d in zip(
-                self.timestamps.tolist(),
-                self.server_ids.tolist(),
-                self.domain_ids.tolist(),
-            )
-        ]
+#: One RECORDS frame, decoded to columns: a
+#: :class:`~repro.service.lookups.LookupBatch` over the frame-scoped
+#: string tables (``materialize`` produces the exact record sequence the
+#: equivalent v1 lines would decode to — the byte-identity anchor).
+LookupColumns = LookupBatch
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from repro.service.checkpoint import (
     CheckpointError,
     CheckpointStore,
 )
-from repro.service.daemon import batch_series
+from repro.service.reference import batch_series
 from repro.service.engine import ShardedLandscapeEngine
 from repro.service.wire import encode_landscape
 

@@ -13,6 +13,7 @@ checkpoint re-keying (min-watermark synthesis, fold-to-partition-0
 accounting).
 """
 
+import functools
 import io
 import json
 import os
@@ -597,11 +598,27 @@ class TestCrashDrills:
 # ---------------------------------------------------------------------------
 
 
-def _serve_two_sensors(trace, tmp_path, before_sensors=None):
-    """Run ``cluster_serve`` (2 partitions, UDS router) against two
-    sensors replaying round-robin shards of ``trace``.  Once the router
+def _kill_partition_zero(workdir):
+    """SIGKILL partition 0's process once it has written a heartbeat."""
+    heartbeat_path = workdir / "p00.hb.json"
+    deadline = time.time() + 30
+    heartbeat = read_heartbeat(heartbeat_path)
+    while heartbeat is None and time.time() < deadline:
+        time.sleep(0.05)
+        heartbeat = read_heartbeat(heartbeat_path)
+    assert heartbeat is not None, "partition 0 never wrote a heartbeat"
+    os.kill(int(heartbeat["pid"]), signal.SIGKILL)
+
+
+def _serve_two_sensors(
+    trace, tmp_path, before_sensors=None, sensor_retry=60, **serve_kwargs
+):
+    """Run ``cluster_serve`` (2 partitions, UDS router, ``serve_kwargs``)
+    against two sensors replaying round-robin shards of ``trace``, each
+    retrying a lost router for ``sensor_retry`` seconds.  Once the router
     socket is bound, ``before_sensors(workdir)`` runs before any sensor
-    connects.  Returns the serve report and the workdir."""
+    connects.  Returns the serve report and the workdir; a failure of
+    the serve call is raised before any sensor's."""
     from repro.service.netingest import SensorClient, shard_trace_lines
 
     lines = trace.read_bytes().splitlines()
@@ -620,10 +637,11 @@ def _serve_two_sensors(trace, tmp_path, before_sensors=None):
                     uds=uds,
                     expect_sensors=2,
                     log=io.StringIO(),
+                    **serve_kwargs,
                 )
             )
         except BaseException as exc:  # noqa: BLE001 — surfaced below
-            failures.append(exc)
+            failures.insert(0, exc)
 
     server_thread = threading.Thread(target=_serve, daemon=True)
     server_thread.start()
@@ -637,7 +655,7 @@ def _serve_two_sensors(trace, tmp_path, before_sensors=None):
     def _sensor(i):
         try:
             SensorClient(
-                ("uds", str(uds)), f"edge-{i:02d}", retry_deadline=60
+                ("uds", str(uds)), f"edge-{i:02d}", retry_deadline=sensor_retry
             ).replay_lines(shards[i])
         except BaseException as exc:  # noqa: BLE001 — surfaced below
             failures.append(exc)
@@ -669,16 +687,6 @@ class TestClusterServe:
     def test_killed_partition_restarts_and_merges_identically(
         self, trace, reference, tmp_path
     ):
-        def _kill_partition_zero(workdir):
-            heartbeat_path = workdir / "p00.hb.json"
-            deadline = time.time() + 30
-            heartbeat = read_heartbeat(heartbeat_path)
-            while heartbeat is None and time.time() < deadline:
-                time.sleep(0.05)
-                heartbeat = read_heartbeat(heartbeat_path)
-            assert heartbeat is not None, "partition 0 never wrote a heartbeat"
-            os.kill(int(heartbeat["pid"]), signal.SIGKILL)
-
         result, workdir = _serve_two_sensors(
             trace, tmp_path, before_sensors=_kill_partition_zero
         )
@@ -688,6 +696,28 @@ class TestClusterServe:
         ledger = json.loads((workdir / "mesh-ledger.json").read_text())["ledger"]
         [entry] = ledger
         assert (entry["partition"], entry["reason"]) == (0, "exit")
+
+    def test_disarmed_partition_is_a_cluster_error(self, trace, tmp_path, monkeypatch):
+        """With no restart budget, partition 0 SIGKILLed before the
+        sensors connect is disarmed; its stream then gives up
+        reconnecting, and ``cluster_serve`` reports that as a
+        ``ClusterError`` naming the partition (which the CLI prints with
+        a non-zero exit) instead of letting the stream's error escape."""
+        from repro.service import meshguard
+
+        monkeypatch.setattr(
+            meshguard,
+            "FailoverSensorStream",
+            functools.partial(meshguard.FailoverSensorStream, retry_deadline=1.0),
+        )
+        with pytest.raises(ClusterError, match="p00"):
+            _serve_two_sensors(
+                trace,
+                tmp_path,
+                before_sensors=_kill_partition_zero,
+                sensor_retry=2,
+                max_partition_restarts=0,
+            )
 
 
 # ---------------------------------------------------------------------------

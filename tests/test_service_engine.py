@@ -12,7 +12,7 @@ import pytest
 from repro.core.timing import TimingEstimator
 from repro.dga.families import make_family
 from repro.dns.message import ForwardedLookup
-from repro.service.daemon import batch_series
+from repro.service.reference import batch_series
 from repro.service.engine import ShardedLandscapeEngine
 from repro.service.wire import encode_landscape
 from repro.sim import SimConfig, simulate

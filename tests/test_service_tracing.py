@@ -573,6 +573,32 @@ class TestTracingDeterminism:
         for stage, summary in stages.items():
             assert summary["records"] > 0, stage
 
+    @pytest.mark.parametrize("batch_lines", [1, 256])
+    @pytest.mark.parametrize("policy", ["block", "drop-oldest"])
+    def test_reorder_spans_count_records_pushed(
+        self, trace, tmp_path, batch_lines, policy
+    ):
+        """One ``reorder`` span per submitted batch counts the records
+        entering the buffer — not those it released — so with every span
+        timed the counts sum to the records consumed, under either
+        backpressure policy."""
+        events = tmp_path / "events.ndjson"
+        health = tmp_path / "health.json"
+        argv = [
+            "replay", str(trace),
+            "--out", str(tmp_path / "out.ndjson"),
+            "--batch-lines", str(batch_lines),
+            "--reorder-capacity", "64",
+            "--policy", policy,
+            "--trace-out", str(events),
+            "--trace-sample", "1",
+            "--health-out", str(health),
+        ]
+        assert main(argv) == 0
+        consumed = json.loads(health.read_text())["records_consumed"]
+        assert consumed > 0
+        assert trace_report(events)["stages"]["reorder"]["records"] == consumed
+
     def test_corrupt_lines_keep_traced_replay_byte_identical(self, tmp_path):
         """Batched submission holds records while later lines decode,
         each pinned to the reader's corrupt count at its own decode;
