@@ -157,7 +157,11 @@ cluster-chaos:
 # matches. Last, replay the jitter golden and its v2 twin through a
 # 4-record reorder buffer (block and drop-oldest, 1- and 256-line
 # batches), so dropped and late records cross the columnar path on real
-# bytes. Mirrors the CI wire-smoke job.
+# bytes. Then rewrite every 5th record of the jitter golden in a valid
+# form the bulk decode lane does not take (reversed keys, a \u002e
+# escape, a trailing \r) or parses another way (a %.17e timestamp), and
+# check both lanes chart the golden landscape at 1- and 256-line
+# batches. Mirrors the CI wire-smoke job.
 wire-smoke:
 	rm -rf wire-smoke && mkdir -p wire-smoke
 	python -m repro.cli export-trace --source sim --family new_goz \
@@ -204,7 +208,25 @@ wire-smoke:
 			done; \
 		done; \
 	done
-	@echo "wire-smoke OK: NDJSON <-> v2 byte-exact both ways, replays identical (v2, NDJSON 1- and 256-line batches), SIGKILL resume on v2 == uninterrupted, jitter golden at a 4-record buffer identical across block/drop-oldest x NDJSON/v2 x 1/256-line batches"
+	python -c 'import json, sys; \
+		lines = open(sys.argv[1], "rb").read().split(b"\n"); \
+		records = [i for i, line in enumerate(lines) if line.startswith(b"{\"domain\"")]; \
+		forms = ( \
+			lambda line, rec: json.dumps(dict(reversed(rec.items())), separators=(",", ":")).encode(), \
+			lambda line, rec: line.replace(b".", b"\\u002e", 1), \
+			lambda line, rec: line + b"\r", \
+			lambda line, rec: line.replace(b"%r," % rec["timestamp"], b"%.17e," % rec["timestamp"]), \
+		); \
+		edits = {i: forms[n % 4](lines[i], json.loads(lines[i])) for n, i in enumerate(records[4::5])}; \
+		open(sys.argv[2], "wb").write(b"\n".join(edits.get(i, line) for i, line in enumerate(lines)))' \
+		tests/golden/new_goz_jitter.ndjson wire-smoke/jitter-mixed.ndjson
+	for lines in 1 256; do \
+		python -m repro.cli replay wire-smoke/jitter-mixed.ndjson \
+			--batch-lines $$lines --out wire-smoke/jitter-mixed.landscape || exit 1; \
+		diff wire-smoke/jitter-mixed.landscape \
+			tests/golden/new_goz_jitter.landscape.ndjson || exit 1; \
+	done
+	@echo "wire-smoke OK: NDJSON <-> v2 byte-exact both ways, replays identical (v2, NDJSON 1- and 256-line batches), SIGKILL resume on v2 == uninterrupted, jitter golden at a 4-record buffer identical across block/drop-oldest x NDJSON/v2 x 1/256-line batches, jitter golden with every 5th record rewritten for the fallback lane identical at 1/256-line batches"
 
 # Liveview end-to-end: a takedown/re-key campaign replayed with the
 # real lexical D3 inline, line-at-a-time and in 256-line batches

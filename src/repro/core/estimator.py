@@ -9,7 +9,7 @@ target DGA — and produces a :class:`PopulationEstimate`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence, runtime_checkable
+from typing import NamedTuple, Protocol, Sequence, runtime_checkable
 
 from ..dga.base import Dga
 from ..timebase import SECONDS_PER_DAY, Timeline
@@ -22,9 +22,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class MatchedLookup:
-    """One vantage-point lookup that matched the target DGA's domains."""
+class MatchedLookup(NamedTuple):
+    """One vantage-point lookup that matched the target DGA's domains.
+
+    A named tuple, not a dataclass: epoch closes build one per matched
+    lookup, and a tuple is about twice as cheap to construct.
+    """
 
     timestamp: float
     server: str

@@ -90,7 +90,7 @@ class BotMeterDaemon:
             before the daemon checkpoints and raises
             :class:`UpstreamStallError` for the supervisor to restart it.
         batch_lines: the most records held per engine submission
-            (``1`` = submit each record as it decodes); a v2 frame
+            (``1`` = submit each run as it decodes); a decoded run
             submits whole.  Emission, checkpoint and quarantine
             attribution are batch-framing-independent — output bytes
             never change.
@@ -216,7 +216,7 @@ class BotMeterDaemon:
         self.resumed = False
         self.batch_lines = max(1, int(batch_lines))
         self.finalize_at_eof = bool(finalize_at_eof)
-        #: Decoded runs held for the next submission (records or v2
+        #: Decoded runs held for the next submission (NDJSON runs or v2
         #: frames), with one corrupt mark per record.
         self._pending_records: list[Sequence[ForwardedLookup] | LookupBatch] = []
         self._pending_marks: list[int] = []
@@ -595,15 +595,14 @@ class BotMeterDaemon:
     # -- the one ingest entry ------------------------------------------------
 
     def _ingest(self, records: Sequence[ForwardedLookup] | LookupBatch) -> None:
-        """Take one run of just-decoded records — an NDJSON record line
-        or a v2 RECORDS frame, kept as columns — with the reader's
-        counters standing at the run's end (a run never spans a corrupt
-        line).  Due control lines apply first, then the inline D3 gate;
-        admitted records are held for the next batched submission, each
-        pinned to the reader's corrupt count (and the detector's
-        counters) as they stand now, so dead-letter order and emission
-        attribution do not depend on batch framing.  A rejected record
-        still counts as consumed."""
+        """Take one run of just-decoded records — an NDJSON run or a v2
+        RECORDS frame — with the reader's counters standing at the run's
+        end (a run never spans a corrupt line).  Due control lines apply
+        first, then the inline D3 gate; admitted records are held for the
+        next batched submission, each pinned to the reader's corrupt
+        count (and the detector's counters) as they stand now, so
+        dead-letter order and emission attribution do not depend on
+        batch framing.  A rejected record still counts as consumed."""
         n = len(records)
         if not n:
             return
@@ -819,10 +818,8 @@ class BotMeterDaemon:
             def ingest(runs: Iterable[Sequence[ForwardedLookup] | LookupBatch]) -> None:
                 for run in runs:
                     self._ingest(run)
-                    if (
-                        self._since_checkpoint >= self.checkpoint_every
-                        and self.injector is None
-                    ):
+                    due = self._since_checkpoint >= self.checkpoint_every
+                    if due and self.injector is None:
                         self._checkpoint(base + decoder.consumed)
 
             if wire_v2:
@@ -833,13 +830,16 @@ class BotMeterDaemon:
                     return (e[1] for e in events if e[0] == "columns")
 
             else:
+                # An NDJSON run ends at the record that makes a checkpoint
+                # due, so the checkpoint lands at that record's line end.
                 decoder = NdjsonBatchDecoder(
                     self.reader,
                     line_filter=None if self.injector is None else inject,
+                    run_limit=None
+                    if self.store is None
+                    else lambda: self.checkpoint_every - self._since_checkpoint,
                 )
-
-                def runs(chunk: bytes) -> Iterable[Sequence[ForwardedLookup]]:
-                    return ((record,) for record in decoder.iter_push(chunk))
+                runs = decoder.iter_push
 
             idle_since: float | None = None
             while True:
@@ -898,7 +898,7 @@ class BotMeterDaemon:
             if wire_v2:
                 decoder.flush(complete=complete)
             else:
-                ingest((record,) for record in decoder.iter_flush(complete))
+                ingest(decoder.iter_flush(complete))
             # Stream end: release held lines, close every epoch, persist.
             if self.injector is not None:
                 self._ingest_lines((line, None) for line in self.injector.flush())

@@ -3,9 +3,10 @@
 A :class:`LookupBatch` holds ``n`` vantage-point records as three
 parallel columns — ``ts`` (``float64``), ``server_id`` and
 ``domain_id`` (integer ids, ``uint32`` as decoded) — plus the string
-tables the id columns index into.  The wire-v2 decoder builds one per RECORDS frame (it *is*
-the frame's column layout); the NDJSON reader and the network ingest
-tier build one from the records they decode (:meth:`from_records`).
+tables the id columns index into.  The wire-v2 decoder builds one per
+RECORDS frame (it *is* the frame's column layout) and the NDJSON decoder
+one per run of canonical lines; the network ingest tier builds one from
+the records it decodes (:meth:`from_records`).
 The engine reorders, routes and ingests a whole batch without creating
 a per-record object; :meth:`materialize` turns a batch back into
 :class:`~repro.dns.message.ForwardedLookup` objects for the few callers

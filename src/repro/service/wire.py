@@ -44,14 +44,18 @@ from __future__ import annotations
 
 import datetime as _dt
 import json
+import re
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from ..core.botmeter import Landscape
 from ..dga.base import Dga
 from ..dga.families import make_family
 from ..dns.message import ForwardedLookup
 from ..timebase import Timeline
+from .lookups import LookupBatch
 
 __all__ = [
     "WIRE_VERSION",
@@ -446,15 +450,81 @@ class NdjsonReader:
             tracer.record("decode", spent, records=records)
 
 
+#: One complete line of a chunk as ``findall`` groups: ``(domain,
+#: server, timestamp, b"")`` for a line in the form :func:`encode_record`
+#: writes, else ``(b"", b"", b"", line)``.  The first branch takes
+#: exactly the lines :func:`decode_record`'s fast path accepts: the four
+#: keys in order with no whitespace, ``"v":1``, strings without ``"``,
+#: ``\`` or a control byte (nothing to unescape), and a timestamp
+#: ``json.loads`` returns as a float (a fraction, an exponent or both;
+#: ``01.5`` and integers fall through).
+_STRING = rb'([^"\\\x00-\x1f]*)'
+_LINE = re.compile(
+    rb'^(?:\{"domain":"' + _STRING + rb'","server":"' + _STRING + rb'","timestamp":'
+    rb"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))"
+    rb',"v":1\}|(.*))$',
+    re.MULTILINE,
+)
+#: Bytes of a canonical line besides its three values, newline included.
+_LINE_FRAME = len(b'{"domain":"","server":"","timestamp":,"v":1}\n')
+
+#: A decoded run: a bulk-lane batch, or one fallback-lane record.
+Run = LookupBatch | tuple[ForwardedLookup]
+
+
+def _interned(values: Sequence[bytes]) -> tuple[np.ndarray, list[str]]:
+    """First-seen ids of ``values`` and the table they index, decoded
+    strictly as UTF-8 (else ``UnicodeDecodeError``).  The values hold no
+    newline, so the table decodes in one call."""
+    index: dict[bytes, int] = {}
+    ids = [index.setdefault(value, len(index)) for value in values]
+    return np.array(ids, np.uint32), b"\n".join(index).decode("utf-8").split("\n")
+
+
+def _canonical_line(domain: bytes, server: bytes, timestamp: bytes) -> bytes:
+    return b'{"domain":"%s","server":"%s","timestamp":%s,"v":1}' % (
+        domain,
+        server,
+        timestamp,
+    )
+
+
+def _records(runs: Iterable[Run]) -> list[ForwardedLookup]:
+    records: list[ForwardedLookup] = []
+    for run in runs:
+        records.extend(run.materialize() if isinstance(run, LookupBatch) else run)
+    return records
+
+
 class NdjsonBatchDecoder:
-    """Chunk-oriented NDJSON decode for batched ingest.
+    """Chunk-oriented NDJSON decode into runs of records.
 
     Feed it arbitrary byte chunks (any split — mid-line boundaries
-    included); it reassembles lines and drives a regular
-    :class:`NdjsonReader`, so skip counting, header capture, quarantine
-    sinks and the corrupt budget behave *identically* to line-at-a-time
-    decoding — the decoder is a pure re-chunking layer (the property
-    test in ``tests/test_service_wire.py`` pins this).
+    included); it reassembles lines and decodes each chunk's complete
+    lines in two lanes:
+
+    * the **bulk lane**: one anchored regex (:data:`_LINE`) over the
+      chunk takes every line in :func:`encode_record`'s form, and each
+      run of consecutive such lines becomes one
+      :class:`~repro.service.lookups.LookupBatch` (timestamps parsed by
+      one ``np.array`` call, first-seen string tables);
+    * the **fallback lane**: every other line (header, control, blank,
+      corrupt, or a valid record written another way), every line of a
+      run holding bytes that are not UTF-8, and every line when a
+      ``line_filter`` is set, goes through the :class:`NdjsonReader` one
+      line at a time.
+
+    Fallback lines cut the runs, so skip counting, header capture,
+    quarantine and control sinks and the corrupt budget behave
+    *identically* to line-at-a-time decoding (the property tests in
+    ``tests/test_service_wire.py`` pin this).  :meth:`iter_push` and
+    :meth:`iter_flush` yield runs: a ``LookupBatch``, or a one-record
+    tuple from the fallback lane.  When a run is yielded the reader's
+    ``records`` has counted it and ``consumed`` stands at the end of its
+    last line; the line after it decodes only on the next ``next``.
+    ``run_limit`` (optional) is asked before each bulk run is yielded for
+    the most records it may hold, so a caller can cut runs at a record
+    count (the daemon's checkpoint cadence).
 
     ``consumed`` counts the bytes of every fully decoded line (newline
     included), i.e. the stream offset up to which the decode is durable
@@ -477,6 +547,7 @@ class NdjsonBatchDecoder:
         max_corrupt: int | None = None,
         on_corrupt: Callable[[str, str], None] | None = None,
         line_filter: Callable[[bytes], Iterable[bytes | str]] | None = None,
+        run_limit: Callable[[], int] | None = None,
     ) -> None:
         self.reader = (
             reader
@@ -484,6 +555,7 @@ class NdjsonBatchDecoder:
             else NdjsonReader(max_corrupt=max_corrupt, on_corrupt=on_corrupt)
         )
         self.line_filter = line_filter
+        self.run_limit = run_limit
         self._tail = b""
         self.consumed = 0
 
@@ -492,34 +564,108 @@ class NdjsonBatchDecoder:
         """The held-back partial line (no newline seen yet)."""
         return self._tail
 
-    def iter_push(self, chunk: bytes) -> Iterator[ForwardedLookup]:
-        """Decode one chunk lazily, yielding lookup records.
-
-        ``consumed`` and the reader's counters advance as the iterator
-        is drained, so a caller can observe per-record reader state
-        (e.g. the corrupt count) between yields.
-        """
+    def iter_push(self, chunk: bytes) -> Iterator[Run]:
+        """Decode one chunk lazily, yielding its runs (one sampled
+        ``decode`` span per chunk)."""
         data = self._tail + chunk
-        lines = data.split(b"\n")
-        self._tail = lines.pop()
-        yield from self.reader.read(self._delivered(lines, 1))
+        end = data.rfind(b"\n")
+        self._tail = data[end + 1 :]
+        if end < 0:
+            runs: Iterable[Run] = ()
+        elif self.line_filter is not None:
+            runs = self._fallback(data[:end].split(b"\n"), 1)
+        else:
+            runs = self._decode(data, end)
+        yield from self._timed(runs)
 
-    def _delivered(
-        self, lines: Iterable[bytes], newline: int
-    ) -> Iterator[bytes | str]:
-        """The lines to decode for ``lines``, through the line filter;
+    def _timed(self, runs: Iterable[Run]) -> Iterator[Run]:
+        """``runs`` as one sampled ``decode`` span that sums the decode
+        time only, not the time the consumer spends between yields."""
+        tracer = self.reader.tracer
+        if tracer is None or not tracer.start("decode"):
+            yield from runs
+            return
+        clock = tracer.clock
+        spent = records = 0
+        t0 = clock()
+        for run in runs:
+            spent += clock() - t0
+            records += len(run)
+            yield run
+            t0 = clock()
+        tracer.record("decode", spent + clock() - t0, records=records)
+
+    def _decode(self, data: bytes, end: int) -> Iterator[Run]:
+        """Both lanes over the complete lines ``data[:end]``."""
+        domains, servers, stamps, lines = zip(*_LINE.findall(data, 0, end))
+        n = len(stamps)
+        cuts = stamps + (b"",)  # a fallback line has no timestamp
+        start = 0
+        while start < n:
+            stop = cuts.index(b"", start)
+            if stop > start:
+                yield from self._bulk(
+                    domains[start:stop], servers[start:stop], stamps[start:stop]
+                )
+            if stop < n:
+                yield from self._fallback((lines[stop],), 1)
+            start = stop + 1
+
+    def _bulk(
+        self,
+        domains: Sequence[bytes],
+        servers: Sequence[bytes],
+        stamps: Sequence[bytes],
+    ) -> Iterator[Run]:
+        """One run of canonical lines, cut at ``run_limit``."""
+        try:
+            server_id, server_names = _interned(servers)
+            domain_id, domain_names = _interned(domains)
+        except UnicodeDecodeError:
+            lines = map(_canonical_line, domains, servers, stamps)
+            yield from self._fallback(lines, 1)
+            return
+        batch = LookupBatch(
+            np.array(stamps, dtype=np.float64),
+            server_id,
+            domain_id,
+            server_names,
+            domain_names,
+        )
+        n = len(batch)
+        start = 0
+        while start < n:
+            stop = n
+            if self.run_limit is not None:
+                stop = min(n, start + max(1, self.run_limit()))
+            self.reader.records += stop - start
+            self.consumed += (
+                _LINE_FRAME * (stop - start)
+                + sum(map(len, domains[start:stop]))
+                + sum(map(len, servers[start:stop]))
+                + sum(map(len, stamps[start:stop]))
+            )
+            yield batch if stop - start == n else batch.slice(start, stop)
+            start = stop
+
+    def _fallback(self, lines: Iterable[bytes], newline: int) -> Iterator[Run]:
+        """The reader, one raw line at a time, through the line filter;
         ``consumed`` moves past each raw line before its lines decode."""
         line_filter = self.line_filter
+        feed = self.reader._feed
         for line in lines:
             delivered = (line,) if line_filter is None else line_filter(line)
             self.consumed += len(line) + newline
-            yield from delivered
+            for each in delivered:
+                record = feed(each, True)
+                if record is not None:
+                    yield (record,)
 
     def push(self, chunk: bytes) -> list[ForwardedLookup]:
         """Decode one chunk eagerly; returns its complete-line records."""
-        return list(self.iter_push(chunk))
+        return _records(self.iter_push(chunk))
 
-    def iter_flush(self, complete: bool = True) -> Iterator[ForwardedLookup]:
+    def iter_flush(self, complete: bool = True) -> Iterator[Run]:
         """Decode the held tail at stream end (or probe a live tail).
 
         ``complete=True`` (stream ended): the tail is a final line — it
@@ -537,7 +683,7 @@ class NdjsonBatchDecoder:
             return
         if complete:
             self._tail = b""
-            yield from self.reader.read(self._delivered((line,), 0))
+            yield from self._timed(self._fallback((line,), 0))
             return
         before = self.reader.truncated_tail
         record = self.reader.feed(line, complete=False)
@@ -546,8 +692,8 @@ class NdjsonBatchDecoder:
         self._tail = b""
         self.consumed += len(line)
         if record is not None:
-            yield record
+            yield (record,)
 
     def flush(self, complete: bool = True) -> list[ForwardedLookup]:
         """Eager :meth:`iter_flush`."""
-        return list(self.iter_flush(complete))
+        return _records(self.iter_flush(complete))

@@ -17,6 +17,7 @@ from repro.service.wire import (
     encode_header,
     encode_landscape,
     encode_record,
+    encode_register,
     landscape_to_dict,
 )
 
@@ -371,19 +372,91 @@ def _reader_counters(reader):
     }
 
 
-# A stream mixing every line type the reader knows how to absorb.
+def _raw_record_line(timestamp: float, server: str, domain: str) -> bytes:
+    """A record in the canonical key order with raw (unescaped) UTF-8."""
+    return b'{"domain":"%s","server":"%s","timestamp":%s,"v":1}' % (
+        domain.encode("utf-8"),
+        server.encode("utf-8"),
+        repr(timestamp).encode(),
+    )
+
+
+_servers = st.sampled_from(["s0", "s1"])
+_ascii_domains = st.text(
+    alphabet="abcdefghijklmnopqrstuvwxyz.", min_size=1, max_size=12
+)
+# Any character but a quote, a backslash, a newline or a lone surrogate:
+# control characters make the line corrupt, non-ASCII ones stay valid.
+_raw_domains = st.text(
+    alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters='"\\\n'),
+    max_size=8,
+)
+
+
+def _reordered_line(record: ForwardedLookup) -> bytes:
+    reordered = {
+        "v": 1,
+        "timestamp": record.timestamp,
+        "server": record.server,
+        "domain": record.domain,
+    }
+    return json.dumps(reordered, separators=(",", ":")).encode()
+
+
+# A stream mixing every line kind both decode lanes see: canonical
+# records (bulk lane), valid records written another way, and every line
+# type the reader absorbs (fallback lane).
 _stream_lines = st.lists(
     st.one_of(
         st.builds(
             lambda r: encode_record(r).encode(),
             st.builds(
                 ForwardedLookup,
-                st.floats(0, 1e6, allow_nan=False),
-                st.sampled_from(["s0", "s1"]),
-                st.text(
-                    alphabet="abcdefghijklmnopqrstuvwxyz.", min_size=1, max_size=12
-                ),
+                st.floats(allow_nan=False, allow_infinity=False),
+                _servers,
+                _ascii_domains | st.text(max_size=8),
             ),
+        ),
+        st.builds(
+            _raw_record_line,
+            st.floats(allow_nan=False, allow_infinity=False),
+            _servers,
+            _raw_domains,
+        ),
+        st.builds(
+            _reordered_line,
+            st.builds(ForwardedLookup, st.floats(0, 1e6), _servers, _ascii_domains),
+        ),
+        st.builds(
+            lambda line, pad: pad[0] + line + pad[1],
+            st.builds(
+                lambda r: encode_record(r).encode(),
+                st.builds(ForwardedLookup, st.floats(0, 1e6), _servers, _ascii_domains),
+            ),
+            st.sampled_from([(b"  ", b""), (b"", b"\r"), (b" ", b"\r")]),
+        ),
+        st.sampled_from(
+            [
+                b'{"domain":"a.b","server":"s0","timestamp":5,"v":1}',
+                b'{"domain":"a.b","server":"s0","timestamp":5.5,"v":1.0}',
+                b'{"domain":"a\\u002eb","server":"s0","timestamp":6.5,"v":1}',
+                b'{"domain":"a\\"b","server":"s1","timestamp":7.5,"v":1}',
+                b'{"domain":"a.b","server":"s0","timestamp":01.5,"v":1}',
+                b'{"domain":"a.b","server":"s0","timestamp":1e400,"v":1}',
+                b'{"domain":"a.b","server":"s0","timestamp":-0.0,"v":1}',
+                b'{"domain":"a.b","server":"s1","timestamp":2.4703282292062328e-324,"v":1}',
+                b'{"domain":"a.b","server":"s1","timestamp":0.%s,"v":1}' % (b"3" * 400),
+                b'{"domain":"a\x01b","server":"s0","timestamp":8.5,"v":1}',
+                b'{"domain":"a\xffb","server":"s0","timestamp":9.5,"v":1}',
+                b'{"domain":"\xed\xa0\x80","server":"s1","timestamp":9.5,"v":1}',
+                b'{"domain":"a.b","server":"s\xe2\x82","timestamp":9.5,"v":1}',
+            ]
+        ),
+        st.sampled_from(
+            [
+                encode_register("late_fam", "new_goz", 3).encode(),
+                encode_register("rejected", "new_goz", 4).encode(),
+            ]
         ),
         st.just(b""),
         st.just(b"   "),
@@ -411,36 +484,109 @@ def _chunked_stream(draw):
     return data, chunks
 
 
+def _observed_reader(handler: bool):
+    """A reader that logs its ``on_corrupt`` calls and, with a control
+    handler, the record count at each ``on_control`` call (the handler
+    accepts every family but ``rejected``)."""
+    reader = NdjsonReader()
+    log = {"corrupt": [], "control": []}
+    reader.on_corrupt = lambda line, reason: log["corrupt"].append((line, reason))
+    if handler:
+
+        def on_control(data):
+            log["control"].append(reader.records)
+            return data.get("family") != "rejected"
+
+        reader.on_control = on_control
+    return reader, log
+
+
+def _line_at_a_time(data: bytes, handler: bool):
+    """Reference decode: complete lines fed one at a time, then a
+    newline-less final line as a final line (``complete=True``).
+    Returns the records, the log, and per record the reader counters and
+    the stream offset after its line."""
+    reader, log = _observed_reader(handler)
+    records, after = [], []
+    offset = 0
+    lines = data.split(b"\n")
+    for index, line in enumerate(lines):
+        last = index == len(lines) - 1
+        if last and not line:
+            break
+        offset += len(line) + (0 if last else 1)
+        record = reader.feed(line)
+        if record is not None:
+            records.append(record)
+            after.append((_reader_counters(reader), offset))
+    return records, log, reader, after
+
+
+def _keys(records):
+    return [(r.timestamp.hex(), r.server, r.domain) for r in records]
+
+
 class TestNdjsonBatchDecoder:
-    @given(_chunked_stream())
+    @given(_chunked_stream(), st.booleans())
     @settings(max_examples=300, deadline=None)
-    def test_any_chunking_matches_line_at_a_time(self, case):
+    def test_any_chunking_matches_line_at_a_time(self, case, handler):
         from repro.service.wire import NdjsonBatchDecoder
 
         data, chunks = case
-        # Reference: feed complete lines one at a time; a newline-less
-        # final line is still a final line at stream end (complete=True),
-        # which is exactly what decoder.flush(complete=True) claims.
-        reference = NdjsonReader()
-        expected = []
-        lines = data.split(b"\n")
-        for line in lines[:-1]:
-            record = reference.feed(line)
-            if record is not None:
-                expected.append(record)
-        if lines[-1]:
-            record = reference.feed(lines[-1])
-            if record is not None:
-                expected.append(record)
+        expected, expected_log, reference, _ = _line_at_a_time(data, handler)
 
-        decoder = NdjsonBatchDecoder()
+        reader, log = _observed_reader(handler)
+        decoder = NdjsonBatchDecoder(reader)
         got = []
         for chunk in chunks:
             got.extend(decoder.push(chunk))
         got.extend(decoder.flush(complete=True))
 
-        assert got == expected
+        assert _keys(got) == _keys(expected)
         assert _reader_counters(decoder.reader) == _reader_counters(reference)
+        assert log == expected_log
+        assert decoder.consumed == len(data)
+        assert decoder.pending == b""
+
+    @given(_chunked_stream(), st.booleans(), st.sampled_from([None, 1, 2, 3]))
+    @settings(max_examples=300, deadline=None)
+    def test_runs_stand_at_their_last_line(self, case, handler, limit):
+        """``iter_push`` runs: bulk batches or one-record tuples, each
+        yielded with the reader's counters and ``consumed`` standing
+        where line-at-a-time decoding stands after the run's last line;
+        ``run_limit`` caps every run."""
+        from repro.service.lookups import LookupBatch
+        from repro.service.wire import NdjsonBatchDecoder
+
+        data, chunks = case
+        expected, expected_log, reference, after = _line_at_a_time(data, handler)
+
+        reader, log = _observed_reader(handler)
+        decoder = NdjsonBatchDecoder(
+            reader, run_limit=None if limit is None else (lambda: limit)
+        )
+        got = []
+
+        def take(runs):
+            for run in runs:
+                if isinstance(run, LookupBatch):
+                    assert limit is None or len(run) <= limit
+                    got.extend(run.materialize())
+                else:
+                    assert isinstance(run, tuple) and len(run) == 1
+                    got.extend(run)
+                assert len(run) >= 1
+                counters, offset = after[len(got) - 1]
+                assert _reader_counters(decoder.reader) == counters
+                assert decoder.consumed == offset
+
+        for chunk in chunks:
+            take(decoder.iter_push(chunk))
+        take(decoder.iter_flush(complete=True))
+
+        assert _keys(got) == _keys(expected)
+        assert _reader_counters(decoder.reader) == _reader_counters(reference)
+        assert log == expected_log
         assert decoder.consumed == len(data)
         assert decoder.pending == b""
 
