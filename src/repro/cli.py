@@ -768,6 +768,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     from .service.daemon import BotMeterDaemon
     from .service.reference import batch_series
     from .service.wire import NdjsonReader, encode_landscape, families_from_header
+    from .service.wire2 import Wire2BatchDecoder, sniff_wire2
 
     dgas = _parse_family_specs(args.family)
     if args.engine == "streaming":
@@ -807,7 +808,21 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             "corrupt", line=line[:MAX_LINE_SNIPPET], why=why
         )
     injector = _make_injector(args)
-    if injector is not None:
+    with open(args.trace, "rb") as fh:
+        wire_v2 = sniff_wire2(fh.read(4))
+    if wire_v2:
+        if injector is not None:
+            print(
+                "replay: fault injection requires an NDJSON input: "
+                "wire-v2 frames are not line-framed",
+                file=sys.stderr,
+            )
+            return 1
+        decoder = Wire2BatchDecoder(reader)
+        with open(args.trace, "rb") as fh:
+            records = list(decoder.iter_push(fh.read()))
+        decoder.flush()
+    elif injector is not None:
         with open(args.trace, "r") as fh:
             records = list(reader.read(injector.wrap(iter(fh))))
     else:
@@ -1011,7 +1026,6 @@ def _cmd_sensor_send(args: argparse.Namespace) -> int:
         SensorError,
         parse_address,
         read_address_file,
-        shard_trace_lines,
     )
 
     if bool(args.connect) == bool(args.addr_file):
@@ -1039,12 +1053,7 @@ def _cmd_sensor_send(args: argparse.Namespace) -> int:
         throttle=args.throttle,
     )
     try:
-        from pathlib import Path
-
-        lines = Path(args.trace).read_bytes().splitlines()
-        if shard is not None:
-            lines = shard_trace_lines(lines, *shard)
-        report = client.replay_lines(lines)
+        report = client.replay_path(args.trace, shard)
     except SensorError as exc:
         print(f"sensor-send: {exc}", file=sys.stderr)
         return 1

@@ -71,7 +71,6 @@ from multiprocessing import get_all_start_methods, get_context
 from pathlib import Path
 from typing import IO, Any, Iterable, Mapping, Sequence
 
-from ..core.confidence import ConfidenceInterval, widen_for_loss
 from .checkpoint import CheckpointStore
 from .daemon import BotMeterDaemon
 from .engine import ENGINE_STATE_SCHEMA
@@ -112,10 +111,6 @@ def partition_for_server(server: str, n_partitions: int) -> int:
     limit under server churn.
     """
     return zlib.crc32(server.encode("utf-8")) % n_partitions
-
-
-#: Partition states whose durable output can be trusted as current.
-_FRESH_STATES = ("healthy", "lagging")
 
 
 class ClusterError(RuntimeError):
@@ -261,13 +256,7 @@ def _group_rows(
     return groups
 
 
-def _render_group(
-    epoch: int,
-    family: str,
-    group: Mapping[str, Any],
-    extra: Mapping[str, Any] | None = None,
-    extra_quality: Mapping[str, Any] | None = None,
-) -> str:
+def _render_group(epoch: int, family: str, group: Mapping[str, Any]) -> str:
     servers = {
         server: group["servers"][server] for server in sorted(group["servers"])
     }
@@ -276,9 +265,7 @@ def _render_group(
     lost = quality["late"] + quality["dropped"] + quality["quarantined"]
     denominator = quality["matched"] + lost
     quality["loss"] = round(lost / denominator, 6) if denominator else 0.0
-    if extra_quality:
-        quality.update(extra_quality)
-    document: dict[str, Any] = {
+    document = {
         "v": 1,
         "type": "landscape",
         "family": family,
@@ -288,17 +275,10 @@ def _render_group(
         "quality": quality,
         "servers": servers,
     }
-    if extra:
-        document.update(extra)
     return json.dumps(document, sort_keys=True, separators=(",", ":"))
 
 
-def merge_landscape_rows(
-    row_streams: Iterable[Iterable[bytes | str]],
-    partition_status: Sequence[str] | None = None,
-    quorum: int | None = None,
-    confidence_level: float = 0.9,
-) -> list[str]:
+def merge_landscape_rows(row_streams: Iterable[Iterable[bytes | str]]) -> list[str]:
     """Merge per-partition landscape NDJSON rows into the global chart.
 
     Rows are grouped by ``(epoch, family)``; server cells union (a
@@ -308,142 +288,12 @@ def merge_landscape_rows(
     exactly the insertion order a single daemon's ``Landscape.total``
     folds in, so the merged line is byte-identical to the unpartitioned
     one.  Returns the merged lines in (epoch, family) order.
-
-    **Quorum-degraded mode** (``partition_status`` given, one state per
-    stream in order — ``healthy``/``lagging``/``down``/``disarmed``):
-    at least ``quorum`` partitions (default strict majority) must be
-    fresh or the merge raises.  With every partition fresh the output
-    is the exact byte-identical merge.  With partitions down, rows are
-    emitted only for epochs every *fresh* partition has already closed;
-    an epoch a down partition never contributed to is marked
-    ``quality.degraded_partitions`` and carries a ``confidence``
-    interval — the visible total widened by the down partitions'
-    last-known census share via
-    :func:`repro.core.confidence.widen_for_loss` — so a reader knows
-    exactly which rows understate the landscape and by how much at
-    most.  Epochs the down partition *did* emit before dying merge
-    exactly (its frozen output is real history, not an estimate).
     """
-    parsed = [_parse_landscape_rows(stream) for stream in row_streams]
-    if partition_status is None:
-        groups = _group_rows(parsed)
-        return [
-            _render_group(epoch, family, groups[(epoch, family)])
-            for epoch, family in sorted(groups)
-        ]
-
-    states = [str(state) for state in partition_status]
-    if len(states) != len(parsed):
-        raise ClusterError(
-            f"{len(states)} partition states for {len(parsed)} row streams"
-        )
-    n = len(states)
-    fresh = [i for i, state in enumerate(states) if state in _FRESH_STATES]
-    down = [i for i, state in enumerate(states) if state not in _FRESH_STATES]
-    if quorum is None:
-        quorum = n // 2 + 1
-    if len(fresh) < quorum:
-        raise ClusterError(
-            f"quorum lost: {len(fresh)} of {n} partitions fresh, "
-            f"need {quorum} — refusing to merge"
-        )
-    groups = _group_rows(parsed)
-    if not down:
-        return [
-            _render_group(epoch, family, groups[(epoch, family)])
-            for epoch, family in sorted(groups)
-        ]
-
-    def _frontier(rows: Sequence[Mapping[str, Any]]) -> int | None:
-        return max((int(row["epoch"]) for row in rows), default=None)
-
-    # Only epochs every fresh partition has closed are final enough to
-    # emit while degraded (partitions with no rows at all constrain
-    # nothing — they have never demonstrated a closure frontier).
-    fresh_frontiers = [
-        frontier
-        for frontier in (_frontier(parsed[i]) for i in fresh)
-        if frontier is not None
+    groups = _group_rows([_parse_landscape_rows(stream) for stream in row_streams])
+    return [
+        _render_group(epoch, family, groups[(epoch, family)])
+        for epoch, family in sorted(groups)
     ]
-    if not fresh_frontiers:
-        return []
-    emit_limit = min(fresh_frontiers)
-    down_frontiers = {i: _frontier(parsed[i]) for i in down}
-    # Last-known census per down partition and family: the estimate sum
-    # of its newest emitted row — the best available bound on how much
-    # landscape its missing slice represents.
-    census: dict[int, dict[str, float]] = {}
-    for i in down:
-        newest: dict[str, tuple[int, float]] = {}
-        for row in parsed[i]:
-            epoch = int(row["epoch"])
-            family = str(row["family"])
-            if family not in newest or epoch > newest[family][0]:
-                newest[family] = (
-                    epoch,
-                    sum(
-                        cell["estimate"]
-                        for cell in row.get("servers", {}).values()
-                    ),
-                )
-        census[i] = {family: share for family, (_, share) in newest.items()}
-
-    merged: list[str] = []
-    for epoch, family in sorted(groups):
-        if epoch > emit_limit:
-            continue
-        group = groups[(epoch, family)]
-        missing = [
-            i
-            for i in down
-            if down_frontiers[i] is None or epoch > down_frontiers[i]
-        ]
-        if not missing:
-            merged.append(_render_group(epoch, family, group))
-            continue
-        total = sum(cell["estimate"] for cell in group["servers"].values())
-        down_known = 0.0
-        unknown = False
-        for i in missing:
-            share = census[i].get(family)
-            if share is None:
-                unknown = True
-            else:
-                down_known += share
-        confidence: dict[str, Any] | None = None
-        if not unknown:
-            loss = (
-                down_known / (down_known + total)
-                if down_known + total > 0
-                else 0.0
-            )
-            interval = widen_for_loss(
-                ConfidenceInterval(
-                    low=max(0.0, total - down_known),
-                    point=total,
-                    high=total + down_known,
-                    level=confidence_level,
-                ),
-                loss,
-            )
-            confidence = {
-                "low": interval.low,
-                "point": interval.point,
-                "high": interval.high,
-                "level": interval.level,
-            }
-        merged.append(
-            _render_group(
-                epoch,
-                family,
-                group,
-                extra={"confidence": confidence},
-                extra_quality={
-                    "degraded_partitions": [f"p{i:02d}" for i in missing]
-                },
-            )
-        )
-    return merged
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +371,6 @@ def validate_engine_state(state: Mapping[str, Any]) -> Mapping[str, Any]:
 def reshard_checkpoints(
     documents: Sequence[Mapping[str, Any]],
     new_n: int,
-    partition_states: Sequence[str] | None = None,
 ) -> list[dict[str, Any]]:
     """Re-key N drained partition checkpoints into M fresh ones.
 
@@ -543,34 +392,9 @@ def reshard_checkpoints(
     Returns ``new_n`` checkpoint state dicts (``input`` left empty for
     the caller to fill; ``input_offset`` 0 — re-feeding a shard's header
     line on resume is idempotent).
-
-    ``partition_states`` (one state string per document, e.g. from
-    :func:`repro.service.meshguard.partition_states_from_heartbeats`)
-    gates the operation: a ``down``/``disarmed`` partition's checkpoint
-    is *stale durable state* — resharding it would fossilize whatever
-    it had charted when it died and silently drop everything routed to
-    it since — so the reshard refuses, naming the stale partition.
     """
     if not documents:
         raise ClusterError("reshard needs at least one partition checkpoint")
-    if partition_states is not None:
-        states = [str(state) for state in partition_states]
-        if len(states) != len(documents):
-            raise ClusterError(
-                f"{len(states)} partition states for "
-                f"{len(documents)} checkpoints"
-            )
-        stale = [
-            index
-            for index, state in enumerate(states)
-            if state not in _FRESH_STATES
-        ]
-        if stale:
-            raise ClusterError(
-                f"cannot reshard: partition {stale[0]} is "
-                f"{states[stale[0]]} — its checkpoint is stale; recover "
-                "the partition (or disarm and drop it) before resharding"
-            )
     new_n = int(new_n)
     if new_n < 1:
         raise ClusterError(f"cannot reshard to {new_n} partitions")

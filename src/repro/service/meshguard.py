@@ -15,8 +15,8 @@ partitions actually failing, without giving up the exactness anchor:
   partition is restarted from **its own checkpoint** with seeded-jitter
   exponential backoff (:class:`~repro.service.supervisor.BackoffPolicy`
   — two identical runs compute identical delay schedules); a partition
-  that exhausts ``max_partition_restarts`` is *disarmed* and the cluster
-  degrades instead of flapping.
+  that exhausts ``max_partition_restarts`` is *disarmed* instead of
+  flapping.
 
 * **Router failover** — :class:`FailoverSensorStream` wraps the
   router's per-partition :class:`~repro.service.netingest.SensorStream`.
@@ -28,21 +28,13 @@ partitions actually failing, without giving up the exactness anchor:
   the final merge is preserved: a replayed line is exactly the line the
   unfailed cluster would have delivered, in the same position.
 
-* **Quorum-degraded merge** — while partitions are down,
-  :func:`repro.service.cluster.merge_landscape_rows` (given the
-  supervisor's ``partition_status``) still emits rows for epochs every
-  fresh partition has closed, marked
-  ``quality.degraded_partitions`` and carrying a confidence interval
-  widened by the down partitions' last-known census share
-  (:func:`repro.core.confidence.widen_for_loss`).
-
 :func:`repro.service.cluster.cluster_serve` always runs its partitions
 under the supervisor and failover streams, and publishes the exact
-merge at a clean finish; it publishes no degraded rows.  The seeded
-chaos drill (``tests/harness/chaos.py``, ``make cluster-chaos``)
-exercises the degraded merge end to end: it kills and wedges every
-partition, re-emits the exact rows flagged ``restated`` once a
-partition recovers, and checks all of the above.
+merge at a clean finish; a disarmed partition fails the serve with a
+:class:`~repro.service.cluster.ClusterError`.  The seeded chaos drill
+(``tests/harness/chaos.py``, ``make cluster-chaos``) kills and wedges
+every partition and checks that the final merge loses nothing and that
+spools and the restart ledger reconcile.
 """
 
 from __future__ import annotations
@@ -75,7 +67,6 @@ __all__ = [
     "FailoverSensorStream",
     "write_heartbeat",
     "read_heartbeat",
-    "partition_states_from_heartbeats",
     "run_partition_server",
 ]
 
@@ -92,8 +83,8 @@ DISARMED = "disarmed"
 
 STATE_RANK = {HEALTHY: 0, LAGGING: 1, DOWN: 2, DISARMED: 3}
 
-#: States whose durable state can be trusted as current (reshard gate,
-#: quorum counting).
+#: States whose durable state can be trusted as current (quorum
+#: counting).
 FRESH_STATES = frozenset({HEALTHY, LAGGING})
 
 
@@ -208,36 +199,6 @@ class HeartbeatWriter(threading.Thread):
 
     def stop(self) -> None:
         self._stop.set()
-
-
-def partition_states_from_heartbeats(
-    paths: Sequence[str | Path],
-    *,
-    lag_after: float = 5.0,
-    down_after: float = 15.0,
-    clock: Callable[[], float] = time.monotonic,
-) -> list[str]:
-    """Classify partitions by heartbeat age alone (no process handle).
-
-    The offline gate for operations that must not run against stale
-    partition state — ``reshard`` refuses when any partition reads
-    ``down`` here.
-    """
-    now = clock()
-    states: list[str] = []
-    for path in paths:
-        heartbeat = read_heartbeat(path)
-        if heartbeat is None:
-            states.append(DOWN)
-            continue
-        age = now - float(heartbeat.get("mono", 0.0))
-        if age >= down_after:
-            states.append(DOWN)
-        elif age >= lag_after:
-            states.append(LAGGING)
-        else:
-            states.append(HEALTHY)
-    return states
 
 
 # ---------------------------------------------------------------------------
@@ -623,29 +584,13 @@ class ClusterSupervisor:
         self._sleep(delay)
         self._spawn(part)
 
-    def partition_status(self) -> dict[str, dict[str, Any]]:
-        """Per-partition state snapshot (feeds the degraded merge and
-        the reshard gate)."""
-        status: dict[str, dict[str, Any]] = {}
-        for part in self.partitions:
-            heartbeat = read_heartbeat(part.config["heartbeat"])
-            status[part.label] = {
-                "state": part.health.state,
-                "restarts": part.restarts,
-                "pid": part.proc.pid if part.proc is not None else None,
-                "watermark": heartbeat.get("watermark") if heartbeat else None,
-                "cursor": heartbeat.get("cursor") if heartbeat else None,
-            }
-        return status
-
-    def states(self) -> list[str]:
-        return [part.health.state for part in self.partitions]
-
-    def quorum_ok(self, quorum: int | None = None) -> bool:
-        if quorum is None:
-            quorum = len(self.partitions) // 2 + 1
-        fresh = sum(1 for s in self.states() if s in FRESH_STATES)
-        ok = fresh >= quorum
+    def quorum_ok(self) -> bool:
+        """True while a strict majority of partitions is fresh; sets the
+        ``botmeterd_mesh_quorum_ok`` gauge."""
+        fresh = sum(
+            1 for part in self.partitions if part.health.state in FRESH_STATES
+        )
+        ok = fresh > len(self.partitions) // 2
         self._g_quorum.set(1 if ok else 0)
         return ok
 

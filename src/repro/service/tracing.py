@@ -228,10 +228,6 @@ class StageTracer:
         finally:
             self.stop(stage, t0, records, **fields)
 
-    def observe_batch(self, stage: str, records: int) -> None:
-        """Record a batch size without timing it (per-chunk decode)."""
-        self.batch.observe(records, stage=stage)
-
     # -- summaries -----------------------------------------------------------
 
     def summary(self) -> dict[str, Any]:

@@ -19,8 +19,8 @@ DRILLS = {
     "soak": lambda workdir: run_soak(
         SoakConfig(workdir, bots=16, days=2, max_restarts=25), log_stream=sys.stderr
     ),
-    # Meshguard chaos: zero loss, CI containment and determinism under
-    # seeded partition kills/wedges -> chaos-report.json.
+    # Meshguard chaos: zero loss, spool/ledger reconciliation and
+    # determinism under seeded partition kills/wedges -> chaos-report.json.
     "cluster-chaos": lambda workdir: run_cluster_chaos(workdir, log=sys.stderr),
 }
 

@@ -6,9 +6,8 @@ cluster loses nothing.
 a *seeded, deterministic* fault schedule: SIGKILL and SIGSTOP each
 partition mid-stream at fixed payload-line offsets, assert zero record
 loss (final merge byte-identical to the single-daemon replay), exact
-spool <-> ledger reconciliation, CI containment for every degraded row,
-and (with ``runs=2``) that the same fault seed reproduces identical
-spools, restart ledgers and degraded/restated row sequences.
+spool <-> ledger reconciliation, and (with ``runs=2``) that the same
+fault seed reproduces identical spools and restart ledgers.
 
 Determinism discipline: faults fire at payload-line *counts*, never at
 wall-clock times; the drill pins a partition's durable frontier with
@@ -28,7 +27,7 @@ import signal
 import sys
 import time
 from pathlib import Path
-from typing import IO, Any, Iterable, Mapping, Sequence
+from typing import IO, Any, Mapping, Sequence
 
 from repro.service.cluster import (
     ClusterError,
@@ -39,8 +38,6 @@ from repro.service.cluster import (
 )
 from repro.service.deadletter import read_deadletters
 from repro.service.meshguard import (
-    DOWN,
-    HEALTHY,
     MESH_LEDGER_SCHEMA,
     ClusterSupervisor,
     FailoverSensorStream,
@@ -49,8 +46,8 @@ from repro.service.supervisor import BackoffPolicy
 
 
 class ChaosFailure(AssertionError):
-    """The chaos drill found lost records, an uncontained interval or a
-    non-deterministic rerun."""
+    """The chaos drill found lost records, an unreconciled spool or
+    ledger, or a non-deterministic rerun."""
 
 
 def read_spool(path: str | Path) -> list[dict[str, Any]]:
@@ -69,36 +66,6 @@ def kill_partition(
     os.kill(proc.pid, signal.SIGSTOP if wedge else signal.SIGKILL)
     if not wedge:
         proc.join(timeout=10)
-
-
-def restate_rows(
-    exact_rows: Iterable[bytes | str],
-    degraded_keys: Iterable[tuple[int, str]],
-) -> list[str]:
-    """Exact re-emissions for rows previously published degraded.
-
-    Once a down partition recovers and its spool drains, the rows that
-    went out with ``degraded_partitions`` markings have exact
-    replacements in the final merge.  This returns those replacements
-    flagged ``"restated": true`` — same bytes as the exact row plus the
-    flag, so a consumer can idempotently supersede the degraded
-    version.  Order follows ``exact_rows``.
-    """
-    keys = {(int(epoch), str(family)) for epoch, family in degraded_keys}
-    restated: list[str] = []
-    for line in exact_rows:
-        if isinstance(line, bytes):
-            line = line.decode("utf-8")
-        line = line.strip()
-        if not line:
-            continue
-        row = json.loads(line)
-        if (int(row["epoch"]), str(row["family"])) in keys:
-            row["restated"] = True
-            restated.append(
-                json.dumps(row, sort_keys=True, separators=(",", ":"))
-            )
-    return restated
 
 
 def emission_lines(
@@ -165,11 +132,11 @@ def chaos_schedule(
     one seed is one schedule.
 
     ``emissions`` (from :func:`emission_lines`) makes the schedule
-    epoch-aware.  Degraded rows only exist when an outage straddles an
-    *emission*: the victim must die after publishing epoch ``d-1``
-    (its census — without it the widened interval is unbounded) but
-    before publishing epoch ``d``, and stay down until every fresh
-    partition has published ``d`` — the snapshot lands in that gap.
+    epoch-aware: an anchored outage *straddles an emission*.  The
+    victim dies after publishing epoch ``d-1`` but before publishing
+    epoch ``d``, and stays down until every other partition has
+    published ``d``: the outage spans an epoch close, and the victim
+    restarts from a checkpoint with ``d`` still open.
     The scheduler assigns one victim per anchorable epoch (``d >= 1``),
     chains the windows so they never overlap, and parks the remaining
     partitions in **quiet** windows (after everyone's epoch-0 census,
@@ -179,8 +146,7 @@ def chaos_schedule(
     trace is exactly one schedule.
 
     Without ``emissions``, events spread over ``partitions + 1`` equal
-    slots (the shape used by schedule unit tests).  Each event carries
-    its degraded-merge ``snapshot_line``.
+    slots (the shape used by schedule unit tests).
     """
     import itertools
     import random
@@ -243,7 +209,6 @@ def chaos_schedule(
                     "partition": partition,
                     "at_line": at,
                     "hold_lines": hold,
-                    "snapshot_line": at + hold // 2,
                 }
             )
     events.sort(key=lambda event: event["at_line"])
@@ -293,8 +258,9 @@ def _chain_chaos_events(
         ]
         if not fresh:
             return None
-        snapshot = max(max(fresh) + slack, at + slack) + rng.randrange(16)
-        recovery = snapshot + slack + rng.randrange(16)
+        # Stay down past every other partition's epoch-``day`` emission.
+        published = max(max(fresh) + slack, at + slack) + rng.randrange(16)
+        recovery = published + slack + rng.randrange(16)
         if recovery >= payload_lines - 2 * slack:
             return None
         events.append(
@@ -303,7 +269,6 @@ def _chain_chaos_events(
                 "partition": victim,
                 "at_line": at,
                 "hold_lines": recovery - at,
-                "snapshot_line": snapshot,
                 "epoch": day,
             }
         )
@@ -324,7 +289,6 @@ def _chain_chaos_events(
                     "partition": victim,
                     "at_line": at,
                     "hold_lines": hold,
-                    "snapshot_line": at + hold // 2,
                 }
             )
     return events
@@ -347,7 +311,6 @@ def _chaos_run(
     partitions: int,
     chaos_seed: int,
     max_partition_restarts: int,
-    quorum: int | None,
     estimator: Any,
     checkpoint_every: int,
     reorder_capacity: int,
@@ -396,13 +359,11 @@ def _chaos_run(
                 stream.send_lines([line])
 
         starts = {event["at_line"]: event for event in schedule}
-        snapshots_at = {event["snapshot_line"]: event for event in schedule}
         recoveries = {
             event["at_line"] + event["hold_lines"]: event for event in schedule
         }
         down: set[int] = set()
         expected_spool: dict[int, list[bytes]] = {i: [] for i in range(n)}
-        degraded_snapshots: list[dict[str, Any]] = []
         for index, line in enumerate(payload):
             event = starts.get(index)
             if event is not None:
@@ -414,27 +375,7 @@ def _chaos_run(
                 kill_partition(supervisor, target, wedge=event["kind"] == "wedge")
                 streams[target].force_down(event["kind"])
                 down.add(target)
-                supervisor.quorum_ok(quorum)
-            snap = snapshots_at.get(index)
-            if snap is not None and snap["partition"] in down:
-                for i, stream in enumerate(streams):
-                    if i not in down:
-                        stream.sync()
-                status = [DOWN if i in down else HEALTHY for i in range(n)]
-                merged = merge_landscape_rows(
-                    _partition_rows(run_dir, n),
-                    partition_status=status,
-                    quorum=quorum,
-                )
-                degraded = [row for row in merged if '"degraded_partitions"' in row]
-                degraded_snapshots.append(
-                    {
-                        "at_line": index,
-                        "down": sorted(down),
-                        "kind": snap["kind"],
-                        "rows": degraded,
-                    }
-                )
+                supervisor.quorum_ok()
             recovery = recoveries.get(index)
             if recovery is not None and recovery["partition"] in down:
                 target = recovery["partition"]
@@ -444,11 +385,11 @@ def _chaos_run(
                     kill_partition(supervisor, target)
                 supervisor.poll()
                 supervisor.wait_ready(index=target)
-                t0 = tracer.start("restate")
+                t0 = tracer.start("reconnect")
                 streams[target].reconnect()
-                tracer.stop("restate", t0, sensor=f"router-p{target:02d}")
+                tracer.stop("reconnect", t0, sensor=f"router-p{target:02d}")
                 down.discard(target)
-                supervisor.quorum_ok(quorum)
+                supervisor.quorum_ok()
             target = route_line(line, n)
             streams[target].send_lines([line])
             if target in down:
@@ -467,22 +408,6 @@ def _chaos_run(
     merged = merge_landscape_rows(_partition_rows(run_dir, n))
     landscape_path = run_dir / "landscape.ndjson"
     landscape_path.write_text("\n".join(merged) + ("\n" if merged else ""))
-
-    degraded_path = run_dir / "degraded.ndjson"
-    degraded_lines = [
-        row for snapshot in degraded_snapshots for row in snapshot["rows"]
-    ]
-    degraded_path.write_text(
-        "\n".join(degraded_lines) + ("\n" if degraded_lines else "")
-    )
-    degraded_keys = {
-        (json.loads(row)["epoch"], json.loads(row)["family"])
-        for row in degraded_lines
-    }
-    restated = restate_rows(merged, degraded_keys)
-    (run_dir / "restatements.ndjson").write_text(
-        "\n".join(restated) + ("\n" if restated else "")
-    )
 
     spool_audit: dict[str, Any] = {}
     for i in range(n):
@@ -530,9 +455,7 @@ def _chaos_run(
     )
     return {
         "landscape": landscape_path.read_bytes(),
-        "degraded": degraded_path.read_bytes(),
         "ledger": (run_dir / "mesh-ledger.json").read_bytes(),
-        "restatements": (run_dir / "restatements.ndjson").read_bytes(),
         "spools": {
             f"p{i:02d}": (
                 (run_dir / f"p{i:02d}.spool.ndjson").read_bytes()
@@ -541,10 +464,7 @@ def _chaos_run(
             )
             for i in range(n)
         },
-        "snapshots": degraded_snapshots,
         "rows": len(merged),
-        "degraded_rows": len(degraded_lines),
-        "restated_rows": len(restated),
     }
 
 
@@ -559,7 +479,6 @@ def run_cluster_chaos(
     chaos_seed: int = 7,
     runs: int = 2,
     max_partition_restarts: int = 3,
-    quorum: int | None = None,
     estimator: Any = "auto",
     checkpoint_every: int = 400,
     reorder_capacity: int = 64,
@@ -575,14 +494,12 @@ def run_cluster_chaos(
     * **zero loss** — the final merged landscape is byte-identical to
       the single-daemon replay (every SIGKILL survived, every spool
       drained);
-    * **containment** — every degraded-window row's widened confidence
-      interval contains the exact final total for its (epoch, family);
     * **reconciliation** — per-partition spool entries match the
       outage-window lines one for one, all replayed, and the restart
       ledger shows exactly one supervised restart per scheduled fault;
 
     and across passes, that the same fault seed reproduces identical
-    spool files, restart ledgers, and degraded/restated row sequences.
+    spool files and restart ledgers.
     Raises :class:`ChaosFailure` on any violation.
     """
     from repro.cli import main as cli_main
@@ -643,7 +560,6 @@ def run_cluster_chaos(
             partitions=partitions,
             chaos_seed=chaos_seed,
             max_partition_restarts=max_partition_restarts,
-            quorum=quorum,
             estimator=estimator,
             checkpoint_every=checkpoint_every,
             reorder_capacity=reorder_capacity,
@@ -654,34 +570,6 @@ def run_cluster_chaos(
                 f"run {run_index + 1}: merged landscape after the drill "
                 "differs from the single-daemon replay (record loss)"
             )
-        exact_totals = {
-            (row["epoch"], row["family"]): row["total"]
-            for row in map(json.loads, outcome["landscape"].decode().splitlines())
-        }
-        contained = 0
-        for snapshot in outcome["snapshots"]:
-            for raw in snapshot["rows"]:
-                row = json.loads(raw)
-                exact = exact_totals[(row["epoch"], row["family"])]
-                confidence = row.get("confidence")
-                if confidence is None:
-                    raise ChaosFailure(
-                        f"run {run_index + 1}: degraded row epoch "
-                        f"{row['epoch']} has no confidence interval "
-                        "(down partition had no census yet)"
-                    )
-                if not confidence["low"] <= exact <= confidence["high"]:
-                    raise ChaosFailure(
-                        f"run {run_index + 1}: degraded CI "
-                        f"[{confidence['low']}, {confidence['high']}] misses "
-                        f"the exact total {exact} at epoch {row['epoch']}"
-                    )
-                contained += 1
-        if contained == 0:
-            raise ChaosFailure(
-                f"run {run_index + 1}: drill produced no degraded rows — "
-                "the fault schedule failed to straddle an epoch close"
-            )
         ledger = json.loads(outcome["ledger"])
         if sorted(entry["partition"] for entry in ledger["ledger"]) != sorted(
             event["partition"] for event in schedule
@@ -690,19 +578,16 @@ def run_cluster_chaos(
                 f"run {run_index + 1}: restart ledger does not reconcile "
                 "against the fault schedule"
             )
-        outcome["contained"] = contained
         outcomes.append(outcome)
         print(
-            f"cluster-chaos: run {run_index + 1}/{runs} byte-identical, "
-            f"{outcome['degraded_rows']} degraded rows "
-            f"({contained} CI-contained), {outcome['restated_rows']} restated",
+            f"cluster-chaos: run {run_index + 1}/{runs} byte-identical",
             file=log,
         )
 
     if len(outcomes) > 1:
         first = outcomes[0]
         for run_index, other in enumerate(outcomes[1:], start=2):
-            for field in ("spools", "ledger", "degraded", "restatements"):
+            for field in ("spools", "ledger"):
                 if other[field] != first[field]:
                     raise ChaosFailure(
                         f"run {run_index} diverged from run 1 on {field} — "
@@ -710,12 +595,12 @@ def run_cluster_chaos(
                     )
         print(
             f"cluster-chaos: {len(outcomes)} runs reproduced identical "
-            "spools, ledgers, and degraded/restated sequences",
+            "spools and ledgers",
             file=log,
         )
 
     report = {
-        "schema": "botmeter-cluster-chaos-v1",
+        "schema": "botmeter-cluster-chaos-v2",
         "partitions": partitions,
         "payload_lines": len(payload),
         "chaos_seed": chaos_seed,
@@ -724,9 +609,6 @@ def run_cluster_chaos(
         "identical": True,
         "deterministic": len(outcomes) >= 2,
         "rows": outcomes[0]["rows"],
-        "degraded_rows": outcomes[0]["degraded_rows"],
-        "restated_rows": outcomes[0]["restated_rows"],
-        "ci_contained": outcomes[0]["contained"],
         "spools": {
             label: audit
             for label, audit in json.loads(outcomes[0]["ledger"])["spools"].items()

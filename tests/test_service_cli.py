@@ -16,6 +16,7 @@ from repro.cli import main
 from repro.service.wire import NdjsonReader
 
 REPO_SRC = str(Path(__file__).resolve().parents[1] / "src")
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +78,22 @@ class TestReplay:
         )
         assert streamed.read_bytes() == batch.read_bytes()
         assert len(streamed.read_text().splitlines()) == 1  # 1 family × 1 day
+        # The batch engine reads wire-v2 too (and, like the daemon,
+        # refuses line-level fault injection on it).
+        v2_batch = tmp_path / "v2-batch.ndjson"
+        assert (
+            main(["replay", str(GOLDEN / "murofet_small.v2"), "--engine",
+                  "batch", "--out", str(v2_batch)])
+            == 0
+        )
+        assert v2_batch.read_bytes() == (
+            GOLDEN / "murofet_small.landscape.ndjson"
+        ).read_bytes()
+        assert (
+            main(["replay", str(GOLDEN / "murofet_small.v2"), "--engine",
+                  "batch", "--faults", "seed=1,drop=0.1"])
+            == 1
+        )
 
     def test_replay_to_stdout(self, trace, capsys):
         assert main(["replay", str(trace), "--engine", "batch"]) == 0

@@ -43,12 +43,7 @@ from repro.service.cluster import (
     single_daemon_replay,
     split_header,
 )
-from repro.service.meshguard import (
-    partition_states_from_heartbeats,
-    read_heartbeat,
-    write_heartbeat,
-)
-from tests.harness.chaos import restate_rows
+from repro.service.meshguard import read_heartbeat
 
 REPO_SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -810,191 +805,3 @@ def test_verify_gate_catches_divergence(trace, tmp_path, monkeypatch):
             trace, tmp_path / "bad", partitions=2, verify=True, serial=True,
             log=io.StringIO(),
         )
-
-
-# ---------------------------------------------------------------------------
-# Quorum-degraded merge + restatement
-# ---------------------------------------------------------------------------
-
-
-def _degraded_fixture():
-    """Three partitions, distinct servers; p2 died after emitting its
-    epoch-0 census but before epoch 1."""
-    p0 = [
-        _row(epoch=0, servers=[("s0", 2.0, 4)], quality={"matched": 4}),
-        _row(epoch=1, servers=[("s0", 3.0, 6)], quality={"matched": 6}),
-    ]
-    p1 = [
-        _row(epoch=0, servers=[("s1", 1.0, 2)], quality={"matched": 2}),
-        _row(epoch=1, servers=[("s1", 2.0, 4)], quality={"matched": 4}),
-    ]
-    p2 = [
-        _row(epoch=0, servers=[("s2", 5.0, 10)], quality={"matched": 10}),
-    ]
-    return p0, p1, p2
-
-
-class TestDegradedMerge:
-    def test_status_length_mismatch_raises(self):
-        with pytest.raises(ClusterError, match="partition states"):
-            merge_landscape_rows([[], []], partition_status=["healthy"])
-
-    def test_quorum_lost_raises(self):
-        p0, p1, p2 = _degraded_fixture()
-        with pytest.raises(ClusterError, match="quorum lost"):
-            merge_landscape_rows(
-                [p0, p1, p2], partition_status=["healthy", "down", "down"]
-            )
-        # A custom quorum of all-N makes one down partition fatal.
-        with pytest.raises(ClusterError, match="quorum lost"):
-            merge_landscape_rows(
-                [p0, p1, p2],
-                partition_status=["healthy", "healthy", "down"],
-                quorum=3,
-            )
-
-    def test_all_fresh_is_byte_identical_to_plain_merge(self):
-        p0, p1, p2 = _degraded_fixture()
-        exact = merge_landscape_rows([p0, p1, p2])
-        gated = merge_landscape_rows(
-            [p0, p1, p2], partition_status=["healthy", "lagging", "healthy"]
-        )
-        assert gated == exact
-
-    def test_down_partition_marks_epochs_past_its_frontier(self):
-        p0, p1, p2 = _degraded_fixture()
-        merged = merge_landscape_rows(
-            [p0, p1, p2], partition_status=["healthy", "healthy", "down"]
-        )
-        rows = [json.loads(line) for line in merged]
-        assert [row["epoch"] for row in rows] == [0, 1]
-        # Epoch 0: p2 emitted it before dying — real history, exact.
-        assert "confidence" not in rows[0]
-        assert "degraded_partitions" not in rows[0]["quality"]
-        assert rows[0]["total"] == 8.0
-        # Epoch 1: p2's slice is missing; marked and widened.
-        assert rows[1]["quality"]["degraded_partitions"] == ["p02"]
-        visible = rows[1]["total"]
-        assert visible == 5.0
-        confidence = rows[1]["confidence"]
-        # census 5.0 -> loss 0.5 -> arms stretched by 2 around the point
-        assert confidence == {
-            "low": 0.0,
-            "point": 5.0,
-            "high": 15.0,
-            "level": 0.9,
-        }
-        # The widened interval contains the exact total (p2's epoch-1
-        # slice can be at most its last census under the widen model).
-        assert confidence["low"] <= visible + 5.0 <= confidence["high"]
-
-    def test_no_census_yields_null_confidence(self):
-        p0, p1, _ = _degraded_fixture()
-        merged = merge_landscape_rows(
-            [p0, p1, []], partition_status=["healthy", "healthy", "down"]
-        )
-        rows = [json.loads(line) for line in merged]
-        for row in rows:
-            assert row["quality"]["degraded_partitions"] == ["p02"]
-            assert row["confidence"] is None
-
-    def test_emit_limit_caps_at_slowest_fresh_frontier(self):
-        p0, p1, p2 = _degraded_fixture()
-        # p0 has only closed epoch 0: nothing past it is final enough.
-        merged = merge_landscape_rows(
-            [p0[:1], p1, p2], partition_status=["healthy", "healthy", "down"]
-        )
-        assert [json.loads(line)["epoch"] for line in merged] == [0]
-
-    def test_empty_fresh_stream_constrains_nothing(self):
-        p0, _, p2 = _degraded_fixture()
-        merged = merge_landscape_rows(
-            [p0, [], p2], partition_status=["healthy", "healthy", "down"]
-        )
-        assert [json.loads(line)["epoch"] for line in merged] == [0, 1]
-
-    def test_all_fresh_streams_empty_emits_nothing(self):
-        _, _, p2 = _degraded_fixture()
-        merged = merge_landscape_rows(
-            [[], [], p2], partition_status=["healthy", "healthy", "down"]
-        )
-        assert merged == []
-
-
-class TestRestateRows:
-    def test_flags_only_degraded_keys_in_order(self):
-        exact = [
-            _row(family="a", epoch=0, servers=[("s", 1.0, 1)]),
-            _row(family="b", epoch=0, servers=[("s2", 2.0, 2)]),
-            _row(family="a", epoch=1, servers=[("s", 3.0, 3)]),
-        ]
-        restated = restate_rows(exact, [(0, "a"), (1, "a")])
-        rows = [json.loads(line) for line in restated]
-        assert [(r["epoch"], r["family"]) for r in rows] == [(0, "a"), (1, "a")]
-        assert all(r["restated"] is True for r in rows)
-
-    def test_same_bytes_plus_flag(self):
-        exact = [_row(family="a", epoch=2, servers=[("s", 1.5, 3)])]
-        [restated] = restate_rows(exact, [(2, "a")])
-        expected = json.loads(exact[0])
-        expected["restated"] = True
-        assert restated == json.dumps(
-            expected, sort_keys=True, separators=(",", ":")
-        )
-
-    def test_no_keys_no_restatements(self):
-        exact = [_row(servers=[("s", 1.0, 1)])]
-        assert restate_rows(exact, []) == []
-        assert restate_rows([], [(0, "fam")]) == []
-
-
-# ---------------------------------------------------------------------------
-# Reshard gate: stale partitions refuse to reshard
-# ---------------------------------------------------------------------------
-
-
-class TestReshardHeartbeatGate:
-    def _states(self, tmp_path, monos, now=100.0):
-        paths = []
-        for i, mono in enumerate(monos):
-            path = tmp_path / f"p{i:02d}.hb.json"
-            write_heartbeat(
-                path,
-                pid=1000 + i,
-                seq=1,
-                watermark=123.0,
-                cursor=5,
-                records_consumed=5,
-                checkpoint_age=0.1,
-                clock=lambda mono=mono: mono,
-            )
-            paths.append(path)
-        return partition_states_from_heartbeats(
-            paths, lag_after=5.0, down_after=15.0, clock=lambda: now
-        )
-
-    def test_frozen_heartbeat_blocks_reshard(self, drained_checkpoints, tmp_path):
-        """Regression: a reshard against a partition whose heartbeat
-        froze (killed, wedged, network-partitioned) must refuse — its
-        checkpoint is stale durable state, and re-keying it would
-        fossilize the dead partition's last chart."""
-        drained, _ = drained_checkpoints
-        # p0 beat 1s ago; p1's heartbeat froze 50s ago.
-        states = self._states(tmp_path, [99.0, 50.0])
-        assert states == ["healthy", "down"]
-        with pytest.raises(ClusterError, match="partition 1 is down"):
-            reshard_checkpoints(drained, 3, partition_states=states)
-
-    def test_lagging_partition_still_reshards(self, drained_checkpoints, tmp_path):
-        drained, _ = drained_checkpoints
-        # p1 is 7s stale: lagging, but its process (and checkpoint
-        # discipline) is live — lagging is fresh enough to reshard.
-        states = self._states(tmp_path, [99.0, 93.0])
-        assert states == ["healthy", "lagging"]
-        docs = reshard_checkpoints(drained, 3, partition_states=states)
-        assert docs == reshard_checkpoints(drained, 3)
-
-    def test_state_count_mismatch_raises(self, drained_checkpoints):
-        drained, _ = drained_checkpoints
-        with pytest.raises(ClusterError, match="partition states"):
-            reshard_checkpoints(drained, 2, partition_states=["healthy"])

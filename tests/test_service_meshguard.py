@@ -8,12 +8,13 @@ one definition (``last_good_generation``), the failover spool speaks
 the dead-letter format under its own schema badge, and the chaos
 scheduler provably straddles per-partition *emission* lines.
 
-Integration-level: a supervised mini-cluster loses a partition to
-SIGKILL mid-stream, spools the outage window durably, restarts from
-the partition's own checkpoint, replays in order, and still merges a
-landscape byte-identical to the single-daemon replay — with the spool,
-ledger, and metrics reconciling exactly.  No test sleeps to make time
-pass: every clock and every heartbeat age is injected.
+Integration-level: the chaos drill's supervised pass (``_chaos_run``)
+on a mini-cluster loses a partition to SIGKILL mid-stream, spools the
+outage window durably, restarts from the partition's own checkpoint,
+replays in order, and still merges a landscape byte-identical to the
+single-daemon replay — with the spool, ledger, and metrics reconciling
+exactly.  No test sleeps to make time pass: every clock and every
+heartbeat age is injected.
 """
 
 import json
@@ -25,7 +26,6 @@ from repro.cli import main
 from repro.service.checkpoint import CheckpointStore
 from repro.service.cluster import (
     ClusterError,
-    merge_landscape_rows,
     route_line,
     single_daemon_replay,
     split_header,
@@ -38,22 +38,15 @@ from repro.service.meshguard import (
     HEARTBEAT_SCHEMA,
     LAGGING,
     SPOOL_SCHEMA,
-    ClusterSupervisor,
-    FailoverSensorStream,
     PartitionHealth,
-    partition_states_from_heartbeats,
     read_heartbeat,
     write_heartbeat,
 )
-from repro.service.supervisor import (
-    BackoffPolicy,
-    HealthMonitor,
-    HealthState,
-)
+from repro.service.supervisor import HealthMonitor, HealthState
 from tests.harness.chaos import (
+    _chaos_run,
     chaos_schedule,
     emission_lines,
-    kill_partition,
     read_spool,
 )
 
@@ -256,24 +249,6 @@ class TestHealthMonitorBoundaries:
 
 
 # ---------------------------------------------------------------------------
-# Heartbeat-driven partition states (the reshard gate's view)
-# ---------------------------------------------------------------------------
-
-
-class TestPartitionStatesFromHeartbeats:
-    def test_ages_classify_without_sleeping(self, tmp_path):
-        paths = [tmp_path / f"p{i:02d}.hb.json" for i in range(4)]
-        _beat(paths[0], mono=99.0)  # age 1: healthy
-        _beat(paths[1], mono=93.0)  # age 7: lagging
-        _beat(paths[2], mono=80.0)  # age 20: down
-        # paths[3] never written: down
-        states = partition_states_from_heartbeats(
-            paths, lag_after=5.0, down_after=15.0, clock=lambda: 100.0
-        )
-        assert states == [HEALTHY, LAGGING, DOWN, DOWN]
-
-
-# ---------------------------------------------------------------------------
 # Checkpoint staleness (shared by heartbeats and the lag detector)
 # ---------------------------------------------------------------------------
 
@@ -414,9 +389,6 @@ class TestChaosSchedule:
         for event in events:
             assert event["at_line"] > end
             assert event["kind"] in ("kill", "wedge")
-            assert event["at_line"] < event["snapshot_line"] < (
-                event["at_line"] + event["hold_lines"]
-            )
             end = event["at_line"] + event["hold_lines"]
         assert end < 8000
 
@@ -440,11 +412,11 @@ class TestChaosSchedule:
             recovery = at + event["hold_lines"]
             # killed after its own census epoch, before the anchored one
             assert emissions[day - 1][victim] < at < emissions[day][victim]
-            # snapshot only after every fresh partition has published
+            # down until every other partition has published
             fresh_emit = max(
                 emissions[day][p] for p in range(3) if p != victim
             )
-            assert fresh_emit < event["snapshot_line"] < recovery
+            assert fresh_emit < recovery
         quiet = [e for e in events if "epoch" not in e]
         assert len(quiet) == 1
         first_kill = min(e["at_line"] for e in anchored.values())
@@ -506,86 +478,56 @@ class TestSupervisedFailover:
         single_daemon_replay(mini_trace, reference)
         header, payload = split_header(mini_trace.read_bytes().splitlines())
         n = 2
-        workdir = tmp_path / "mesh"
-        log = open(os.devnull, "w")
-        supervisor = ClusterSupervisor(
-            workdir,
-            n,
-            checkpoint_every=200,
-            backoff=BackoffPolicy(base=0.01, cap=0.05, jitter=0.1, seed=5),
-            heartbeat_interval=0.1,
-            lag_after=1e9,
-            down_after=2e9,
-            sleep=lambda _delay: None,
-            log_stream=log,
-        )
-        streams = []
         kill_at = len(payload) // 3
         recover_at = 2 * len(payload) // 3
         victim = 0
-        expected_spool = []
-        try:
-            supervisor.start()
-            supervisor.wait_ready()
-            for i in range(n):
-                stream = FailoverSensorStream(
-                    ("uds", supervisor.socket_path(i)),
-                    f"router-p{i:02d}",
-                    spool_path=workdir / f"p{i:02d}.spool.ndjson",
-                    metrics=supervisor.metrics,
-                )
-                stream.connect()
-                streams.append(stream)
-            for line in header:
-                for stream in streams:
-                    stream.send_lines([line])
-            for index, line in enumerate(payload):
-                if index == kill_at:
-                    # Pin the victim's durable frontier so the spool
-                    # holds exactly the outage-window lines.
-                    streams[victim].sync()
-                    kill_partition(supervisor, victim)
-                    streams[victim].force_down("kill")
-                if index == recover_at:
-                    supervisor.poll()
-                    supervisor.wait_ready(index=victim)
-                    streams[victim].reconnect()
-                target = route_line(line, n)
-                streams[target].send_lines([line])
-                if target == victim and kill_at <= index < recover_at:
-                    expected_spool.append(line)
-            for stream in streams:
-                stream.finish()
-            assert supervisor.wait() == [0] * n
-        finally:
-            for stream in streams:
-                stream.close()
-            supervisor.stop()
-            log.close()
+        schedule = [
+            {
+                "kind": "kill",
+                "partition": victim,
+                "at_line": kill_at,
+                "hold_lines": recover_at - kill_at,
+            }
+        ]
+        run_dir = tmp_path / "mesh"
+        with open(os.devnull, "w") as log:
+            outcome = _chaos_run(
+                run_dir,
+                header,
+                payload,
+                schedule,
+                partitions=n,
+                chaos_seed=5,
+                max_partition_restarts=3,
+                estimator="auto",
+                checkpoint_every=200,
+                reorder_capacity=1024,
+                log=log,
+            )
+        assert outcome["landscape"] == reference.read_bytes()
 
-        merged = merge_landscape_rows(
-            [
-                (workdir / f"p{i:02d}.out.ndjson").read_bytes().splitlines()
-                for i in range(n)
-            ]
-        )
-        assert "\n".join(merged) + "\n" == reference.read_text()
-
-        entries = read_spool(workdir / f"p{victim:02d}.spool.ndjson")
+        expected_spool = [
+            line
+            for line in payload[kill_at:recover_at]
+            if route_line(line, n) == victim
+        ]
+        entries = read_spool(run_dir / f"p{victim:02d}.spool.ndjson")
         assert len(entries) == len(expected_spool) > 0
         for entry, line in zip(entries, expected_spool):
             assert entry["reason"] == "spooled"
             assert entry["line"] == line.decode()
-        assert streams[victim].replayed == len(expected_spool)
-        assert streams[victim].failovers == 1
-        assert supervisor.ledger == [
+        ledger = json.loads(outcome["ledger"])
+        audit = ledger["spools"][f"p{victim:02d}"]
+        assert audit["replayed"] == len(expected_spool)
+        assert audit["failovers"] == 1
+        assert ledger["ledger"] == [
             {
                 "partition": victim,
                 "attempt": 1,
-                "delay": supervisor.ledger[0]["delay"],
+                "delay": ledger["ledger"][0]["delay"],
                 "reason": "exit",
             }
         ]
-        rendered = supervisor.metrics.render_prometheus()
+        rendered = (run_dir / "mesh-metrics.prom").read_text()
         assert "botmeterd_mesh_restarts_total" in rendered
         assert "botmeterd_mesh_spooled_lines_total" in rendered

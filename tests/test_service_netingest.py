@@ -857,38 +857,45 @@ class TestHelpers:
         gauge.add(-1, sensor="a")
         assert registry.snapshot()["g"]["sensor=a"] == 1.0
 
-    def test_sensor_send_cli_round_trip(self, trace, trace_lines, reference, tmp_path):
+    def test_sensor_send_cli_round_trip(self, trace, reference, tmp_path):
         """The sensor-send verb against a serve --listen process, via
-        in-process threads (covers the CLI argument plumbing)."""
-        out = tmp_path / "net.ndjson"
-        daemon = BotMeterDaemon(
-            "net:cli",
-            out_path=out,
-            batch_lines=256,
-            trace_sample=0,
-            log_stream=io.StringIO(),
-        )
-        server = NetIngestServer(daemon, tcp=("127.0.0.1", 0), expect_sensors=2)
-        thread = server.run_in_thread()
-        host, port = server.tcp_address
-        results, threads = [], []
-        for i in range(2):
-            argv = [
-                "sensor-send", str(trace),
-                "--connect", f"{host}:{port}",
-                "--sensor", f"sensor-{i:02d}",
-                "--shard", f"{i}/2",
-            ]
-            threads.append(
-                threading.Thread(
-                    target=lambda a=argv: results.append(main(a)), daemon=True
-                )
+        in-process threads (covers the CLI argument plumbing), for the
+        NDJSON trace and its wire-v2 twin (transcoded client-side)."""
+        v2 = tmp_path / "trace.v2"
+        assert main(["convert-trace", str(trace), "--out", str(v2)]) == 0
+        for source in (trace, v2):
+            out = tmp_path / f"net-{source.suffix[1:]}.ndjson"
+            daemon = BotMeterDaemon(
+                "net:cli",
+                out_path=out,
+                batch_lines=256,
+                trace_sample=0,
+                log_stream=io.StringIO(),
             )
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-        thread.join(timeout=60)
-        assert results == [0, 0]
-        assert server.error is None
-        assert out.read_bytes() == reference
+            server = NetIngestServer(
+                daemon, tcp=("127.0.0.1", 0), expect_sensors=2
+            )
+            thread = server.run_in_thread()
+            host, port = server.tcp_address
+            results, threads = [], []
+            for i in range(2):
+                argv = [
+                    "sensor-send", str(source),
+                    "--connect", f"{host}:{port}",
+                    "--sensor", f"sensor-{i:02d}",
+                    "--shard", f"{i}/2",
+                ]
+                threads.append(
+                    threading.Thread(
+                        target=lambda a=argv: results.append(main(a)),
+                        daemon=True,
+                    )
+                )
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            thread.join(timeout=60)
+            assert results == [0, 0]
+            assert server.error is None
+            assert out.read_bytes() == reference, source.name
