@@ -67,15 +67,25 @@ import sys
 import time
 import zlib
 from functools import lru_cache
+from itertools import compress
 from multiprocessing import get_all_start_methods, get_context
 from pathlib import Path
 from typing import IO, Any, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .checkpoint import CheckpointStore
 from .daemon import BotMeterDaemon
 from .engine import ENGINE_STATE_SCHEMA
 from .metrics import MetricsRegistry, merge_registry_states
-from .wire import NdjsonReader
+from .wire import (
+    NdjsonReader,
+    Unit,
+    lookup_server,
+    parse_line,
+    sniff_header,
+    split_header,
+)
 from .wire2 import Wire2BatchDecoder, Wire2Writer, sniff_wire2
 
 __all__ = [
@@ -126,21 +136,6 @@ class ClusterVerifyError(ClusterError):
 # ---------------------------------------------------------------------------
 
 
-def split_header(lines: Sequence[bytes]) -> tuple[list[bytes], list[bytes]]:
-    """``(header_lines, payload_lines)`` — at most one leading header."""
-    lines = [
-        line if isinstance(line, bytes) else line.encode("utf-8") for line in lines
-    ]
-    if lines:
-        try:
-            data = json.loads(lines[0])
-        except ValueError:
-            data = None
-        if isinstance(data, dict) and data.get("type") == "header":
-            return [lines[0]], lines[1:]
-    return [], lines
-
-
 def _load_trace_units(trace: Path) -> tuple[str, Any, list[Any]]:
     """Sniff and load a trace as routable units.
 
@@ -186,18 +181,8 @@ def route_line(line: bytes, n_partitions: int) -> int:
     the reader-side accounting (skip counters, corrupt quarantine) lands
     in exactly one partition.
     """
-    try:
-        data = json.loads(line)
-    except ValueError:
-        return 0
-    if not isinstance(data, dict):
-        return 0
-    server = data.get("server")
-    # The wire format leaves ``type`` implicit on lookup lines (only
-    # control/header lines carry one) — same convention as the mux.
-    if data.get("type", "lookup") == "lookup" and isinstance(server, str):
-        return partition_for_server(server, n_partitions)
-    return 0
+    server = lookup_server(parse_line(line))
+    return 0 if server is None else partition_for_server(server, n_partitions)
 
 
 # ---------------------------------------------------------------------------
@@ -996,25 +981,26 @@ class ClusterRouterFrontend:
     def _checkpoint(self, offset: int) -> None:  # pragma: no cover
         pass  # store is None — the server never calls this
 
-    def _ingest_lines(self, pairs: Sequence[tuple[bytes, Any]]) -> None:
+    def _ingest_released(self, units: Sequence[Unit]) -> None:
         n = len(self.streams)
         buckets: list[list[bytes]] = [[] for _ in range(n)]
-        for raw, data in pairs:
-            if isinstance(raw, str):
-                raw = raw.encode("utf-8")
-            if isinstance(data, dict):
-                kind = data.get("type", "lookup")
-                server = data.get("server")
-                if kind == "lookup" and isinstance(server, str):
-                    buckets[partition_for_server(server, n)].append(raw)
-                    continue
-                if kind == "header":
-                    if self.reader.header is None:
-                        self.reader.header = dict(data)
-                    for bucket in buckets:
-                        bucket.append(raw)
-                    continue
-            buckets[0].append(raw)
+        for unit in units:
+            if not isinstance(unit, bytes):
+                # A canonical run routes on its server column.
+                batch, lines = unit
+                owners = [partition_for_server(server, n) for server in batch.servers]
+                owner = np.array(owners, dtype=np.intp)[batch.server_id]
+                for index in np.unique(owner).tolist():
+                    buckets[index].extend(compress(lines, owner == index))
+                continue
+            header = sniff_header(unit)
+            if header is None:
+                buckets[route_line(unit, n)].append(unit)
+                continue
+            if self.reader.header is None:
+                self.reader.header = header
+            for bucket in buckets:
+                bucket.append(unit)
         for index, (stream, bucket) in enumerate(zip(self.streams, buckets)):
             if bucket:
                 stream.send_lines(bucket)

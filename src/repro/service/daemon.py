@@ -42,6 +42,7 @@ from .tracing import DEFAULT_SAMPLE, StageTracer, TraceSink
 from .wire import (
     NdjsonBatchDecoder,
     NdjsonReader,
+    Unit,
     encode_landscape,
     families_from_header,
     timeline_from_header,
@@ -631,21 +632,11 @@ class BotMeterDaemon:
         if len(self._pending_marks) >= self.batch_lines:
             self._flush_batch()
 
-    def _ingest_lines(self, pairs: Iterable[tuple[bytes | str, Any]]) -> None:
-        """Decode complete lines into :meth:`_ingest`, one at a time.
-
-        ``data`` is the line's ``json.loads`` when the caller already
-        parsed it (the network mux peeks every line for its merge key),
-        else ``None``.
-        """
-        reader = self.reader
-        for line, data in pairs:
-            if data is None:
-                record = reader.feed(line)
-            else:
-                record = reader.feed_parsed(line, data)
-            if record is not None:
-                self._ingest((record,))
+    def _ingest_released(self, units: Iterable[Unit]) -> None:
+        """Take split units the network mux released, in merge order,
+        through the file path's decode accounting and :meth:`_ingest`."""
+        for run in NdjsonBatchDecoder(self.reader).iter_units(units):
+            self._ingest(run)
 
     def _live_engine(self) -> ShardedLandscapeEngine:
         engine = self._ensure_engine()
@@ -901,7 +892,10 @@ class BotMeterDaemon:
                 ingest(decoder.iter_flush(complete))
             # Stream end: release held lines, close every epoch, persist.
             if self.injector is not None:
-                self._ingest_lines((line, None) for line in self.injector.flush())
+                for line in self.injector.flush():
+                    record = self.reader.feed(line)
+                    if record is not None:
+                        self._ingest((record,))
             self._finish_stream(base + decoder.consumed)
             return 0
         finally:

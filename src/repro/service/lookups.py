@@ -198,6 +198,53 @@ class LookupBatch:
                 return None
         return np.lexsort((_ranks(self.domains, did), _ranks(self.servers, sid), ts))
 
+    def key(self, i: int) -> tuple[float, str, str]:
+        """Record ``i``'s trace-order key ``(timestamp, server, domain)``."""
+        return (
+            float(self.ts[i]),
+            self.servers[self.server_id[i]],
+            self.domains[self.domain_id[i]],
+        )
+
+    def max_key(self) -> tuple[float, str, str]:
+        """The largest trace-order key (record 0's when a timestamp is
+        NaN, which equals nothing)."""
+        tied = np.flatnonzero(self.ts == self.ts.max()).tolist()
+        return max(map(self.key, tied), default=self.key(0))
+
+    def count_below(self, key: tuple[float, str, str], inclusive: bool) -> int:
+        """How many leading records have keys below ``key`` (or equal to
+        it, when ``inclusive``)."""
+        ts = self.ts
+        past = ts > key[0]
+        for i in np.flatnonzero(ts == key[0]).tolist():
+            # Equal timestamps are rare: compare the whole key.
+            other = self.key(i)
+            past[i] = other > key or (other == key and not inclusive)
+        return int(past.argmax()) if past.any() else len(ts)
+
+    def key_ranks(self) -> np.ndarray:
+        """Dense ranks of the records' trace-order keys (equal keys share
+        a rank); any tables will do."""
+        ts = self.ts
+        n = len(ts)
+        order = np.argsort(ts, kind="stable")
+        step = np.ones(n, dtype=bool)
+        step[1:] = ts[order[1:]] != ts[order[:-1]]
+        starts = np.flatnonzero(step)
+        sizes = np.diff(np.append(starts, n))
+        for a, size in zip(starts[sizes > 1].tolist(), sizes[sizes > 1].tolist()):
+            # Equal timestamps are rare: order them by the whole key.
+            idx = order[a : a + size]
+            keys = list(map(self.key, idx.tolist()))
+            perm = sorted(range(size), key=keys.__getitem__)
+            order[a : a + size] = idx[perm]
+            pairs = zip(perm, perm[1:])
+            step[a + 1 : a + size] = [keys[i] != keys[j] for i, j in pairs]
+        rank = np.empty(n, dtype=np.int64)
+        rank[order] = np.cumsum(step)
+        return rank
+
     def searchsorted(self, keys: "LookupBatch") -> np.ndarray:
         """For each record of ``keys`` (in trace order, same tables),
         how many records of this trace-ordered batch sort at or before

@@ -60,16 +60,16 @@ released cursor, not the sent one).
 Determinism
 -----------
 
-Released lines are fed to the daemon through a K-way merge on the
-deterministic trace order ``(timestamp, server, domain)`` (sensor id as
-the final tie-break), gated until ``expect_sensors`` distinct sensors
-have said hello.  The merge releases a record only when every
-unfinished sensor has one buffered — so the global release order equals
-the order of the single sorted concatenation, regardless of socket
-interleaving, chunk boundaries, or which sensor connected first.
-Non-record payload lines (the header, blanks, corrupt lines) cannot be
-ordered by timestamp; they ride along with the *next* record line of
-the same sensor, and a trailing run is flushed at ``fin``.
+Released lines reach the daemon through a K-way merge on the trace
+order ``(timestamp, server, domain)``, sensor id breaking ties, gated
+until ``expect_sensors`` sensors have said hello: release the smallest
+key over the sensors' next buffered records, and stop once an
+unfinished sensor has none.  That is a stable order by (running maximum
+of the sensor's buffered keys, sensor id), which :class:`SensorMux`
+applies to a whole pump at once; for sorted shards it is the single
+sorted concatenation, whatever the socket interleaving or chunking.
+Non-record lines (header, blank, corrupt) ride with the sensor's *next*
+record; a trailing run follows its last record after ``fin``.
 
 Backpressure and loss
 ---------------------
@@ -96,10 +96,17 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
+import numpy as np
+
+from ..dns.message import ForwardedLookup
 from .daemon import BotMeterDaemon
+from .lookups import LookupBatch
+from .wire import Unit, lookup_key, parse_line, split_header, split_lines
 from .wire2 import sniff_wire2, wire2_to_ndjson_lines
 
 __all__ = [
@@ -125,8 +132,6 @@ NET_SCHEMA = "botmeter-netingest-v1"
 #: never be mistaken for data (or vice versa).
 CONTROL_TYPES = frozenset({"hello", "fin", "sync"})
 
-_SERVER_TYPES = frozenset({"welcome", "ack", "bye", "error"})
-
 
 class ProtocolError(ValueError):
     """A sensor violated botmeter-netingest-v1; the connection drops."""
@@ -136,46 +141,53 @@ class SensorError(RuntimeError):
     """The sensor client gave up (protocol error or retry deadline)."""
 
 
-def _merge_key(data: Any) -> tuple[float, str, str] | None:
-    """The deterministic trace order key of a parsed payload line.
-
-    Returns ``None`` for anything that is not a well-formed lookup
-    record — such lines cannot be ordered by timestamp and ride along
-    with the sensor's next record instead.
-    """
-    if not isinstance(data, dict):
-        return None
-    if data.get("type", "lookup") != "lookup":
-        return None
-    timestamp = data.get("timestamp")
-    server = data.get("server")
-    domain = data.get("domain")
-    if isinstance(timestamp, bool) or not isinstance(timestamp, (int, float)):
-        return None
-    if not isinstance(server, str) or not isinstance(domain, str):
-        return None
-    return (float(timestamp), server, domain)
-
-
 def _control_line(message: Mapping[str, Any]) -> bytes:
     return (json.dumps(message, sort_keys=True) + "\n").encode("utf-8")
 
 
-class _Entry:
-    """One releasable unit: a record line plus the non-record lines
-    stashed before it (``key is None`` = a trailing stash at fin)."""
+def _close(sock: socket.socket) -> None:
+    try:
+        sock.close()
+    except OSError:
+        pass
 
-    __slots__ = ("key", "lines", "end_seq")
+
+def _recv(sock: socket.socket) -> bytes:
+    chunk = sock.recv(1 << 16)
+    if not chunk:
+        raise ConnectionError("server closed the connection")
+    return chunk
+
+
+def _pop_message(buf: bytearray) -> dict[str, Any] | None:
+    """Take the next whole server message out of ``buf``, if any."""
+    while (newline := buf.find(b"\n")) >= 0:
+        line = bytes(buf[:newline])
+        del buf[: newline + 1]
+        if line.strip():
+            message = json.loads(line)
+            if not isinstance(message, dict):
+                raise SensorError(f"malformed server message: {line!r}")
+            return message
+    return None
+
+
+class _Run:
+    """A sensor's pending records that arrived together (canonical lines,
+    or one other line with a merge key), the first one's line index, and
+    the non-record lines (``riders``) that leave just before it."""
+
+    __slots__ = ("batch", "lines", "seq", "riders", "canonical", "top")
 
     def __init__(
-        self,
-        key: tuple[float, str, str] | None,
-        lines: list[tuple[bytes, Any]],
-        end_seq: int,
+        self, batch: LookupBatch, lines: Sequence[bytes], seq: int, canonical: bool
     ) -> None:
-        self.key = key
+        self.batch = batch
         self.lines = lines
-        self.end_seq = end_seq
+        self.seq = seq
+        self.riders: list[bytes] = []
+        self.canonical = canonical
+        self.top = batch.max_key()
 
 
 class _Sensor:
@@ -183,13 +195,10 @@ class _Sensor:
         "name",
         "cursor",
         "recv_seq",
-        "pending",
-        "pending_lines",
+        "runs",
         "stash",
         "finished",
         "conn",
-        "duplicates",
-        "received",
     )
 
     def __init__(self, name: str, cursor: int = 0) -> None:
@@ -198,15 +207,17 @@ class _Sensor:
         self.cursor = cursor
         #: Index the *next* incoming payload line will occupy.
         self.recv_seq = cursor
-        self.pending: deque[_Entry] = deque()
-        #: Raw lines currently held (entries + stash) — the window gauge.
-        self.pending_lines = 0
-        self.stash: list[tuple[bytes, Any]] = []
+        self.runs: deque[_Run] = deque()
+        #: Non-record lines since the last record (they follow the
+        #: cursor once every record is released).
+        self.stash: list[bytes] = []
         self.finished = False
         #: Connection id currently bound to this sensor (one at a time).
         self.conn: int | None = None
-        self.duplicates = 0
-        self.received = 0
+
+    def add(self, run: _Run) -> None:
+        run.riders, self.stash = self.stash, []
+        self.runs.append(run)
 
 
 class _MuxConn:
@@ -229,9 +240,14 @@ class SensorMux:
     drive it directly, with no sockets anywhere near the determinism
     argument.
 
+    Chunks are split by :func:`~repro.service.wire.split_lines`; only
+    non-canonical lines are parsed (control check, merge key).
+
     Args:
-        consume: ``(raw_line, parsed_or_None) -> None`` — release one
-            payload line into the pipeline, in merge order.
+        consume: ``(units) -> None`` — release payload lines into the
+            pipeline, in merge order, as split units: a canonical run as
+            ``(batch, raw lines)``, any other line as its raw bytes.
+            Called once per pump that releases anything.
         control: ``(conn_id, message) -> None`` — send one control
             message to a connection (welcome/error routing).
         expect_sensors: gate the merge until this many distinct sensors
@@ -244,7 +260,7 @@ class SensorMux:
 
     def __init__(
         self,
-        consume: Callable[[bytes, Any], None],
+        consume: Callable[[list[Unit]], None],
         control: Callable[[int, dict[str, Any]], None],
         expect_sensors: int | None = None,
         window: int = 4096,
@@ -262,8 +278,6 @@ class SensorMux:
         self.lines_released = 0
         self.duplicates = 0
         self.partial_resets = 0
-        self.hellos = 0
-        self.fins = 0
         #: Connections with a pending durability barrier.  The server
         #: drains these *after* the feed's pump ran, so every payload
         #: line that preceded the sync on the wire is already released.
@@ -295,9 +309,8 @@ class SensorMux:
             sensor = self._sensors[conn.sensor]
             sensor.conn = None
             if not sensor.finished:
-                sensor.pending.clear()
+                sensor.runs.clear()
                 sensor.stash = []
-                sensor.pending_lines = 0
                 sensor.recv_seq = sensor.cursor
         self._pump()
 
@@ -305,43 +318,39 @@ class SensorMux:
         """Process one received chunk; raises :class:`ProtocolError` on
         a violation (the caller should error out the connection)."""
         conn = self._conns[conn_id]
-        buf = conn.tail + chunk
-        lines = buf.split(b"\n")
-        conn.tail = lines.pop()
+        data = conn.tail + chunk
+        end = data.rfind(b"\n")
+        conn.tail = data[end + 1 :]
         if len(conn.tail) > self.max_line:
             raise ProtocolError(
                 f"unframed line exceeds {self.max_line} bytes"
             )
         tracer = self.tracer
         t0 = tracer.start("frame") if tracer is not None else 0
-        for raw in lines:
-            self._line(conn, raw)
+        for unit in split_lines(data, end) if end >= 0 else ():
+            if isinstance(unit, bytes):
+                self._line(conn, unit)
+                continue
+            batch, lines = unit
+            sensor, seq, fresh = self._payload(conn, len(lines))
+            if fresh:
+                if fresh < len(lines):
+                    batch, lines = batch.slice(-fresh), lines[-fresh:]
+                sensor.add(_Run(batch, lines, seq, True))
         if t0:
-            tracer.stop("frame", t0, records=len(lines))
+            tracer.stop("frame", t0, records=data.count(b"\n", 0, end + 1))
         self._pump()
 
     def finish_line(self, conn_id: int) -> None:
         """Treat a clean EOF's missing final newline as a frame end."""
         conn = self._conns.get(conn_id)
         if conn is not None and conn.tail:
-            raw, conn.tail = conn.tail, b""
-            self._line(conn, raw)
-            self._pump()
+            self.feed(conn_id, b"\n")
 
     # -- line classification -------------------------------------------------
 
     def _line(self, conn: _MuxConn, raw: bytes) -> None:
-        data: Any = None
-        if raw:
-            try:
-                # Decode first: json.loads on bytes pays a per-call
-                # encoding sniff (json.detect_encoding) that dominates
-                # the framing cost at wire rates.  UnicodeDecodeError
-                # is a ValueError, so undecodable garbage lands in the
-                # same stash path as unparsable JSON.
-                data = json.loads(raw.decode("utf-8"))
-            except ValueError:
-                data = None
+        data = parse_line(raw)
         if isinstance(data, dict) and data.get("type") in CONTROL_TYPES:
             kind = data["type"]
             if kind == "hello":
@@ -351,26 +360,29 @@ class SensorMux:
             else:
                 self._fin(conn)
             return
+        sensor, seq, fresh = self._payload(conn, 1)
+        if not fresh:
+            return
+        key = lookup_key(data)
+        if key is None:
+            sensor.stash.append(raw)
+        else:
+            batch = LookupBatch.from_records([ForwardedLookup(*key)])
+            sensor.add(_Run(batch, [raw], seq, False))
+
+    def _payload(self, conn: _MuxConn, n: int) -> tuple[_Sensor, int, int]:
+        """Charge ``n`` payload lines to the connection's sensor; returns
+        it, and the index and count of the lines past the resume overlap."""
         if conn.sensor is None:
             raise ProtocolError("first line must be a hello")
         sensor = self._sensors[conn.sensor]
         seq = sensor.recv_seq
-        sensor.recv_seq += 1
-        sensor.received += 1
-        if seq < sensor.cursor:
-            # Resume overlap: already released (and possibly already
-            # durable).  Discard before the wire reader ever sees it.
-            sensor.duplicates += 1
-            self.duplicates += 1
-            return
-        key = _merge_key(data)
-        sensor.pending_lines += 1
-        if key is None:
-            sensor.stash.append((raw, data))
-        else:
-            lines = sensor.stash + [(raw, data)]
-            sensor.stash = []
-            sensor.pending.append(_Entry(key, lines, sensor.recv_seq))
+        sensor.recv_seq += n
+        # Resume overlap: already released (and possibly already
+        # durable).  Discard before the wire reader ever sees it.
+        overlap = min(n, max(0, sensor.cursor - seq))
+        self.duplicates += overlap
+        return sensor, seq + overlap, n - overlap
 
     def _hello(self, conn: _MuxConn, data: Mapping[str, Any]) -> None:
         if conn.sensor is not None:
@@ -381,13 +393,9 @@ class SensorMux:
         schema = data.get("schema", NET_SCHEMA)
         if schema != NET_SCHEMA:
             raise ProtocolError(f"foreign schema {schema!r}")
-        # Wire negotiation: a hello may offer payload wire formats (a
-        # v2-capable sensor offers ["v2", "ndjson"]).  The Sensornet
-        # protocol is line-framed — control messages and payload share
-        # one NDJSON stream — so binary v2 frames cannot ride it; the
-        # server negotiates DOWN to "ndjson" and pins that in the
-        # welcome.  An offer without "ndjson" has no common format and
-        # is refused outright rather than silently misread.
+        # Wire negotiation: the protocol is line-framed, so binary v2
+        # frames cannot ride it; the server negotiates DOWN to "ndjson"
+        # and pins that in the welcome, and refuses an offer without it.
         offered = data.get("wire", ["ndjson"])
         if isinstance(offered, str):
             offered = [offered]
@@ -412,7 +420,6 @@ class SensorMux:
         sensor.finished = False
         sensor.conn = conn.id
         conn.sensor = name
-        self.hellos += 1
         self._control(
             conn.id,
             {
@@ -438,60 +445,130 @@ class SensorMux:
     def _fin(self, conn: _MuxConn) -> None:
         if conn.sensor is None:
             raise ProtocolError("fin before hello")
-        sensor = self._sensors[conn.sensor]
-        if sensor.stash:
-            # Trailing non-record lines have no next record to ride on.
-            sensor.pending.append(_Entry(None, sensor.stash, sensor.recv_seq))
-            sensor.stash = []
-        sensor.finished = True
-        self.fins += 1
+        # A trailing stash has no next record to ride on: it leaves
+        # right after the sensor's last record.
+        self._sensors[conn.sensor].finished = True
 
     # -- the deterministic merge ---------------------------------------------
 
     def _merge_open(self) -> bool:
         return self._expect is None or len(self._sensors) >= self._expect
 
-    def _release(self, sensor: _Sensor, entry: _Entry) -> None:
-        for raw, data in entry.lines:
-            self._consume(raw, data)
-        sensor.pending_lines -= len(entry.lines)
-        sensor.cursor = entry.end_seq
-        self.lines_released += len(entry.lines)
-
-    def _flush_tail(self, sensor: _Sensor) -> None:
-        # Trailing stashes of finished sensors carry no timestamp; flush
-        # them as soon as they surface at the head of the queue.
-        while sensor.finished and sensor.pending and sensor.pending[0].key is None:
-            self._release(sensor, sensor.pending.popleft())
-
     def _pump(self) -> None:
-        # No mux state changes mid-pump (releases cannot finish a sensor
-        # or append entries), so the gate and the tail flush only need
-        # re-checking after a release of that same sensor.
+        released: list[Unit] = []
+        for sensor in self._sensors.values():
+            if sensor.finished and not sensor.runs and sensor.stash:
+                released.extend(self._release_stash(sensor))
+        if self._merge_open():
+            self._merge(released)
+        if released:
+            self._consume(released)
+
+    def _release_stash(self, sensor: _Sensor) -> list[bytes]:
+        stash, sensor.stash = sensor.stash, []
+        sensor.cursor += len(stash)
+        self.lines_released += len(stash)
+        return stash
+
+    def _merge(self, out: list[Unit]) -> None:
+        """Release at once what the head-of-queue merge would: a stable
+        order by (running maximum of the sensor's pending keys, sensor
+        name), up to the frontier, the smallest (largest pending key,
+        name) over the unfinished sensors (module docstring)."""
         sensors = self._sensors.values()
+        if any(not sensor.runs and not sensor.finished for sensor in sensors):
+            return  # that sensor's next record could still come first
+        sensors = sorted((s for s in sensors if s.runs), key=attrgetter("name"))
+        frontier = min(
+            (
+                (max(run.top for run in sensor.runs), sensor.name)
+                for sensor in sensors
+                if not sensor.finished
+            ),
+            default=None,
+        )
+        parts: list[LookupBatch] = []
+        lines: list[bytes] = []
+        before: dict[int, list[bytes]] = {}
+        after: dict[int, list[bytes]] = {}
+        other: set[int] = set()
+        bounds = [0]
         for sensor in sensors:
-            self._flush_tail(sensor)
-        if not self._merge_open():
+            self._take(sensor, frontier, parts, lines, before, other)
+            tail = sensor.finished and not sensor.runs and sensor.stash
+            if tail and len(lines) > bounds[-1]:
+                after[len(lines) - 1] = self._release_stash(sensor)
+            bounds.append(len(lines))
+        if not lines:
             return
-        while True:
-            best_key: tuple[Any, ...] | None = None
-            best_sensor: _Sensor | None = None
-            for sensor in sensors:
-                pending = sensor.pending
-                if not pending:
-                    if sensor.finished:
-                        continue
-                    # Attached-and-quiet or detached-awaiting-reconnect:
-                    # either way the global order is not yet decidable.
-                    return
-                candidate = (pending[0].key, sensor.name)
-                if best_key is None or candidate < best_key:
-                    best_key = candidate
-                    best_sensor = sensor
-            if best_sensor is None:
-                return
-            self._release(best_sensor, best_sensor.pending.popleft())
-            self._flush_tail(best_sensor)
+        keys = LookupBatch.concat(parts)
+        rank = keys.key_ranks()
+        peak = np.concatenate(
+            [np.maximum.accumulate(rank[a:b]) for a, b in zip(bounds, bounds[1:])]
+        )
+        order = np.lexsort((np.repeat(np.arange(len(sensors)), np.diff(bounds)), peak))
+        # Cut the released order into canonical stretches at the records
+        # with raw lines: riders before, a trailing stash after, or the
+        # record itself when it is not canonical.
+        marks = np.zeros(len(lines), dtype=bool)
+        marks[list(before.keys() | after.keys() | other)] = True
+        p = 0
+        for q in np.flatnonzero(marks[order]).tolist():
+            g = int(order[q])
+            out.extend(_stretch(keys, lines, order[p:q]))
+            out.extend(before.get(g, ()))
+            p = q
+            if g in other:
+                out.append(lines[g])
+                p = q + 1
+            if g in after:
+                out.extend(_stretch(keys, lines, order[p : q + 1]))
+                out.extend(after[g])
+                p = q + 1
+        out.extend(_stretch(keys, lines, order[p:]))
+
+    def _take(
+        self,
+        sensor: _Sensor,
+        frontier: tuple[Any, str] | None,
+        parts: list[LookupBatch],
+        lines: list[bytes],
+        before: dict[int, list[bytes]],
+        other: set[int],
+    ) -> None:
+        """Pop the sensor's records up to the frontier (all without one)
+        onto ``parts`` and ``lines``, noting riders and non-canonical
+        records by their index in ``lines``."""
+        inclusive = frontier is None or sensor.name <= frontier[1]
+        released = 0
+        while sensor.runs:
+            run = sensor.runs[0]
+            size = take = len(run.lines)
+            if frontier is not None and not (
+                run.top < frontier[0] or (inclusive and run.top == frontier[0])
+            ):
+                take = run.batch.count_below(frontier[0], inclusive)
+                if not take:
+                    break
+            if run.riders:
+                before[len(lines)] = run.riders
+                released += len(run.riders)
+            if not run.canonical:
+                other.add(len(lines))
+            sensor.cursor = run.seq + take
+            released += take
+            if take == size:
+                sensor.runs.popleft()
+                parts.append(run.batch)
+                lines.extend(run.lines)
+                continue
+            parts.append(run.batch.slice(0, take))
+            lines.extend(run.lines[:take])
+            run.batch, run.lines = run.batch.slice(take), run.lines[take:]
+            run.seq += take
+            run.riders = []
+            break
+        self.lines_released += released
 
     # -- introspection for the server ----------------------------------------
 
@@ -503,7 +580,7 @@ class SensorMux:
         if not self._sensors:
             return False
         return all(
-            sensor.finished and not sensor.pending and not sensor.stash
+            sensor.finished and not sensor.runs and not sensor.stash
             for sensor in self._sensors.values()
         )
 
@@ -532,13 +609,24 @@ class SensorMux:
         conn = self._conns.get(conn_id)
         if conn is None or conn.sensor is None:
             return 0
-        return self._sensors[conn.sensor].pending_lines
+        sensor = self._sensors[conn.sensor]
+        held = sum(len(run.lines) + len(run.riders) for run in sensor.runs)
+        return held + len(sensor.stash)
 
     def cursor_of(self, conn_id: int) -> int:
         conn = self._conns.get(conn_id)
         if conn is None or conn.sensor is None:
             return 0
         return self._sensors[conn.sensor].cursor
+
+
+def _stretch(keys: LookupBatch, lines: list[bytes], idx: np.ndarray) -> list[Unit]:
+    """The canonical records at merge positions ``idx`` as one unit, in
+    that order (no unit when ``idx`` is empty)."""
+    if not len(idx):
+        return []
+    return [(keys.take(idx), list(map(lines.__getitem__, idx.tolist())))]
+
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +666,7 @@ class NetIngestServer:
         expect_sensors / window / max_line: forwarded to the mux.
         addr_file: write the bound addresses here as JSON once listening
             (how sensors find an ephemeral port across restarts).
-        recv_bytes: max bytes per ``recv``.
+        recv_bytes: max bytes per ``recv`` (each socket buffers four).
         poll_interval: selector timeout between housekeeping passes.
         idle_timeout: optional escape hatch — finalize after this many
             seconds without a single received byte.
@@ -593,7 +681,7 @@ class NetIngestServer:
         window: int = 4096,
         max_line: int = 1 << 20,
         addr_file: str | Path | None = None,
-        recv_bytes: int = 1 << 16,
+        recv_bytes: int = 1 << 18,
         poll_interval: float = 0.05,
         idle_timeout: float | None = None,
     ) -> None:
@@ -619,7 +707,7 @@ class NetIngestServer:
         self.exit_code: int | None = None
         self.error: BaseException | None = None
         self._mux = SensorMux(
-            consume=self._consume,
+            consume=daemon._ingest_released,
             control=self._send_control,
             expect_sensors=expect_sensors,
             window=self.window,
@@ -659,19 +747,8 @@ class NetIngestServer:
         # totals while the fresh mux counts from zero — sync by delta.
         self._last_dups = 0
         self._last_resets = 0
-        #: Lines the mux released during the current event, drained to
-        #: the daemon's ingest entry in one call per event.
-        self._released: list[tuple[bytes, Any]] = []
 
     # -- daemon glue ---------------------------------------------------------
-
-    def _consume(self, raw: bytes, data: Any) -> None:
-        self._released.append((raw, data))
-
-    def _drain_released(self) -> None:
-        if self._released:
-            batch, self._released = self._released, []
-            self.daemon._ingest_lines(batch)
 
     def _extra_state(self) -> dict[str, Any]:
         state: dict[str, Any] = {"sensors": self._mux.cursors}
@@ -690,26 +767,23 @@ class NetIngestServer:
         if self._tcp_spec is not None:
             sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
             sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            sock.bind(self._tcp_spec)
-            sock.listen(64)
-            sock.setblocking(False)
-            self._listeners.append(sock)
-            self._selector.register(sock, selectors.EVENT_READ, None)
-            self.tcp_address = sock.getsockname()[:2]
+            self.tcp_address = self._listen(sock, self._tcp_spec)[:2]
         if self._uds_spec is not None:
-            path = Path(self._uds_spec)
-            if path.exists():
-                path.unlink()
+            Path(self._uds_spec).unlink(missing_ok=True)
             sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            sock.bind(str(path))
-            sock.listen(64)
-            sock.setblocking(False)
-            self._listeners.append(sock)
-            self._selector.register(sock, selectors.EVENT_READ, None)
-            self.uds_path = str(path)
+            self.uds_path = self._listen(sock, self._uds_spec)
         if self.addr_file is not None:
             write_address_file(self.addr_file, tcp=self.tcp_address, uds=self.uds_path)
         self._opened = True
+
+    def _listen(self, sock: socket.socket, address: Any) -> Any:
+        sock.bind(address)
+        sock.listen(64)
+        sock.setblocking(False)
+        self._listeners.append(sock)
+        assert self._selector is not None
+        self._selector.register(sock, selectors.EVENT_READ, None)
+        return sock.getsockname()
 
     # -- the loop ------------------------------------------------------------
 
@@ -769,7 +843,6 @@ class NetIngestServer:
                     daemon._log_event("net_idle_timeout", idle=now - last_data)
                     break
                 self._housekeeping()
-            self._drain_released()
             daemon._finish_stream(self._mux.lines_released)
             self._refresh_metrics()
             daemon._dump_observability()
@@ -816,6 +889,7 @@ class NetIngestServer:
         except (BlockingIOError, OSError):
             return
         sock.setblocking(False)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4 * self.recv_bytes)
         kind = "uds" if sock.family == socket.AF_UNIX else "tcp"
         if kind == "tcp":
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -849,12 +923,10 @@ class NetIngestServer:
         try:
             self._mux.feed(conn.id, chunk)
         except ProtocolError as exc:
-            # Lines released before the violation are already charged
-            # to the cursor; flush them before erroring the connection.
-            self._drain_released()
+            # Lines released before the violation are already in the
+            # daemon and charged to the cursor.
             self._reject(conn, str(exc))
             return True
-        self._drain_released()
         self._drain_sync()
         conn.sensor_hint = self._mux.sensor_of(conn.id)
         return True
@@ -864,7 +936,6 @@ class NetIngestServer:
         requests = self._mux.take_sync_requests()
         if not requests:
             return
-        self._drain_released()
         if self.daemon.store is not None:
             self.daemon._checkpoint(self._mux.lines_released)
         self._send_acks()
@@ -902,12 +973,8 @@ class NetIngestServer:
                 self._selector.unregister(conn.sock)  # type: ignore[union-attr]
             except (KeyError, ValueError):
                 pass
-        try:
-            conn.sock.close()
-        except OSError:
-            pass
+        _close(conn.sock)
         self._mux.detach(conn.id)
-        self._drain_released()
         self._g_conns.add(-1)
         self.daemon._log_event(
             "net_close",
@@ -917,15 +984,21 @@ class NetIngestServer:
             reason=reason,
         )
 
-    def _reject(self, conn: _Conn, reason: str) -> None:
-        message = _control_line({"v": 1, "type": "error", "reason": reason})
+    @staticmethod
+    def _flush_blocking(conn: _Conn, message: dict | None, timeout: float) -> None:
+        """Send what ``conn`` still owes, plus ``message``, blocking."""
+        payload = bytes(conn.out) + (_control_line(message) if message else b"")
+        conn.out.clear()
         try:
-            conn.sock.setblocking(True)
-            conn.sock.settimeout(1.0)
-            conn.sock.sendall(conn.out + message)
+            if payload:
+                conn.sock.setblocking(True)
+                conn.sock.settimeout(timeout)
+                conn.sock.sendall(payload)
         except OSError:
             pass
-        conn.out.clear()
+
+    def _reject(self, conn: _Conn, reason: str) -> None:
+        self._flush_blocking(conn, {"v": 1, "type": "error", "reason": reason}, 1.0)
         self.daemon._log_event("net_protocol_error", conn=conn.id, reason=reason)
         self._drop(conn, reason="protocol-error")
 
@@ -960,10 +1033,6 @@ class NetIngestServer:
 
     def _housekeeping(self) -> None:
         daemon = self.daemon
-        # Every released line must be in the daemon before a checkpoint
-        # can claim its cursor durable (event handlers already drain;
-        # this is the invariant, not the workhorse).
-        self._drain_released()
         if (
             daemon.store is not None
             and daemon._since_checkpoint >= daemon.checkpoint_every
@@ -1017,34 +1086,16 @@ class NetIngestServer:
     def _broadcast_bye(self) -> None:
         """Final cursors are durable now; hand them out and drain."""
         for conn in list(self._conns.values()):
-            sensor = self._mux.sensor_of(conn.id)
-            payload = bytes(conn.out)
-            if sensor is not None:
-                payload += _control_line(
-                    {"v": 1, "type": "bye", "cursor": self._mux.cursor_of(conn.id)}
-                )
-            conn.out.clear()
-            if not payload:
-                continue
-            try:
-                conn.sock.setblocking(True)
-                conn.sock.settimeout(2.0)
-                conn.sock.sendall(payload)
-            except OSError:
-                pass
+            bye = {"v": 1, "type": "bye", "cursor": self._mux.cursor_of(conn.id)}
+            known = self._mux.sensor_of(conn.id) is not None
+            self._flush_blocking(conn, bye if known else None, 2.0)
 
     def _close_all(self) -> None:
         for conn in list(self._conns.values()):
-            try:
-                conn.sock.close()
-            except OSError:
-                pass
+            _close(conn.sock)
         self._conns.clear()
         for listener in self._listeners:
-            try:
-                listener.close()
-            except OSError:
-                pass
+            _close(listener)
         self._listeners.clear()
         if self.uds_path is not None:
             try:
@@ -1153,7 +1204,7 @@ class SensorClient:
         retry_interval: float = 0.05,
         connect_timeout: float = 5.0,
         io_timeout: float = 30.0,
-        chunk_bytes: int = 1 << 15,
+        chunk_bytes: int = 1 << 18,
         throttle: float = 0.0,
     ) -> None:
         if resume not in ("welcome", "ack"):
@@ -1202,25 +1253,13 @@ class SensorClient:
         self, sock: socket.socket, buf: bytearray, timeout: float
     ) -> dict[str, Any]:
         deadline = time.monotonic() + timeout
-        while True:
-            newline = buf.find(b"\n")
-            if newline >= 0:
-                line = bytes(buf[:newline])
-                del buf[: newline + 1]
-                if not line.strip():
-                    continue
-                message = json.loads(line)
-                if not isinstance(message, dict):
-                    raise SensorError(f"malformed server message: {line!r}")
-                return message
+        while (message := _pop_message(buf)) is None:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise socket.timeout("timed out waiting for a server message")
             sock.settimeout(min(remaining, self.io_timeout))
-            chunk = sock.recv(1 << 16)
-            if not chunk:
-                raise ConnectionError("server closed the connection")
-            buf += chunk
+            buf += _recv(sock)
+        return message
 
     def _handle(self, message: Mapping[str, Any]) -> str:
         kind = message.get("type")
@@ -1233,22 +1272,21 @@ class SensorClient:
     def _drain_acks(self, sock: socket.socket, buf: bytearray) -> bool:
         """Handle the server messages already readable; True once the
         bye has been read (the server may close right after it)."""
-        while True:
-            readable, _, _ = select.select([sock], [], [], 0)
-            if not readable:
-                return False
-            chunk = sock.recv(1 << 16)
-            if not chunk:
-                raise ConnectionError("server closed the connection")
-            buf += chunk
-            while True:
-                newline = buf.find(b"\n")
-                if newline < 0:
-                    break
-                line = bytes(buf[:newline])
-                del buf[: newline + 1]
-                if line.strip() and self._handle(json.loads(line)) == "bye":
+        while select.select([sock], [], [], 0)[0]:
+            buf += _recv(sock)
+            while (message := _pop_message(buf)) is not None:
+                if self._handle(message) == "bye":
                     return True
+        return False
+
+    def _hello(self, sock: socket.socket, buf: bytearray, **fields: Any) -> dict:
+        """Say hello (with ``fields``); returns the server's welcome."""
+        hello = {"v": 1, "type": "hello", "schema": NET_SCHEMA, "sensor": self.sensor}
+        sock.sendall(_control_line({**hello, **fields}))
+        welcome = self._read_message(sock, buf, self.io_timeout)
+        if self._handle(welcome) != "welcome":
+            raise SensorError(f"expected welcome, got {welcome!r}")
+        return welcome
 
     # -- the replay ----------------------------------------------------------
 
@@ -1272,10 +1310,11 @@ class SensorClient:
 
     def replay_lines(self, lines: Sequence[bytes]) -> SensorReport:
         """Stream payload lines until the server's bye confirms them."""
-        lines = [
-            line if isinstance(line, bytes) else line.encode("utf-8")
-            for line in lines
-        ]
+        if not all(map(isinstance, lines, repeat(bytes))):
+            lines = [
+                line if isinstance(line, bytes) else line.encode("utf-8")
+                for line in lines
+            ]
         deadline = time.monotonic() + self.retry_deadline
         report = SensorReport(sensor=self.sensor)
         while True:
@@ -1283,27 +1322,14 @@ class SensorClient:
             try:
                 sock = self._connect()
                 inbuf = bytearray()
-                hello: dict[str, Any] = {
-                    "v": 1,
-                    "type": "hello",
-                    "schema": NET_SCHEMA,
-                    "sensor": self.sensor,
-                    # Offer both wires; the line-framed protocol always
-                    # negotiates down to "ndjson" (pinned in the
-                    # welcome), and v2 files are transcoded client-side.
-                    "wire": ["v2", "ndjson"],
-                }
+                # Offer both wires; the line-framed protocol always
+                # negotiates down to "ndjson" (pinned in the welcome),
+                # and v2 files are transcoded client-side.
+                fields: dict[str, Any] = {"wire": ["v2", "ndjson"]}
                 if self.resume == "ack":
-                    hello["cursor"] = self.acked
-                sock.sendall(_control_line(hello))
-                welcome = self._read_message(sock, inbuf, self.io_timeout)
-                if self._handle(welcome) != "welcome":
-                    raise SensorError(f"expected welcome, got {welcome!r}")
-                start = (
-                    self.acked
-                    if self.resume == "ack"
-                    else int(welcome.get("cursor", 0))
-                )
+                    fields["cursor"] = self.acked
+                welcome = int(self._hello(sock, inbuf, **fields).get("cursor", 0))
+                start = self.acked if self.resume == "ack" else welcome
                 if start > len(lines):
                     raise SensorError(
                         f"server cursor {start} is past our {len(lines)} lines"
@@ -1322,12 +1348,7 @@ class SensorClient:
                     # One join + sliced sends: the server reassembles
                     # frames from arbitrary chunk boundaries, so the
                     # client owes no per-line work at all.
-                    payload = (
-                        b"\n".join(lines[start:]) + b"\n"
-                        if start < len(lines)
-                        else b""
-                    ) + fin
-                    view = memoryview(payload)
+                    view = memoryview(b"\n".join([*lines[start:], fin]))
                     for offset in range(0, len(view), self.chunk_bytes):
                         sock.sendall(view[offset : offset + self.chunk_bytes])
                         # Only the last chunk carries the fin, so only
@@ -1352,10 +1373,7 @@ class SensorClient:
                 time.sleep(self.retry_interval)
             finally:
                 if sock is not None:
-                    try:
-                        sock.close()
-                    except OSError:
-                        pass
+                    _close(sock)
 
 
 class SensorStream:
@@ -1410,18 +1428,7 @@ class SensorStream:
             raise SensorError(f"stream {self.sensor!r} is already connected")
         sock = self._client._connect()
         try:
-            hello = {
-                "v": 1,
-                "type": "hello",
-                "schema": NET_SCHEMA,
-                "sensor": self.sensor,
-            }
-            sock.sendall(_control_line(hello))
-            welcome = self._client._read_message(
-                sock, self._inbuf, self._client.io_timeout
-            )
-            if self._client._handle(welcome) != "welcome":
-                raise SensorError(f"expected welcome, got {welcome!r}")
+            welcome = self._client._hello(sock, self._inbuf)
         except BaseException:
             sock.close()
             raise
@@ -1430,12 +1437,15 @@ class SensorStream:
         self.skipped = self.start
         return self.start
 
-    def send_lines(self, lines: Sequence[bytes]) -> None:
-        """Offer payload lines; resume-skipped ones only move the cursor."""
+    def _check_open(self) -> None:
         if self._sock is None:
             raise SensorError(f"stream {self.sensor!r} is not connected")
         if self._finished:
             raise SensorError(f"stream {self.sensor!r} is finished")
+
+    def send_lines(self, lines: Sequence[bytes]) -> None:
+        """Offer payload lines; resume-skipped ones only move the cursor."""
+        self._check_open()
         for line in lines:
             if not isinstance(line, bytes):
                 line = line.encode("utf-8")
@@ -1462,10 +1472,7 @@ class SensorStream:
         (see the protocol notes) — the cluster failover tier uses it to
         pin a partition's durable frontier before failing it over.
         """
-        if self._sock is None:
-            raise SensorError(f"stream {self.sensor!r} is not connected")
-        if self._finished:
-            raise SensorError(f"stream {self.sensor!r} is finished")
+        self._check_open()
         self.flush()
         if self._client.acked >= self.cursor:
             return self._client.acked
@@ -1507,10 +1514,7 @@ class SensorStream:
 
     def close(self) -> None:
         if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
+            _close(self._sock)
             self._sock = None
 
 
@@ -1530,16 +1534,5 @@ def shard_trace_lines(
     """
     if not 0 <= index < count:
         raise ValueError(f"shard index {index} out of range for {count}")
-    lines = [
-        line if isinstance(line, bytes) else line.encode("utf-8") for line in lines
-    ]
-    header: list[bytes] = []
-    if lines:
-        try:
-            data = json.loads(lines[0])
-        except ValueError:
-            data = None
-        if isinstance(data, dict) and data.get("type") == "header":
-            header = [lines[0]]
-            lines = lines[1:]
-    return header + [line for i, line in enumerate(lines) if i % count == index]
+    header, payload = split_header(lines)
+    return header + payload[index::count]

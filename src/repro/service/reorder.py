@@ -29,7 +29,7 @@ from __future__ import annotations
 import enum
 import heapq
 from itertools import repeat
-from typing import Any, NamedTuple
+from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,6 +41,19 @@ __all__ = ["Backpressure", "ReorderBuffer", "ReorderPlan"]
 #: Interned strings kept before the tables are compacted to what the
 #: buffer still holds.
 _COMPACT_AT = 1 << 12
+
+
+def _intern_used(
+    table: StringTable, names: Sequence[str], ids: np.ndarray
+) -> np.ndarray:
+    """``ids`` re-expressed over ``table``, interning only the names they
+    use: a short slice of a long run keeps its run's whole tables."""
+    used = np.zeros(len(names), dtype=bool)
+    used[ids] = True
+    live = np.flatnonzero(used)
+    remap = np.zeros(len(names), dtype=np.int64)
+    remap[live] = table.ids(list(map(names.__getitem__, live.tolist())))
+    return remap[ids]
 
 
 class Backpressure(enum.Enum):
@@ -192,8 +205,8 @@ class ReorderBuffer:
     def _intern(self, batch: LookupBatch) -> LookupBatch:
         return self._batch(
             np.asarray(batch.ts, dtype=np.float64),
-            self._servers.ids(batch.servers)[batch.server_id],
-            self._domains.ids(batch.domains)[batch.domain_id],
+            _intern_used(self._servers, batch.servers, batch.server_id),
+            _intern_used(self._domains, batch.domains, batch.domain_id),
         )
 
     def plan(self, batch: LookupBatch) -> ReorderPlan:

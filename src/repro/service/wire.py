@@ -71,6 +71,12 @@ __all__ = [
     "finalize_quality",
     "NdjsonReader",
     "NdjsonBatchDecoder",
+    "parse_line",
+    "lookup_key",
+    "lookup_server",
+    "sniff_header",
+    "split_header",
+    "split_lines",
 ]
 
 #: Version stamped on (and required of) every wire line.
@@ -130,6 +136,56 @@ def _decode_record_slow(data: Mapping[str, Any]) -> ForwardedLookup:
         return ForwardedLookup.from_dict(data)
     except (KeyError, TypeError) as exc:
         raise WireError(str(exc)) from exc
+
+
+def parse_line(line: bytes) -> Any:
+    """``json.loads`` of one raw line, or ``None`` when it is not JSON
+    (undecodable bytes included).  Decoding first skips the encoding
+    sniff ``json.loads`` pays on every ``bytes`` argument."""
+    try:
+        return json.loads(line.decode("utf-8"))
+    except ValueError:
+        return None
+
+
+def lookup_server(data: Any) -> str | None:
+    """The server a parsed lookup line names, else ``None``.  A line is
+    a lookup when its ``type`` is absent or ``"lookup"``."""
+    if isinstance(data, dict) and data.get("type", "lookup") == "lookup":
+        server = data.get("server")
+        if isinstance(server, str):
+            return server
+    return None
+
+
+def lookup_key(data: Any) -> tuple[float, str, str] | None:
+    """The trace-order key ``(timestamp, server, domain)`` of a parsed
+    lookup line with a numeric timestamp and string server and domain,
+    else ``None`` (the line may still be a valid header, or corrupt)."""
+    server = lookup_server(data)
+    if server is None:
+        return None
+    timestamp, domain = data.get("timestamp"), data.get("domain")
+    if type(timestamp) not in (int, float) or not isinstance(domain, str):
+        return None  # (a bool is no timestamp)
+    return (float(timestamp), server, domain)
+
+
+def sniff_header(line: bytes) -> dict[str, Any] | None:
+    """The header object ``line`` carries, or ``None``."""
+    data = parse_line(line)
+    if isinstance(data, dict) and data.get("type") == "header":
+        return data
+    return None
+
+
+def split_header(lines: Sequence[bytes | str]) -> tuple[list[bytes], list[bytes]]:
+    """``(header_lines, payload_lines)`` of a trace's lines as bytes: at
+    most one leading header."""
+    lines = [line if isinstance(line, bytes) else line.encode() for line in lines]
+    if lines and sniff_header(lines[0]) is not None:
+        return lines[:1], lines[1:]
+    return [], lines
 
 
 def encode_header(meta: Mapping[str, Any]) -> str:
@@ -373,9 +429,6 @@ class NdjsonReader:
                 return None
             self._corrupt_line(stripped, "not a JSON object")
             return None
-        return self._feed_object(stripped, data)
-
-    def _feed_object(self, stripped: str, data: dict) -> ForwardedLookup | None:
         kind = data.get("type", "lookup")
         if kind == "header":
             self.header = data
@@ -396,35 +449,6 @@ class NdjsonReader:
             return None
         self.records += 1
         return record
-
-    def feed_parsed(
-        self, line: bytes | str, data: Any
-    ) -> ForwardedLookup | None:
-        """Decode an already-parsed complete line under the skip policy.
-
-        ``data`` must be ``json.loads`` of ``line``.  Callers that parse
-        every line themselves anyway (the network ingest tier peeks each
-        payload line for its merge key) use this to skip a second parse;
-        counters, header capture and quarantine behaviour are identical
-        to ``feed(line)`` on a complete line.
-        """
-        tracer = self.tracer
-        if tracer is None:
-            return self._feed_parsed(line, data)
-        t0 = tracer.start("decode")
-        record = self._feed_parsed(line, data)
-        if t0:
-            tracer.stop("decode", t0, records=0 if record is None else 1)
-        return record
-
-    def _feed_parsed(self, line: bytes | str, data: Any) -> ForwardedLookup | None:
-        if isinstance(line, bytes):
-            line = line.decode("utf-8")
-        stripped = line.strip()
-        if not isinstance(data, dict):
-            self._corrupt_line(stripped, "not a JSON object")
-            return None
-        return self._feed_object(stripped, data)
 
     def read(self, lines: Iterable[bytes | str]) -> Iterator[ForwardedLookup]:
         """Decode a line stream lazily, yielding lookup records.
@@ -450,9 +474,9 @@ class NdjsonReader:
             tracer.record("decode", spent, records=records)
 
 
-#: One complete line of a chunk as ``findall`` groups: ``(domain,
+#: One complete line of a chunk as ``findall`` groups: ``(line, domain,
 #: server, timestamp, b"")`` for a line in the form :func:`encode_record`
-#: writes, else ``(b"", b"", b"", line)``.  The first branch takes
+#: writes, else ``(b"", b"", b"", b"", line)``.  The first branch takes
 #: exactly the lines :func:`decode_record`'s fast path accepts: the four
 #: keys in order with no whitespace, ``"v":1``, strings without ``"``,
 #: ``\`` or a control byte (nothing to unescape), and a timestamp
@@ -460,16 +484,17 @@ class NdjsonReader:
 #: ``01.5`` and integers fall through).
 _STRING = rb'([^"\\\x00-\x1f]*)'
 _LINE = re.compile(
-    rb'^(?:\{"domain":"' + _STRING + rb'","server":"' + _STRING + rb'","timestamp":'
+    rb'^(?:(\{"domain":"' + _STRING + rb'","server":"' + _STRING + rb'","timestamp":'
     rb"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))"
-    rb',"v":1\}|(.*))$',
+    rb',"v":1\})|(.*))$',
     re.MULTILINE,
 )
-#: Bytes of a canonical line besides its three values, newline included.
-_LINE_FRAME = len(b'{"domain":"","server":"","timestamp":,"v":1}\n')
-
 #: A decoded run: a bulk-lane batch, or one fallback-lane record.
 Run = LookupBatch | tuple[ForwardedLookup]
+
+#: A split line unit: a run of canonical lines as ``(batch, raw lines)``,
+#: or one other line's raw bytes.
+Unit = tuple[LookupBatch, Sequence[bytes]] | bytes
 
 
 def _interned(values: Sequence[bytes]) -> tuple[np.ndarray, list[str]]:
@@ -481,12 +506,36 @@ def _interned(values: Sequence[bytes]) -> tuple[np.ndarray, list[str]]:
     return np.array(ids, np.uint32), b"\n".join(index).decode("utf-8").split("\n")
 
 
-def _canonical_line(domain: bytes, server: bytes, timestamp: bytes) -> bytes:
-    return b'{"domain":"%s","server":"%s","timestamp":%s,"v":1}' % (
-        domain,
-        server,
-        timestamp,
-    )
+def split_lines(data: bytes, end: int) -> Iterator[Unit]:
+    """The complete lines ``data[:end]`` as units, in order: each run of
+    canonical lines (:data:`_LINE`, one ``findall`` per chunk) as one
+    ``LookupBatch`` (first-seen tables) with its raw lines, every other
+    line (or a run holding bytes that are not UTF-8) as raw bytes.
+    Stateless, so file replay and the network mux share it."""
+    lines, domains, servers, stamps, others = zip(*_LINE.findall(data, 0, end))
+    n = len(stamps)
+    cuts = stamps + (b"",)  # an other line has no timestamp
+    start = 0
+    while start < n:
+        stop = cuts.index(b"", start)
+        if stop > start:
+            try:
+                server_id, server_names = _interned(servers[start:stop])
+                domain_id, domain_names = _interned(domains[start:stop])
+            except UnicodeDecodeError:
+                yield from lines[start:stop]
+            else:
+                batch = LookupBatch(
+                    np.array(stamps[start:stop], dtype=np.float64),
+                    server_id,
+                    domain_id,
+                    server_names,
+                    domain_names,
+                )
+                yield batch, lines[start:stop]
+        if stop < n:
+            yield others[stop]
+        start = stop + 1
 
 
 def _records(runs: Iterable[Run]) -> list[ForwardedLookup]:
@@ -500,17 +549,15 @@ class NdjsonBatchDecoder:
     """Chunk-oriented NDJSON decode into runs of records.
 
     Feed it arbitrary byte chunks (any split — mid-line boundaries
-    included); it reassembles lines and decodes each chunk's complete
-    lines in two lanes:
+    included); it reassembles lines, splits each chunk's complete lines
+    with :func:`split_lines` and decodes the units in two lanes:
 
-    * the **bulk lane**: one anchored regex (:data:`_LINE`) over the
-      chunk takes every line in :func:`encode_record`'s form, and each
-      run of consecutive such lines becomes one
-      :class:`~repro.service.lookups.LookupBatch` (timestamps parsed by
-      one ``np.array`` call, first-seen string tables);
+    * the **bulk lane**: a run of canonical lines is already a
+      :class:`~repro.service.lookups.LookupBatch`; it is counted and
+      yielded whole, or cut at ``run_limit``;
     * the **fallback lane**: every other line (header, control, blank,
-      corrupt, or a valid record written another way), every line of a
-      run holding bytes that are not UTF-8, and every line when a
+      corrupt, a valid record written another way, or a canonical line
+      holding bytes that are not UTF-8), and every line when a
       ``line_filter`` is set, goes through the :class:`NdjsonReader` one
       line at a time.
 
@@ -524,7 +571,8 @@ class NdjsonBatchDecoder:
     last line; the line after it decodes only on the next ``next``.
     ``run_limit`` (optional) is asked before each bulk run is yielded for
     the most records it may hold, so a caller can cut runs at a record
-    count (the daemon's checkpoint cadence).
+    count (the daemon's checkpoint cadence).  :meth:`iter_units` counts
+    units split elsewhere (the network mux's merge) the same way.
 
     ``consumed`` counts the bytes of every fully decoded line (newline
     included), i.e. the stream offset up to which the decode is durable
@@ -571,12 +619,17 @@ class NdjsonBatchDecoder:
         end = data.rfind(b"\n")
         self._tail = data[end + 1 :]
         if end < 0:
-            runs: Iterable[Run] = ()
+            units: Iterable[Unit] = ()
         elif self.line_filter is not None:
-            runs = self._fallback(data[:end].split(b"\n"), 1)
+            units = data[:end].split(b"\n")
         else:
-            runs = self._decode(data, end)
-        yield from self._timed(runs)
+            units = split_lines(data, end)
+        yield from self.iter_units(units)
+
+    def iter_units(self, units: Iterable[Unit]) -> Iterator[Run]:
+        """Decode split units lazily, yielding their runs (one sampled
+        ``decode`` span per call)."""
+        return self._timed(self._decode(units))
 
     def _timed(self, runs: Iterable[Run]) -> Iterator[Run]:
         """``runs`` as one sampled ``decode`` span that sums the decode
@@ -595,43 +648,15 @@ class NdjsonBatchDecoder:
             t0 = clock()
         tracer.record("decode", spent + clock() - t0, records=records)
 
-    def _decode(self, data: bytes, end: int) -> Iterator[Run]:
-        """Both lanes over the complete lines ``data[:end]``."""
-        domains, servers, stamps, lines = zip(*_LINE.findall(data, 0, end))
-        n = len(stamps)
-        cuts = stamps + (b"",)  # a fallback line has no timestamp
-        start = 0
-        while start < n:
-            stop = cuts.index(b"", start)
-            if stop > start:
-                yield from self._bulk(
-                    domains[start:stop], servers[start:stop], stamps[start:stop]
-                )
-            if stop < n:
-                yield from self._fallback((lines[stop],), 1)
-            start = stop + 1
+    def _decode(self, units: Iterable[Unit]) -> Iterator[Run]:
+        for unit in units:
+            if isinstance(unit, bytes):
+                yield from self._fallback(unit, 1)
+            else:
+                yield from self._bulk(*unit)
 
-    def _bulk(
-        self,
-        domains: Sequence[bytes],
-        servers: Sequence[bytes],
-        stamps: Sequence[bytes],
-    ) -> Iterator[Run]:
+    def _bulk(self, batch: LookupBatch, lines: Sequence[bytes]) -> Iterator[Run]:
         """One run of canonical lines, cut at ``run_limit``."""
-        try:
-            server_id, server_names = _interned(servers)
-            domain_id, domain_names = _interned(domains)
-        except UnicodeDecodeError:
-            lines = map(_canonical_line, domains, servers, stamps)
-            yield from self._fallback(lines, 1)
-            return
-        batch = LookupBatch(
-            np.array(stamps, dtype=np.float64),
-            server_id,
-            domain_id,
-            server_names,
-            domain_names,
-        )
         n = len(batch)
         start = 0
         while start < n:
@@ -639,27 +664,20 @@ class NdjsonBatchDecoder:
             if self.run_limit is not None:
                 stop = min(n, start + max(1, self.run_limit()))
             self.reader.records += stop - start
-            self.consumed += (
-                _LINE_FRAME * (stop - start)
-                + sum(map(len, domains[start:stop]))
-                + sum(map(len, servers[start:stop]))
-                + sum(map(len, stamps[start:stop]))
-            )
+            self.consumed += sum(map(len, lines[start:stop])) + stop - start
             yield batch if stop - start == n else batch.slice(start, stop)
             start = stop
 
-    def _fallback(self, lines: Iterable[bytes], newline: int) -> Iterator[Run]:
-        """The reader, one raw line at a time, through the line filter;
-        ``consumed`` moves past each raw line before its lines decode."""
-        line_filter = self.line_filter
+    def _fallback(self, line: bytes, newline: int) -> Iterator[Run]:
+        """The reader on one raw line, through the line filter;
+        ``consumed`` moves past the raw line before its lines decode."""
+        delivered = (line,) if self.line_filter is None else self.line_filter(line)
+        self.consumed += len(line) + newline
         feed = self.reader._feed
-        for line in lines:
-            delivered = (line,) if line_filter is None else line_filter(line)
-            self.consumed += len(line) + newline
-            for each in delivered:
-                record = feed(each, True)
-                if record is not None:
-                    yield (record,)
+        for each in delivered:
+            record = feed(each, True)
+            if record is not None:
+                yield (record,)
 
     def push(self, chunk: bytes) -> list[ForwardedLookup]:
         """Decode one chunk eagerly; returns its complete-line records."""
@@ -683,7 +701,7 @@ class NdjsonBatchDecoder:
             return
         if complete:
             self._tail = b""
-            yield from self._timed(self._fallback((line,), 0))
+            yield from self._timed(self._fallback(line, 0))
             return
         before = self.reader.truncated_tail
         record = self.reader.feed(line, complete=False)

@@ -202,6 +202,19 @@ def test_string_tables_compact_without_changing_releases():
         assert len(buffer._domains.names) <= 16
 
 
+def test_a_slice_interns_only_the_names_it_uses():
+    """A short slice of a long run keeps the run's whole string tables;
+    pushing it interns the names its records use, not the tables (a
+    capacity this large never compacts them)."""
+    big = LookupBatch.from_records(
+        ForwardedLookup(float(i), "s0", f"d{i}.example") for i in range(10_000)
+    )
+    buffer = ReorderBuffer(1 << 12)
+    buffer.push_batch(big.slice(0, 1))
+    assert buffer._domains.names == ["d0.example"]
+    assert buffer._servers.names == ["s0"]
+
+
 @given(
     records=st.lists(records_st, min_size=1, max_size=60),
     held=st.integers(0, 16),

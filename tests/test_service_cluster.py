@@ -16,6 +16,7 @@ accounting).
 import functools
 import io
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -613,7 +614,10 @@ def _serve_two_sensors(
     retrying a lost router for ``sensor_retry`` seconds.  Once the router
     socket is bound, ``before_sensors(workdir)`` runs before any sensor
     connects.  Returns the serve report and the workdir; a failure of
-    the serve call is raised before any sensor's."""
+    the serve call is raised before any sensor's.  If ``before_sensors``
+    raises, two empty sensors still drive the serve to its end (so
+    neither the router nor its partition processes outlive the call)
+    before its error is raised."""
     from repro.service.netingest import SensorClient, shard_trace_lines
 
     lines = trace.read_bytes().splitlines()
@@ -644,26 +648,33 @@ def _serve_two_sensors(
     while time.time() < deadline and not uds.exists():
         time.sleep(0.05)
     assert uds.exists(), "router never bound its socket"
-    if before_sensors is not None:
-        before_sensors(workdir)
 
-    def _sensor(i):
+    def _sensor(i, payload):
         try:
             SensorClient(
                 ("uds", str(uds)), f"edge-{i:02d}", retry_deadline=sensor_retry
-            ).replay_lines(shards[i])
+            ).replay_lines(payload)
         except BaseException as exc:  # noqa: BLE001 — surfaced below
             failures.append(exc)
 
-    sensor_threads = [
-        threading.Thread(target=_sensor, args=(i,), daemon=True)
-        for i in range(2)
-    ]
-    for t in sensor_threads:
-        t.start()
-    for t in sensor_threads:
-        t.join(timeout=120)
-    server_thread.join(timeout=120)
+    def _drive(payloads):
+        sensor_threads = [
+            threading.Thread(target=_sensor, args=(i, payload), daemon=True)
+            for i, payload in enumerate(payloads)
+        ]
+        for t in sensor_threads:
+            t.start()
+        for t in sensor_threads:
+            t.join(timeout=120)
+        server_thread.join(timeout=120)
+
+    try:
+        if before_sensors is not None:
+            before_sensors(workdir)
+    except BaseException:
+        _drive([[], []])
+        raise
+    _drive(shards)
     if failures:
         raise failures[0]
     assert not server_thread.is_alive(), "cluster_serve did not finish"
@@ -691,6 +702,17 @@ class TestClusterServe:
         ledger = json.loads((workdir / "mesh-ledger.json").read_text())["ledger"]
         [entry] = ledger
         assert (entry["partition"], entry["reason"]) == (0, "exit")
+
+    def test_failing_before_sensors_still_ends_the_serve(self, trace, tmp_path):
+        """An error in the helper's ``before_sensors`` hook surfaces, and
+        the serve and its partition processes are over by then."""
+
+        def _boom(workdir):
+            raise RuntimeError("hook failed")
+
+        with pytest.raises(RuntimeError, match="hook failed"):
+            _serve_two_sensors(trace, tmp_path, before_sensors=_boom)
+        assert multiprocessing.active_children() == []
 
     def test_disarmed_partition_is_a_cluster_error(self, trace, tmp_path, monkeypatch):
         """With no restart budget, partition 0 SIGKILLed before the

@@ -17,6 +17,7 @@ Two layers, matching the module's design:
 import io
 import json
 import os
+import random
 import signal
 import socket
 import struct
@@ -24,6 +25,7 @@ import subprocess
 import sys
 import threading
 import time
+from collections import deque
 from pathlib import Path
 
 import pytest
@@ -31,6 +33,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
+from repro.dns.message import ForwardedLookup
 from repro.service.daemon import BotMeterDaemon
 from repro.service.netingest import (
     NET_SCHEMA,
@@ -43,6 +46,7 @@ from repro.service.netingest import (
     shard_trace_lines,
 )
 from repro.service.tracing import validate_trace_event
+from repro.service.wire import encode_record, lookup_key, parse_line
 
 REPO_SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -144,8 +148,8 @@ class MuxHarness:
         )
         self.daemon._fresh_outputs()
 
-    def _consume(self, raw, data):
-        self.daemon._ingest_lines([(raw, data)])
+    def _consume(self, units):
+        self.daemon._ingest_released(units)
 
     def feed_shard(self, conn_id, sensor, lines, fin=True, cursor=None):
         self.mux.attach(conn_id)
@@ -215,6 +219,84 @@ class RawSensor:
 
     def close(self):
         self.sock.close()
+
+
+class GreedyMerge:
+    """Reference release order: the head-of-queue K-way merge, one line
+    at a time.  Each sensor queues ``(key, lines, end)`` entries (a
+    record line plus the non-record lines before it); a pump releases
+    the smallest ``(key, sensor)`` head until an unfinished sensor has
+    no entry left, and a finished sensor's trailing stash (key ``None``)
+    goes as soon as it is at the head."""
+
+    def __init__(self, expect):
+        self.expect, self.sensors, self.tails, self.released = expect, {}, {}, []
+
+    def feed(self, name, chunk):
+        *lines, self.tails[name] = (self.tails.get(name, b"") + chunk).split(b"\n")
+        for raw in lines:
+            data = parse_line(raw)
+            kind = data.get("type") if isinstance(data, dict) else None
+            if kind == "hello":
+                s = self.sensors.setdefault(
+                    name, {"cursor": 0, "queue": deque(), "stash": []}
+                )
+                s.update(seq=data.get("cursor", s["cursor"]), fin=False)
+            elif kind == "fin":
+                s = self.sensors[name]
+                if s["stash"]:
+                    s["queue"].append((None, s["stash"], s["seq"]))
+                s["stash"], s["fin"] = [], True
+            else:
+                s = self.sensors[name]
+                s["seq"] += 1
+                if s["seq"] > s["cursor"]:
+                    s["stash"].append(raw)
+                    if lookup_key(data) is not None:
+                        s["queue"].append((lookup_key(data), s["stash"], s["seq"]))
+                        s["stash"] = []
+        self.pump()
+
+    def detach(self, name):
+        self.tails[name] = b""
+        s = self.sensors[name]
+        if not s["fin"]:
+            s["queue"].clear()
+            s["stash"], s["seq"] = [], s["cursor"]
+        self.pump()
+
+    def _release(self, s):
+        _, lines, s["cursor"] = s["queue"].popleft()
+        self.released += lines
+        while s["fin"] and s["queue"] and s["queue"][0][0] is None:
+            self._release(s)
+
+    def pump(self):
+        for s in self.sensors.values():
+            while s["fin"] and s["queue"] and s["queue"][0][0] is None:
+                self._release(s)
+        while len(self.sensors) >= self.expect:
+            heads = []
+            for name, s in self.sensors.items():
+                if s["queue"]:
+                    heads.append((s["queue"][0][0], name))
+                elif not s["fin"]:
+                    return
+            if not heads:
+                return
+            self._release(self.sensors[min(heads)[1]])
+
+    @property
+    def cursors(self):
+        return {name: s["cursor"] for name, s in sorted(self.sensors.items())}
+
+
+def _released_lines(units):
+    """The raw lines of released mux units, in order."""
+    lines = []
+    for unit in units:
+        lines.extend([unit] if isinstance(unit, bytes) else unit[1])
+    return lines
 
 
 def _net_replay(
@@ -469,6 +551,92 @@ class TestSensorMux:
         for i in order:
             harness.mux.feed(i, _FIN)
         assert harness.finish() == tiny_reference
+
+
+    @settings(
+        max_examples=80,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_unsorted_shards_release_like_the_greedy_merge(self, data):
+        """Jittered, per-sensor-unsorted shards (timestamp ties, records
+        written both ways, blank and corrupt lines, a trailing stash),
+        fed in random chunks with one mid-stream detach and resume,
+        release the same line sequence and cursors as the head-of-queue
+        reference merge."""
+        k = data.draw(st.integers(2, 3), label="sensors")
+        junk = [b"", b"{torn", b'{"v": 1, "type": "mystery"}']
+        shards = []
+        for i in range(k):
+            lines = []
+            rows = data.draw(
+                st.lists(
+                    st.tuples(
+                        st.sampled_from([-2.0, -0.5, 0.0, 0.0, 1.0, 2.5]),
+                        st.sampled_from(["s0", "s1"]),
+                        st.sampled_from(["a.example", "b.example"]),
+                        st.sampled_from(["canonical", "canonical", "spaced", "junk"]),
+                    ),
+                    max_size=14,
+                ),
+                label=f"shard {i}",
+            )
+            for j, (jitter, server, domain, form) in enumerate(rows):
+                timestamp = 10.0 + j + jitter
+                if form == "canonical":
+                    record = ForwardedLookup(timestamp, server, domain)
+                    lines.append(encode_record(record).encode())
+                elif form == "spaced":
+                    row = {"v": 1, "timestamp": int(timestamp), "server": server,
+                           "domain": domain}
+                    lines.append(json.dumps(row).encode())
+                else:
+                    lines.append(junk[j % len(junk)])
+            lines += junk[: data.draw(st.integers(0, 2), label=f"stash {i}")]
+            shards.append(lines)
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        names = [f"s{i}" for i in range(k)]
+
+        def stream(i, cursor=None):
+            body = b"".join(line + b"\n" for line in shards[i][cursor or 0 :])
+            return _hello(names[i], cursor) + body + _FIN
+
+        released = []
+        mux = SensorMux(
+            consume=lambda units: released.extend(_released_lines(units)),
+            control=lambda conn, message: None,
+            expect_sensors=k,
+        )
+        oracle = GreedyMerge(k)
+        streams = [stream(i) for i in range(k)]
+        conns, offsets = list(range(k)), [0] * k
+        for conn in conns:
+            mux.attach(conn)
+        # The victim detaches once its stream reaches ``cut``, somewhere
+        # between its hello and its fin.
+        victim = rng.randrange(k)
+        cut = len(_hello(names[victim])) + rng.randint(
+            0, len(streams[victim]) - len(_hello(names[victim])) - len(_FIN)
+        )
+        while any(offset < len(s) for offset, s in zip(offsets, streams)):
+            i = rng.choice([i for i in range(k) if offsets[i] < len(streams[i])])
+            end = offsets[i] + rng.randint(1, 48)
+            chunk = streams[i][offsets[i] : min(end, cut) if i == victim else end]
+            offsets[i] += len(chunk)
+            mux.feed(conns[i], chunk)
+            oracle.feed(names[i], chunk)
+            if i == victim and offsets[i] >= cut:
+                mux.detach(conns[i])
+                oracle.detach(names[i])
+                cursor = mux.cursors[names[i]]
+                conns[i], victim = k + i, None
+                mux.attach(conns[i])
+                streams[i], offsets[i] = stream(i, cursor), 0
+            assert released == oracle.released
+            assert mux.cursors == oracle.cursors
+        assert mux.finished
+        assert mux.cursors == {name: len(lines) for name, lines in zip(names, shards)}
 
 
 # ---------------------------------------------------------------------------

@@ -339,22 +339,6 @@ class TestNonSeekableRetryContract:
         assert len(records) == 1
         assert decoder.reader.corrupt == 1  # "123" charged once, at EOL
 
-    def test_feed_parsed_matches_feed(self):
-        """The pre-parsed fast path counts exactly like ``feed``."""
-        lines = [
-            encode_header({"granularity": 0.5}),
-            encode_record(ForwardedLookup(1.0, "s", "a")),
-            '{"v":99,"timestamp":1,"server":"s","domain":"d"}',
-            '{"v":1,"type":"mystery"}',
-            '["not an object"]',
-        ]
-        plain, parsed = NdjsonReader(), NdjsonReader()
-        for line in lines:
-            expect = plain.feed(line)
-            got = parsed.feed_parsed(line, json.loads(line))
-            assert got == expect
-        assert _reader_counters(parsed) == _reader_counters(plain)
-
 
 # ---------------------------------------------------------------------------
 # NdjsonBatchDecoder — chunking must be invisible (the satellite property
