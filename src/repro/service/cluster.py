@@ -1086,7 +1086,6 @@ def cluster_serve(
     def _watch() -> None:
         while not quiesced.wait(supervisor.heartbeat_interval):
             supervisor.poll()
-            supervisor.quorum_ok()
 
     watcher = threading.Thread(target=_watch, name="mesh-watch", daemon=True)
     try:
@@ -1135,6 +1134,9 @@ def cluster_serve(
         bad = [c for c in codes if c not in (0, None)]
         if bad:
             raise ClusterError(f"partition exit codes after serve: {codes}")
+        # Publish every partition's final health, also when the serve
+        # ended before the watch loop's first poll.
+        supervisor.poll()
     finally:
         quiesced.set()
         if watcher.is_alive():

@@ -18,8 +18,9 @@ partitions actually failing, without giving up the exactness anchor:
   that exhausts ``max_partition_restarts`` is *disarmed* instead of
   flapping.
 
-* **Router failover** — :class:`FailoverSensorStream` wraps the
-  router's per-partition :class:`~repro.service.netingest.SensorStream`.
+* **Router failover** — :class:`FailoverSensorStream` drives the
+  router's per-partition :class:`~repro.service.netingest.SensorStream`
+  through its public methods only.
   Lines routed to a down partition are retained in memory *and*
   persisted to a durable per-partition NDJSON **spool** (the
   dead-letter writer with schema ``botmeterd-spool-v1``), then replayed
@@ -45,7 +46,6 @@ import signal
 import sys
 import threading
 import time
-from collections import deque
 from multiprocessing import get_all_start_methods, get_context
 from pathlib import Path
 from typing import IO, Any, Callable, Mapping, Sequence
@@ -54,7 +54,7 @@ from .cluster import ClusterError
 from .daemon import BotMeterDaemon
 from .deadletter import DeadLetterQueue
 from .metrics import MetricsRegistry
-from .netingest import NetIngestServer, SensorError, SensorStream
+from .netingest import RETRY_INTERVAL, NetIngestServer, SensorError, SensorStream
 from .supervisor import BackoffPolicy
 
 __all__ = [
@@ -82,10 +82,6 @@ DOWN = "down"
 DISARMED = "disarmed"
 
 STATE_RANK = {HEALTHY: 0, LAGGING: 1, DOWN: 2, DISARMED: 3}
-
-#: States whose durable state can be trusted as current (quorum
-#: counting).
-FRESH_STATES = frozenset({HEALTHY, LAGGING})
 
 
 # ---------------------------------------------------------------------------
@@ -159,13 +155,11 @@ class HeartbeatWriter(threading.Thread):
         daemon: Any,
         path: str | Path,
         interval: float = 0.25,
-        clock: Callable[[], float] = time.monotonic,
     ) -> None:
         super().__init__(name=f"heartbeat-{Path(path).name}", daemon=True)
         self._daemon = daemon
         self._path = Path(path)
         self._interval = max(0.01, float(interval))
-        self._clock = clock
         self._stop = threading.Event()
         self._seq = 0
 
@@ -185,7 +179,6 @@ class HeartbeatWriter(threading.Thread):
             checkpoint_age=(
                 store.last_good_generation() if store is not None else None
             ),
-            clock=self._clock,
         )
         self._seq += 1
 
@@ -297,8 +290,7 @@ def run_partition_server(config: Mapping[str, Any]) -> int:
     ingest server unlinks and rebinds the same socket path, so the
     router's failover stream reconnects to a constant address.
     """
-    log_path = config.get("log")
-    log = open(log_path, "a") if log_path else open(os.devnull, "w")
+    log = open(os.devnull, "w")
     heartbeat: HeartbeatWriter | None = None
     try:
         daemon = BotMeterDaemon(
@@ -326,10 +318,6 @@ def run_partition_server(config: Mapping[str, Any]) -> int:
         if heartbeat is not None:
             heartbeat.stop()
         log.close()
-
-
-def _partition_server_main(config: Mapping[str, Any]) -> None:
-    sys.exit(run_partition_server(config))
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +351,7 @@ class ClusterSupervisor:
     same fault schedule produce byte-identical ledgers.
 
     ``sleep`` is the backoff injection point (drills pass a no-op; the
-    computed delay is still recorded), ``clock`` feeds heartbeat aging.
+    computed delay is still recorded).
     """
 
     def __init__(
@@ -382,9 +370,6 @@ class ClusterSupervisor:
         heartbeat_interval: float = 0.25,
         lag_after: float = 5.0,
         down_after: float = 15.0,
-        recover_ticks: int = 2,
-        metrics: MetricsRegistry | None = None,
-        clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
         log_stream: IO[str] | None = None,
     ) -> None:
@@ -396,10 +381,9 @@ class ClusterSupervisor:
         self.max_partition_restarts = int(max_partition_restarts)
         self.heartbeat_interval = heartbeat_interval
         self._backoff = backoff if backoff is not None else BackoffPolicy(base=0.2, cap=5.0)
-        self._clock = clock
         self._sleep = sleep
         self._log = log_stream if log_stream is not None else sys.stderr
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self._g_health = self.metrics.gauge(
             "botmeterd_mesh_partition_health",
             "Partition health: 0 healthy, 1 lagging, 2 down, 3 disarmed.",
@@ -407,10 +391,6 @@ class ClusterSupervisor:
         self._c_restarts = self.metrics.counter(
             "botmeterd_mesh_restarts_total",
             "Supervised partition restarts, labelled by reason.",
-        )
-        self._g_quorum = self.metrics.gauge(
-            "botmeterd_mesh_quorum_ok",
-            "1 while at least a quorum of partitions is fresh, else 0.",
         )
         #: Deterministic restart ledger (no wall-clock fields).
         self.ledger: list[dict[str, Any]] = []
@@ -438,11 +418,7 @@ class ClusterSupervisor:
                 ),
                 "heartbeat_interval": heartbeat_interval,
             }
-            health = PartitionHealth(
-                lag_after=lag_after,
-                down_after=down_after,
-                recover_ticks=recover_ticks,
-            )
+            health = PartitionHealth(lag_after=lag_after, down_after=down_after)
             self.partitions.append(_Partition(i, config, health))
 
     # -- lifecycle -----------------------------------------------------------
@@ -456,7 +432,7 @@ class ClusterSupervisor:
 
     def _spawn(self, part: _Partition) -> None:
         proc = self._ctx.Process(
-            target=_partition_server_main,
+            target=run_partition_server,
             args=(dict(part.config),),
             name=f"botmeterd-mesh-{part.label}",
         )
@@ -469,9 +445,6 @@ class ClusterSupervisor:
 
     def socket_path(self, index: int) -> str:
         return self.partitions[index].config["uds"]
-
-    def heartbeat_path(self, index: int) -> str:
-        return self.partitions[index].config["heartbeat"]
 
     def wait_ready(self, timeout: float = 30.0, index: int | None = None) -> None:
         """Block until the partition ingest socket(s) are bound."""
@@ -492,10 +465,6 @@ class ClusterSupervisor:
                     )
                 time.sleep(0.01)
 
-    def is_alive(self, index: int) -> bool:
-        proc = self.partitions[index].proc
-        return proc is not None and proc.is_alive()
-
     # -- supervision ---------------------------------------------------------
 
     def poll(self) -> dict[str, str]:
@@ -507,7 +476,7 @@ class ClusterSupervisor:
         first), and disarms past the restart budget.  Returns the
         post-tick state map.
         """
-        now = self._clock()
+        now = time.monotonic()
         states: dict[str, str] = {}
         for part in self.partitions:
             alive = part.proc is not None and part.proc.is_alive()
@@ -517,29 +486,21 @@ class ClusterSupervisor:
                 if heartbeat is not None and "mono" in heartbeat
                 else None
             )
-            if (
-                not alive
-                and part.proc is not None
-                and part.proc.exitcode == 0
-            ):
-                # A clean zero exit is a quiesce (the partition finished
-                # its stream), never a fault: restarting it would race
-                # the router's own shutdown.
-                states[part.label] = part.health.state
-                self._g_health.set(
-                    STATE_RANK[part.health.state], partition=part.label
-                )
-                continue
-            sample = part.health.classify(age, alive)
-            state = part.health.tick(age, alive)
-            # Restart on the *observation*, not the state: a restarted
-            # partition stays DOWN until its recovery streak completes,
-            # and killing it again for that would be a flap loop.
-            if state != DISARMED and (
-                not alive or (sample == "dead" and age is not None)
-            ):
-                self._restart(part, "exit" if not alive else "stale")
-                state = part.health.state
+            state = part.health.state
+            # A clean zero exit is a quiesce (the partition finished its
+            # stream), never a fault: restarting it would race the
+            # router's own shutdown.
+            if alive or part.proc is None or part.proc.exitcode != 0:
+                sample = part.health.classify(age, alive)
+                state = part.health.tick(age, alive)
+                # Restart on the *observation*, not the state: a restarted
+                # partition stays DOWN until its recovery streak completes,
+                # and killing it again for that would be a flap loop.
+                if state != DISARMED and (
+                    not alive or (sample == "dead" and age is not None)
+                ):
+                    self._restart(part, "exit" if not alive else "stale")
+                    state = part.health.state
             states[part.label] = state
             self._g_health.set(STATE_RANK[state], partition=part.label)
         return states
@@ -584,16 +545,6 @@ class ClusterSupervisor:
         self._sleep(delay)
         self._spawn(part)
 
-    def quorum_ok(self) -> bool:
-        """True while a strict majority of partitions is fresh; sets the
-        ``botmeterd_mesh_quorum_ok`` gauge."""
-        fresh = sum(
-            1 for part in self.partitions if part.health.state in FRESH_STATES
-        )
-        ok = fresh > len(self.partitions) // 2
-        self._g_quorum.set(1 if ok else 0)
-        return ok
-
     def wait(self, timeout: float = 60.0) -> list[int | None]:
         """Join every partition process; returns their exit codes."""
         codes: list[int | None] = []
@@ -624,22 +575,25 @@ class ClusterSupervisor:
 
 
 class FailoverSensorStream:
-    """A :class:`SensorStream` that survives its backend dying.
+    """A router-to-partition stream that survives its backend dying.
 
-    Wraps one per-partition router stream with three behaviours:
+    Drives one :class:`~repro.service.netingest.SensorStream`, through
+    its public methods only, with three behaviours:
 
-    * **Retained window.**  Every line offered past the welcome cursor
-      is retained (seq, bytes) until an ack proves it durable — the
-      replay source for reconnects.
-    * **Durable spool.**  On failover the retained window is dumped to
-      a per-partition NDJSON spool (reason ``failover``) and every
-      subsequent line routed here while down is appended (reason
-      ``spooled``) — an append-only audit that survives a router crash
-      and reconciles exactly against the drill's expected outage lines.
-    * **Ordered replay.**  On reconnect the pending window replays
-      through the partition's own welcome-cursor dedupe: the new inner
-      stream is primed at the durable frontier, so absolute positions
-      line up and the merged landscape stays byte-identical.
+    * **Retained window.**  Every routed line is retained until an ack
+      proves it durable — the replay source for reconnects.  Each
+      routed batch joins the window, then goes to the stream in one
+      call.
+    * **Durable spool.**  On failover (``force_down``, or a send that
+      raises) the retained window is dumped to a per-partition NDJSON
+      spool (reason ``failover``) and every subsequent line routed here
+      while down is appended (reason ``spooled``) — an append-only
+      audit that survives a router crash and reconciles exactly against
+      the drill's expected outage lines.
+    * **Ordered replay.**  On reconnect the stream's cursor says where
+      the partition resumes (its welcome cursor); the retained window
+      re-offers from there, so absolute positions line up and the
+      merged landscape stays byte-identical.
 
     Reconnects while down are gated by a seeded-backoff clock.
     ``sync``/``finish`` block on reconnection — they are the barriers
@@ -654,39 +608,24 @@ class FailoverSensorStream:
         spool_path: str | Path,
         metrics: MetricsRegistry | None = None,
         tracer: Any = None,
-        backoff: BackoffPolicy | None = None,
-        clock: Callable[[], float] = time.monotonic,
         retry_deadline: float = 30.0,
-        retry_interval: float = 0.02,
-        connect_timeout: float = 5.0,
-        io_timeout: float = 30.0,
-        chunk_bytes: int = 1 << 15,
     ) -> None:
-        self._address = address
         self.sensor = sensor
+        self._inner = SensorStream(address, sensor)
         self.spool = DeadLetterQueue(spool_path, schema=SPOOL_SCHEMA)
-        self._connect_timeout = connect_timeout
-        self._io_timeout = io_timeout
-        self._chunk_bytes = chunk_bytes
-        self._clock = clock
         self.retry_deadline = retry_deadline
-        self.retry_interval = retry_interval
-        self._backoff = backoff if backoff is not None else BackoffPolicy(
-            base=0.05, cap=2.0
-        )
+        self._backoff = BackoffPolicy(base=0.05, cap=2.0)
         self._next_attempt = 0.0
         self._attempts = 0
         self.tracer = tracer
         #: Absolute lines offered (== the partition's replay cursor).
         self.cursor = 0
-        self.down = False
         self.failovers = 0
         self.spooled = 0
         self.replayed = 0
-        self._acked = 0
-        self._pending: deque[tuple[int, bytes]] = deque()
+        #: The retained window: the last ``len(_pending)`` lines offered.
+        self._pending: list[bytes] = []
         self._spool_backlog = 0
-        self._inner: SensorStream | None = None
         self._finished = False
         registry = metrics if metrics is not None else MetricsRegistry()
         self._g_depth = registry.gauge(
@@ -710,13 +649,19 @@ class FailoverSensorStream:
 
     @property
     def acked(self) -> int:
-        return self._acked
+        return self._inner.acked
 
-    def _observe_acks(self) -> None:
-        if self._inner is not None:
-            self._acked = max(self._acked, self._inner.acked)
-        while self._pending and self._pending[0][0] <= self._acked:
-            self._pending.popleft()
+    @property
+    def down(self) -> bool:
+        return not self._inner.connected
+
+    def _trim(self) -> None:
+        """Drop the retained lines the partition acked durable (never
+        past the stream's cursor: a reconnect re-offers from there)."""
+        frontier = min(self._inner.acked, self._inner.cursor)
+        drop = frontier - (self.cursor - len(self._pending))
+        if drop > 0:
+            del self._pending[:drop]
 
     def _spool_line(self, seq: int, line: bytes, reason: str) -> None:
         self.spool.quarantine(
@@ -732,21 +677,18 @@ class FailoverSensorStream:
         kill, so no send ever races a dying socket)."""
         if self.down:
             return
-        self.down = True
         self.failovers += 1
-        self._attempts = 0
-        self._next_attempt = self._clock() + self._backoff.delay(0)
+        self._next_attempt = time.monotonic() + self._backoff.delay(0)
         self._c_failovers.inc(partition=self.sensor)
         t0 = self.tracer.start("failover") if self.tracer is not None else 0
         # The retained (sent-but-unacked) window goes to the spool first:
         # if the router itself dies while this partition is down, the
         # spool alone reconstructs everything undelivered.
-        for seq, line in self._pending:
+        first = self.cursor - len(self._pending)
+        for seq, line in enumerate(self._pending, first + 1):
             self._spool_line(seq, line, "failover")
-        if self._inner is not None:
-            self._inner.close()
-            self._inner = None
-        if t0 and self.tracer is not None:
+        self._inner.close()
+        if t0:
             self.tracer.stop(
                 "failover", t0, records=len(self._pending), sensor=self.sensor
             )
@@ -754,151 +696,112 @@ class FailoverSensorStream:
     # -- connection management ----------------------------------------------
 
     def connect(self) -> int:
-        """Initial connect; returns the welcome (resume) cursor."""
-        return self._open()
-
-    def _open(self) -> int:
-        inner = SensorStream(
-            self._address,
-            self.sensor,
-            connect_timeout=self._connect_timeout,
-            io_timeout=self._io_timeout,
-            chunk_bytes=self._chunk_bytes,
-        )
+        """Connect and replay the retained window; returns the welcome
+        (resume) cursor."""
+        inner = self._inner
         start = inner.connect()
-        # The welcome cursor is the same trust anchor SensorStream's
-        # resume="welcome" uses: lines at or below it are the backend's
-        # own released state and must not be re-buffered.
-        self._acked = max(self._acked, start)
-        while self._pending and self._pending[0][0] <= self._acked:
-            self._pending.popleft()
-        inner.cursor = self._acked
-        replayed = 0
-        if self._pending:
-            t0 = self.tracer.start("replay") if self.tracer is not None else 0
-            inner.send_lines([line for _, line in self._pending])
-            inner.flush()
-            replayed = len(self._pending)
-            if t0 and self.tracer is not None:
-                self.tracer.stop("replay", t0, records=replayed, sensor=self.sensor)
-        self._inner = inner
-        self.down = False
+        self._trim()
+        # The welcome cursor is the backend's released state: re-offer
+        # the retained window from where the stream resumes.
+        index = inner.cursor - (self.cursor - len(self._pending))
+        try:
+            if index < 0:
+                raise SensorError(
+                    f"stream {self.sensor!r}: partition resumed at {start}, "
+                    "below the retained window"
+                )
+            if index < len(self._pending):
+                t0 = self.tracer.start("replay") if self.tracer is not None else 0
+                sent = inner.sent
+                inner.send_lines(self._pending[index:])
+                replayed = inner.sent - sent
+                self.replayed += replayed
+                self._c_replayed.inc(replayed, partition=self.sensor)
+                if t0:
+                    self.tracer.stop("replay", t0, records=replayed, sensor=self.sensor)
+        except BaseException:
+            inner.close()
+            raise
         self._attempts = 0
-        if replayed:
-            self.replayed += replayed
-            self._c_replayed.inc(replayed, partition=self.sensor)
         self._spool_backlog = 0
         self._g_depth.set(0, partition=self.sensor)
-        self._observe_acks()
+        self._trim()
         return start
 
-    def reconnect(self, timeout: float | None = None) -> int:
+    def reconnect(self, timeout: float | None = None) -> None:
         """Blocking reconnect-and-replay (drills call this once the
-        backend is restarted); returns the number of replayed lines."""
+        backend is restarted)."""
         deadline = time.monotonic() + (
             timeout if timeout is not None else self.retry_deadline
         )
-        before = self.replayed
         while True:
             try:
-                self._open()
-                return self.replayed - before
-            except (OSError, SensorError, ConnectionError) as exc:
+                self.connect()
+                return
+            except (OSError, SensorError) as exc:
                 if time.monotonic() >= deadline:
                     raise SensorError(
                         f"stream {self.sensor!r} could not reconnect: {exc}"
                     ) from exc
-                time.sleep(self.retry_interval)
-
-    def maybe_reconnect(self) -> bool:
-        """Gated, non-blocking reconnect attempt while down."""
-        if not self.down:
-            return True
-        if self._clock() < self._next_attempt:
-            return False
-        try:
-            self._open()
-        except (OSError, SensorError, ConnectionError):
-            self._attempts += 1
-            self._next_attempt = self._clock() + self._backoff.delay(self._attempts)
-            return False
-        return True
+                time.sleep(RETRY_INTERVAL)
 
     # -- the SensorStream surface --------------------------------------------
 
     def send_lines(self, lines: Sequence[bytes]) -> None:
+        """Route a batch of payload lines (bytes) to the partition."""
         if self._finished:
             raise SensorError(f"stream {self.sensor!r} is finished")
-        for line in lines:
-            if not isinstance(line, bytes):
-                line = line.encode("utf-8")
-            self.cursor += 1
-            seq = self.cursor
-            if self.down:
-                self.maybe_reconnect()
-            if self.down:
-                self._pending.append((seq, line))
-                self._spool_line(seq, line, "spooled")
-                continue
-            self._pending.append((seq, line))
+        if self.down and time.monotonic() >= self._next_attempt:
+            # Gated, non-blocking reconnect attempt.
             try:
-                assert self._inner is not None
-                self._inner.send_lines([line])
-            except (OSError, SensorError, ConnectionError):
-                # The line is already pending; fail over (which spools
-                # the whole retained window, this line included).
-                self._pending.pop()
-                held = (seq, line)
-                self.force_down("send failed")
-                self._pending.append(held)
+                self.connect()
+            except (OSError, SensorError):
+                self._attempts += 1
+                self._next_attempt = time.monotonic() + self._backoff.delay(
+                    self._attempts
+                )
+        first = self.cursor
+        self.cursor += len(lines)
+        self._pending.extend(lines)
+        if self.down:
+            for seq, line in enumerate(lines, first + 1):
                 self._spool_line(seq, line, "spooled")
-        if not self.down:
-            self._observe_acks()
-
-    def flush(self) -> None:
-        if self.down or self._inner is None:
-            self.maybe_reconnect()
             return
         try:
-            self._inner.flush()
-        except (OSError, SensorError, ConnectionError):
-            self.force_down("flush failed")
+            self._inner.send_lines(lines)
+        except (OSError, SensorError):
+            # The batch is already retained: failing over spools it with
+            # the rest of the window.
+            self.force_down("send failed")
             return
-        self._observe_acks()
-
-    def _ensure_connected(self, timeout: float | None = None) -> None:
-        if not self.down and self._inner is not None:
-            return
-        self.reconnect(timeout)
+        self._trim()
 
     def sync(self, timeout: float | None = None) -> int:
         """Durability barrier across failover: block until connected,
         then until every offered line is acked durable."""
-        self._ensure_connected(timeout)
-        assert self._inner is not None
+        if self.down:
+            self.reconnect(timeout)
         try:
             self._inner.sync(timeout)
-        except (OSError, ConnectionError) as exc:
+        except OSError as exc:
             self.force_down(f"sync failed: {exc}")
             raise SensorError(
                 f"stream {self.sensor!r}: backend died inside a sync barrier"
             ) from exc
-        self._observe_acks()
-        return self._acked
+        self._trim()
+        return self.acked
 
     def finish(self, timeout: float | None = None) -> int:
         if self._finished:
-            return self._acked
-        self._ensure_connected(timeout)
-        assert self._inner is not None
+            return self.acked
+        if self.down:
+            self.reconnect(timeout)
         self._inner.finish()
-        self._observe_acks()
+        self._trim()
         self._finished = True
         self.spool.close()
-        return self._acked
+        return self.acked
 
     def close(self) -> None:
-        if self._inner is not None:
-            self._inner.close()
-            self._inner = None
+        self._inner.close()
         self.spool.close()

@@ -83,6 +83,17 @@ disconnect, buffered-but-unreleased lines are dropped — they were never
 durable, and the sensor resends them from its resume cursor; a partial
 trailing line is likewise dropped (counted as a partial reset), so a
 mid-record TCP reset can never charge the corrupt budget.
+
+Senders
+-------
+
+:class:`SensorStream` is the only code that opens a sensor socket and
+speaks the protocol: hello/welcome, one sliced send path, ack tracking,
+``sync`` and ``fin``.  :class:`SensorClient` (``repro sensor-send``) is
+a whole-shard retry policy over one stream, and the cluster router's
+``FailoverSensorStream`` (:mod:`repro.service.meshguard`) adds a
+retained window and a spool around one; both use only its public
+methods.
 """
 
 from __future__ import annotations
@@ -104,7 +115,7 @@ from typing import Any, Callable, Mapping, Sequence
 import numpy as np
 
 from ..dns.message import ForwardedLookup
-from .daemon import BotMeterDaemon
+from .daemon import READ_SIZE, BotMeterDaemon
 from .lookups import LookupBatch
 from .wire import Unit, lookup_key, parse_line, split_header, split_lines
 from .wire2 import sniff_wire2, wire2_to_ndjson_lines
@@ -132,6 +143,11 @@ NET_SCHEMA = "botmeter-netingest-v1"
 #: never be mistaken for data (or vice versa).
 CONTROL_TYPES = frozenset({"hello", "fin", "sync"})
 
+#: Server selector timeout between housekeeping passes (seconds); each
+#: ``recv`` takes up to the daemon's ``READ_SIZE`` into a socket buffer
+#: of four.
+POLL_INTERVAL = 0.05
+
 
 class ProtocolError(ValueError):
     """A sensor violated botmeter-netingest-v1; the connection drops."""
@@ -150,13 +166,6 @@ def _close(sock: socket.socket) -> None:
         sock.close()
     except OSError:
         pass
-
-
-def _recv(sock: socket.socket) -> bytes:
-    chunk = sock.recv(1 << 16)
-    if not chunk:
-        raise ConnectionError("server closed the connection")
-    return chunk
 
 
 def _pop_message(buf: bytearray) -> dict[str, Any] | None:
@@ -254,7 +263,6 @@ class SensorMux:
             have said hello (``None`` = start merging immediately).
         window: max payload lines buffered per sensor before the caller
             should pause reads (see :meth:`pending_lines_of`).
-        max_line: protocol cap on a single unframed line's bytes.
         tracer: optional StageTracer; each ``feed`` is a ``frame`` span.
     """
 
@@ -264,14 +272,14 @@ class SensorMux:
         control: Callable[[int, dict[str, Any]], None],
         expect_sensors: int | None = None,
         window: int = 4096,
-        max_line: int = 1 << 20,
         tracer: Any = None,
     ) -> None:
         self._consume = consume
         self._control = control
         self._expect = expect_sensors if expect_sensors is None else int(expect_sensors)
         self.window = max(1, int(window))
-        self.max_line = int(max_line)
+        #: Protocol cap on a single unframed line's bytes.
+        self.max_line = 1 << 20
         self.tracer = tracer
         self._sensors: dict[str, _Sensor] = {}
         self._conns: dict[int, _MuxConn] = {}
@@ -663,11 +671,9 @@ class NetIngestServer:
             ``None``.
         uds: Unix-domain socket path, or ``None``.  At least one
             listener is required.
-        expect_sensors / window / max_line: forwarded to the mux.
+        expect_sensors / window: forwarded to the mux.
         addr_file: write the bound addresses here as JSON once listening
             (how sensors find an ephemeral port across restarts).
-        recv_bytes: max bytes per ``recv`` (each socket buffers four).
-        poll_interval: selector timeout between housekeeping passes.
         idle_timeout: optional escape hatch — finalize after this many
             seconds without a single received byte.
     """
@@ -679,10 +685,7 @@ class NetIngestServer:
         uds: str | Path | None = None,
         expect_sensors: int | None = None,
         window: int = 4096,
-        max_line: int = 1 << 20,
         addr_file: str | Path | None = None,
-        recv_bytes: int = 1 << 18,
-        poll_interval: float = 0.05,
         idle_timeout: float | None = None,
     ) -> None:
         if tcp is None and uds is None:
@@ -691,8 +694,6 @@ class NetIngestServer:
         self._tcp_spec = tcp
         self._uds_spec = str(uds) if uds is not None else None
         self.addr_file = Path(addr_file) if addr_file is not None else None
-        self.recv_bytes = int(recv_bytes)
-        self.poll_interval = float(poll_interval)
         self.idle_timeout = idle_timeout
         self.window = max(1, int(window))
         self.tcp_address: tuple[str, int] | None = None
@@ -711,7 +712,6 @@ class NetIngestServer:
             control=self._send_control,
             expect_sensors=expect_sensors,
             window=self.window,
-            max_line=max_line,
             tracer=daemon.tracer,
         )
         metrics = daemon.metrics
@@ -821,7 +821,7 @@ class NetIngestServer:
             )
             last_data = time.monotonic()
             while not self._stop and not self._mux.finished:
-                events = self._selector.select(self.poll_interval)
+                events = self._selector.select(POLL_INTERVAL)
                 got_data = False
                 for key, mask in events:
                     if key.data is None:
@@ -889,7 +889,7 @@ class NetIngestServer:
         except (BlockingIOError, OSError):
             return
         sock.setblocking(False)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4 * self.recv_bytes)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4 * READ_SIZE)
         kind = "uds" if sock.family == socket.AF_UNIX else "tcp"
         if kind == "tcp":
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -909,7 +909,7 @@ class NetIngestServer:
         tracer = self.daemon.tracer
         t0 = tracer.start("read") if tracer is not None else 0
         try:
-            chunk = conn.sock.recv(self.recv_bytes)
+            chunk = conn.sock.recv(READ_SIZE)
         except (BlockingIOError, InterruptedError):
             return False
         except OSError:
@@ -1156,8 +1156,205 @@ def read_address_file(path: str | Path, prefer: str = "tcp") -> tuple[str, ...]:
 
 
 # ---------------------------------------------------------------------------
-# The sensor client
+# The sender
 # ---------------------------------------------------------------------------
+
+#: Bytes per client ``sendall``: the daemon's read size.
+CHUNK_BYTES = READ_SIZE
+#: Seconds a sender waits for a connect, and for any one server message.
+CONNECT_TIMEOUT = 5.0
+IO_TIMEOUT = 30.0
+#: Seconds between reconnect attempts.
+RETRY_INTERVAL = 0.02
+
+
+def _as_bytes(lines: Sequence[bytes | str]) -> Sequence[bytes]:
+    if all(map(isinstance, lines, repeat(bytes))):
+        return lines
+    return [line if isinstance(line, bytes) else line.encode("utf-8") for line in lines]
+
+
+def _dial(address: Any) -> socket.socket:
+    """Open a blocking socket to ``address``: ``("tcp", host, port)`` /
+    ``("uds", path)``, a string for :func:`parse_address`, or a zero-arg
+    callable returning either (re-invoked on every connect, so an
+    ``--addr-file`` reader picks up a restarted server's new port)."""
+    spec = address() if callable(address) else address
+    if isinstance(spec, str):
+        spec = parse_address(spec)
+    if spec[0] == "tcp":
+        sock = socket.create_connection((spec[1], int(spec[2])), timeout=CONNECT_TIMEOUT)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    elif spec[0] == "uds":
+        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        sock.settimeout(CONNECT_TIMEOUT)
+        try:
+            sock.connect(spec[1])
+        except OSError:
+            sock.close()
+            raise
+    else:
+        raise ValueError(f"unknown address kind {spec[0]!r}")
+    sock.settimeout(IO_TIMEOUT)
+    return sock
+
+
+class SensorStream:
+    """The one sender of botmeter-netingest-v1.
+
+    Opens the socket, speaks hello/welcome, sends payload lines and
+    reads acks.  :class:`SensorClient` (whole-shard retry) and the
+    cluster's failover stream (:mod:`repro.service.meshguard`) only
+    drive it.
+
+    ``cursor`` is the index of the next line the caller offers: 0 on a
+    fresh stream.  Each :meth:`connect` fixes a resume point ``start``
+    and pulls ``cursor`` back to it when the server holds fewer lines
+    than were offered, so the caller re-offers from ``cursor``.
+    Offered lines below ``start`` only move the cursor (``skipped``);
+    the rest are sent (``sent``).  That is exactly-once across router
+    restarts because the upstream K-way merge and the per-server split
+    are deterministic: a restarted router re-offers the same line
+    sequence, and the welcome cursor says how much is already in.
+
+    ``acked`` is the largest cursor any ack or bye carried; it survives
+    :meth:`close` and a later :meth:`connect` on the same stream.
+
+    Not thread-safe; each stream belongs to one thread.
+    """
+
+    def __init__(self, address: Any, sensor: str) -> None:
+        self.address = address
+        self.sensor = sensor
+        self.cursor = 0
+        self.start = 0
+        self.sent = 0
+        self.skipped = 0
+        self.acked = 0
+        self._sock: socket.socket | None = None
+        self._inbuf = bytearray()
+        self._finished = False
+
+    @property
+    def connected(self) -> bool:
+        return self._sock is not None
+
+    def connect(self, cursor: int | None = None) -> int:
+        """Open the connection and say hello; returns the resume point.
+
+        Without ``cursor`` the stream resumes from the welcome cursor.
+        With it, the hello carries ``cursor`` (the server discards any
+        overlap it already holds) and the stream resumes from there:
+        the ``--from-ack`` mode.
+        """
+        if self._sock is not None:
+            raise SensorError(f"stream {self.sensor!r} is already connected")
+        hello = {"v": 1, "type": "hello", "schema": NET_SCHEMA, "sensor": self.sensor}
+        # Offer both wires; the line-framed protocol always negotiates
+        # down to "ndjson" (pinned in the welcome).
+        hello["wire"] = ["v2", "ndjson"]
+        if cursor is not None:
+            hello["cursor"] = cursor
+        self._sock, self._inbuf = _dial(self.address), bytearray()
+        try:
+            self._sock.sendall(_control_line(hello))
+            welcome = self._read(IO_TIMEOUT)
+            if welcome.get("type") != "welcome":
+                raise SensorError(f"expected welcome, got {welcome!r}")
+        except BaseException:
+            self.close()
+            raise
+        self._finished = False
+        self.start = int(welcome.get("cursor", 0)) if cursor is None else cursor
+        self.cursor = min(self.cursor, self.start)
+        return self.start
+
+    def _check_open(self) -> None:
+        if self._sock is None:
+            raise SensorError(f"stream {self.sensor!r} is not connected")
+        if self._finished:
+            raise SensorError(f"stream {self.sensor!r} is finished")
+
+    def _handle(self, message: dict[str, Any]) -> dict[str, Any]:
+        kind = message.get("type")
+        if kind == "error":
+            raise SensorError(f"server rejected us: {message.get('reason')}")
+        if kind in ("ack", "bye"):
+            self.acked = max(self.acked, int(message.get("cursor", 0)))
+        return message
+
+    def _read(self, timeout: float = 0.0) -> Any:
+        """Handle the next server message.  Without ``timeout`` only one
+        already readable is taken (``None`` if there is none); with it,
+        wait that many seconds for one before raising a timeout."""
+        deadline = time.monotonic() + timeout
+        while (message := _pop_message(self._inbuf)) is None:
+            wait = max(0.0, deadline - time.monotonic())
+            if not select.select([self._sock], [], [], wait)[0]:
+                if timeout:
+                    raise socket.timeout("timed out waiting for a server message")
+                return None
+            chunk = self._sock.recv(1 << 16)
+            if not chunk:
+                raise ConnectionError("server closed the connection")
+            self._inbuf += chunk
+        return self._handle(message)
+
+    def send_lines(self, lines: Sequence[bytes | str]) -> None:
+        """Offer the next payload lines.  Those below the resume point
+        only move the cursor; the rest leave as one join, in
+        :data:`CHUNK_BYTES` slices (the server reassembles frames from
+        any chunk boundary), with readable acks drained after each."""
+        self._check_open()
+        skip = min(len(lines), max(0, self.start - self.cursor))
+        self.cursor += len(lines)
+        self.skipped += skip
+        if skip == len(lines):
+            return
+        fresh = _as_bytes(lines[skip:])
+        self.sent += len(fresh)
+        view = memoryview(b"\n".join([*fresh, b""]))
+        for offset in range(0, len(view), CHUNK_BYTES):
+            self._sock.sendall(view[offset : offset + CHUNK_BYTES])
+            while self._read() is not None:
+                pass
+
+    def sync(self, timeout: float | None = None) -> int:
+        """Durability barrier: send ``sync``, wait until the server's
+        ack covers every line offered so far.  Returns the acked cursor.
+        Only meaningful against a single-sensor backend (see the
+        protocol notes) — the cluster failover tier uses it to pin a
+        partition's durable frontier before failing it over.
+        """
+        self._check_open()
+        if self.acked >= self.cursor:
+            return self.acked
+        self._sock.sendall(_control_line({"v": 1, "type": "sync"}))
+        deadline = time.monotonic() + (timeout if timeout is not None else IO_TIMEOUT)
+        while self.acked < self.cursor:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise SensorError(
+                    f"stream {self.sensor!r}: sync barrier timed out at "
+                    f"acked {self.acked} < cursor {self.cursor}"
+                )
+            self._read(remaining)
+        return self.acked
+
+    def finish(self) -> int:
+        """Send fin, wait for bye; returns the durable cursor."""
+        if not self._finished:
+            self._check_open()
+            self._sock.sendall(_control_line({"v": 1, "type": "fin"}))
+            while self._read(IO_TIMEOUT).get("type") != "bye":
+                pass
+            self._finished = True
+        return self.acked
+
+    def close(self) -> None:
+        if self._sock is not None:
+            _close(self._sock)
+            self._sock = None
 
 
 @dataclass
@@ -1173,26 +1370,22 @@ class SensorReport:
 
 
 class SensorClient:
-    """Blocking sensor-side speaker of botmeter-netingest-v1.
+    """Whole-shard retry policy over one :class:`SensorStream`.
 
-    Streams a shard of payload lines, survives connection loss with
-    reconnect-and-resume, and returns once the server's ``bye`` confirms
-    the whole shard is durable.
+    Each attempt connects, sends the shard from the stream's cursor and
+    finishes: it returns once the server's ``bye`` confirms the whole
+    shard durable.  A lost connection (``OSError``/``ValueError``)
+    retries until ``retry_deadline``; a server ``error`` is final.
 
     Args:
-        address: ``("tcp", host, port)`` / ``("uds", path)``, a string
-            for :func:`parse_address`, or a zero-arg callable returning
-            either — the callable is re-invoked on every attempt, so an
-            ``--addr-file`` reader picks up a restarted server's new
-            port.
+        address: where the server listens (see :func:`_dial`).
         sensor: this sensor's id (the cursor key).
         resume: ``"welcome"`` (default) trusts each connection's welcome
             cursor; ``"ack"`` resumes from the last *durable* ack this
             client saw, resending the overlap for the server to discard.
         retry_deadline: give up reconnecting after this many seconds.
-        chunk_bytes: coalesce payload lines into sends of about this
-            size.
-        throttle: optional sleep after each line (drill pacing).
+        throttle: optional sleep after each line (drill pacing); each
+            line is then its own send.
     """
 
     def __init__(
@@ -1201,94 +1394,15 @@ class SensorClient:
         sensor: str,
         resume: str = "welcome",
         retry_deadline: float = 30.0,
-        retry_interval: float = 0.05,
-        connect_timeout: float = 5.0,
-        io_timeout: float = 30.0,
-        chunk_bytes: int = 1 << 18,
         throttle: float = 0.0,
     ) -> None:
         if resume not in ("welcome", "ack"):
             raise ValueError(f"resume must be 'welcome' or 'ack', got {resume!r}")
-        self._address = address
+        self.address = address
         self.sensor = sensor
         self.resume = resume
         self.retry_deadline = retry_deadline
-        self.retry_interval = retry_interval
-        self.connect_timeout = connect_timeout
-        self.io_timeout = io_timeout
-        self.chunk_bytes = max(1, int(chunk_bytes))
         self.throttle = throttle
-        #: Last *durable* cursor (only ack/bye move it — a welcome
-        #: cursor is live server state that a crash can roll back).
-        self.acked = 0
-
-    # -- plumbing ------------------------------------------------------------
-
-    def _resolve(self) -> tuple[str, ...]:
-        spec = self._address
-        if callable(spec):
-            spec = spec()
-        if isinstance(spec, str):
-            spec = parse_address(spec)
-        kind = spec[0]
-        if kind not in ("tcp", "uds"):
-            raise ValueError(f"unknown address kind {kind!r}")
-        return tuple(spec)
-
-    def _connect(self) -> socket.socket:
-        spec = self._resolve()
-        if spec[0] == "tcp":
-            sock = socket.create_connection(
-                (spec[1], int(spec[2])), timeout=self.connect_timeout
-            )
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        else:
-            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            sock.settimeout(self.connect_timeout)
-            sock.connect(spec[1])
-        sock.settimeout(self.io_timeout)
-        return sock
-
-    def _read_message(
-        self, sock: socket.socket, buf: bytearray, timeout: float
-    ) -> dict[str, Any]:
-        deadline = time.monotonic() + timeout
-        while (message := _pop_message(buf)) is None:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise socket.timeout("timed out waiting for a server message")
-            sock.settimeout(min(remaining, self.io_timeout))
-            buf += _recv(sock)
-        return message
-
-    def _handle(self, message: Mapping[str, Any]) -> str:
-        kind = message.get("type")
-        if kind == "error":
-            raise SensorError(f"server rejected us: {message.get('reason')}")
-        if kind in ("ack", "bye"):
-            self.acked = max(self.acked, int(message.get("cursor", 0)))
-        return str(kind)
-
-    def _drain_acks(self, sock: socket.socket, buf: bytearray) -> bool:
-        """Handle the server messages already readable; True once the
-        bye has been read (the server may close right after it)."""
-        while select.select([sock], [], [], 0)[0]:
-            buf += _recv(sock)
-            while (message := _pop_message(buf)) is not None:
-                if self._handle(message) == "bye":
-                    return True
-        return False
-
-    def _hello(self, sock: socket.socket, buf: bytearray, **fields: Any) -> dict:
-        """Say hello (with ``fields``); returns the server's welcome."""
-        hello = {"v": 1, "type": "hello", "schema": NET_SCHEMA, "sensor": self.sensor}
-        sock.sendall(_control_line({**hello, **fields}))
-        welcome = self._read_message(sock, buf, self.io_timeout)
-        if self._handle(welcome) != "welcome":
-            raise SensorError(f"expected welcome, got {welcome!r}")
-        return welcome
-
-    # -- the replay ----------------------------------------------------------
 
     def replay_path(self, path: str | Path, shard: tuple[int, int] | None = None) -> SensorReport:
         """Stream a trace file (optionally one round-robin shard of it).
@@ -1308,57 +1422,26 @@ class SensorClient:
             lines = shard_trace_lines(lines, *shard)
         return self.replay_lines(lines)
 
-    def replay_lines(self, lines: Sequence[bytes]) -> SensorReport:
+    def replay_lines(self, lines: Sequence[bytes | str]) -> SensorReport:
         """Stream payload lines until the server's bye confirms them."""
-        if not all(map(isinstance, lines, repeat(bytes))):
-            lines = [
-                line if isinstance(line, bytes) else line.encode("utf-8")
-                for line in lines
-            ]
-        deadline = time.monotonic() + self.retry_deadline
+        stream = SensorStream(self.address, self.sensor)
         report = SensorReport(sensor=self.sensor)
+        deadline = time.monotonic() + self.retry_deadline
         while True:
-            sock: socket.socket | None = None
             try:
-                sock = self._connect()
-                inbuf = bytearray()
-                # Offer both wires; the line-framed protocol always
-                # negotiates down to "ndjson" (pinned in the welcome),
-                # and v2 files are transcoded client-side.
-                fields: dict[str, Any] = {"wire": ["v2", "ndjson"]}
-                if self.resume == "ack":
-                    fields["cursor"] = self.acked
-                welcome = int(self._hello(sock, inbuf, **fields).get("cursor", 0))
-                start = self.acked if self.resume == "ack" else welcome
+                start = stream.connect(stream.acked if self.resume == "ack" else None)
                 if start > len(lines):
                     raise SensorError(
                         f"server cursor {start} is past our {len(lines)} lines"
                     )
                 report.skipped = start
-                fin = _control_line({"v": 1, "type": "fin"})
-                bye = False
                 if self.throttle > 0:
-                    for index in range(start, len(lines)):
-                        sock.sendall(lines[index] + b"\n")
-                        self._drain_acks(sock, inbuf)
-                        report.sent += 1
+                    for line in lines[stream.cursor :]:
+                        stream.send_lines((line,))
                         time.sleep(self.throttle)
-                    sock.sendall(fin)
                 else:
-                    # One join + sliced sends: the server reassembles
-                    # frames from arbitrary chunk boundaries, so the
-                    # client owes no per-line work at all.
-                    view = memoryview(b"\n".join([*lines[start:], fin]))
-                    for offset in range(0, len(view), self.chunk_bytes):
-                        sock.sendall(view[offset : offset + self.chunk_bytes])
-                        # Only the last chunk carries the fin, so only
-                        # its drain can see the bye.
-                        bye = self._drain_acks(sock, inbuf)
-                    report.sent += len(lines) - start
-                while not bye:
-                    message = self._read_message(sock, inbuf, self.io_timeout)
-                    bye = self._handle(message) == "bye"
-                report.acked = self.acked
+                    stream.send_lines(lines[stream.cursor :])
+                report.acked = stream.finish()
                 return report
             except SensorError:
                 raise
@@ -1370,152 +1453,10 @@ class SensorClient:
                     ) from exc
                 report.reconnects += 1
                 report.attempts += 1
-                time.sleep(self.retry_interval)
+                time.sleep(RETRY_INTERVAL)
             finally:
-                if sock is not None:
-                    _close(sock)
-
-
-class SensorStream:
-    """Incremental (push-style) sibling of :class:`SensorClient`.
-
-    ``SensorClient.replay_lines`` wants the whole shard up front; the
-    cluster router discovers a partition's lines only as the upstream
-    merge releases them.  A ``SensorStream`` holds one connection open
-    and accepts lines as they arrive, deduplicating against the
-    server's welcome cursor: every offered line advances the local
-    cursor, but only lines at or past the resume point are buffered and
-    sent.  That is exactly-once across router restarts because both the
-    upstream K-way merge and the per-server split are deterministic —
-    a restarted router re-offers the same line sequence, and the
-    partition's welcome cursor tells it how much is already durable.
-
-    Not thread-safe; each stream belongs to one router thread.
-    """
-
-    def __init__(
-        self,
-        address: Any,
-        sensor: str,
-        connect_timeout: float = 5.0,
-        io_timeout: float = 30.0,
-        chunk_bytes: int = 1 << 15,
-    ) -> None:
-        self._client = SensorClient(
-            address,
-            sensor,
-            connect_timeout=connect_timeout,
-            io_timeout=io_timeout,
-            chunk_bytes=chunk_bytes,
-        )
-        self.sensor = sensor
-        self.chunk_bytes = max(1, int(chunk_bytes))
-        #: Lines offered so far (== the partition's replay cursor).
-        self.cursor = 0
-        #: The welcome cursor: lines below this were already durable.
-        self.start = 0
-        self.sent = 0
-        self.skipped = 0
-        self._sock: socket.socket | None = None
-        self._inbuf = bytearray()
-        self._outbuf = bytearray()
-        self._finished = False
-
-    def connect(self) -> int:
-        """Open the connection, speak hello/welcome; returns the resume
-        cursor (lines below it must not be re-buffered)."""
-        if self._sock is not None:
-            raise SensorError(f"stream {self.sensor!r} is already connected")
-        sock = self._client._connect()
-        try:
-            welcome = self._client._hello(sock, self._inbuf)
-        except BaseException:
-            sock.close()
-            raise
-        self._sock = sock
-        self.start = int(welcome.get("cursor", 0))
-        self.skipped = self.start
-        return self.start
-
-    def _check_open(self) -> None:
-        if self._sock is None:
-            raise SensorError(f"stream {self.sensor!r} is not connected")
-        if self._finished:
-            raise SensorError(f"stream {self.sensor!r} is finished")
-
-    def send_lines(self, lines: Sequence[bytes]) -> None:
-        """Offer payload lines; resume-skipped ones only move the cursor."""
-        self._check_open()
-        for line in lines:
-            if not isinstance(line, bytes):
-                line = line.encode("utf-8")
-            self.cursor += 1
-            if self.cursor <= self.start:
-                continue
-            self._outbuf += line
-            self._outbuf += b"\n"
-            self.sent += 1
-        if len(self._outbuf) >= self.chunk_bytes:
-            self.flush()
-
-    def flush(self) -> None:
-        if self._sock is None or not self._outbuf:
-            return
-        self._sock.sendall(self._outbuf)
-        self._outbuf = bytearray()
-        self._client._drain_acks(self._sock, self._inbuf)
-
-    def sync(self, timeout: float | None = None) -> int:
-        """Durability barrier: flush, send ``sync``, wait until the
-        server's ack covers every line offered so far.  Returns the
-        acked cursor.  Only meaningful against a single-sensor backend
-        (see the protocol notes) — the cluster failover tier uses it to
-        pin a partition's durable frontier before failing it over.
-        """
-        self._check_open()
-        self.flush()
-        if self._client.acked >= self.cursor:
-            return self._client.acked
-        self._sock.sendall(_control_line({"v": 1, "type": "sync"}))
-        deadline = (
-            time.monotonic() + (timeout if timeout is not None else self._client.io_timeout)
-        )
-        while self._client.acked < self.cursor:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise SensorError(
-                    f"stream {self.sensor!r}: sync barrier timed out at "
-                    f"acked {self._client.acked} < cursor {self.cursor}"
-                )
-            message = self._client._read_message(self._sock, self._inbuf, remaining)
-            self._client._handle(message)
-        return self._client.acked
-
-    def finish(self) -> int:
-        """Flush, send fin, wait for bye; returns the durable cursor."""
-        if self._sock is None:
-            raise SensorError(f"stream {self.sensor!r} is not connected")
-        if self._finished:
-            return self._client.acked
-        self.flush()
-        self._sock.sendall(_control_line({"v": 1, "type": "fin"}))
-        while True:
-            message = self._client._read_message(
-                self._sock, self._inbuf, self._client.io_timeout
-            )
-            if self._client._handle(message) == "bye":
-                break
-        self._finished = True
-        return self._client.acked
-
-    @property
-    def acked(self) -> int:
-        return self._client.acked
-
-    def close(self) -> None:
-        if self._sock is not None:
-            _close(self._sock)
-            self._sock = None
+                report.sent = stream.sent
+                stream.close()
 
 
 # ---------------------------------------------------------------------------

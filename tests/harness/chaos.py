@@ -375,7 +375,6 @@ def _chaos_run(
                 kill_partition(supervisor, target, wedge=event["kind"] == "wedge")
                 streams[target].force_down(event["kind"])
                 down.add(target)
-                supervisor.quorum_ok()
             recovery = recoveries.get(index)
             if recovery is not None and recovery["partition"] in down:
                 target = recovery["partition"]
@@ -389,7 +388,6 @@ def _chaos_run(
                 streams[target].reconnect()
                 tracer.stop("reconnect", t0, sensor=f"router-p{target:02d}")
                 down.discard(target)
-                supervisor.quorum_ok()
             target = route_line(line, n)
             streams[target].send_lines([line])
             if target in down:

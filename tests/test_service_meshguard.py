@@ -19,6 +19,8 @@ heartbeat age is injected.
 
 import json
 import os
+import socket
+import threading
 
 import pytest
 
@@ -38,6 +40,7 @@ from repro.service.meshguard import (
     HEARTBEAT_SCHEMA,
     LAGGING,
     SPOOL_SCHEMA,
+    FailoverSensorStream,
     PartitionHealth,
     read_heartbeat,
     write_heartbeat,
@@ -531,3 +534,91 @@ class TestSupervisedFailover:
         rendered = (run_dir / "mesh-metrics.prom").read_text()
         assert "botmeterd_mesh_restarts_total" in rendered
         assert "botmeterd_mesh_spooled_lines_total" in rendered
+
+
+# ---------------------------------------------------------------------------
+# Failover stream against a scripted backend
+# ---------------------------------------------------------------------------
+
+
+class ScriptedBackend:
+    """A single-sensor ingest peer on a Unix socket that holds every
+    payload line it reads: welcome, ack and bye all carry that count.
+    ``close`` drops the connection and the listener, as a crash would;
+    a new backend on the same path with the same ``lines`` restarts it."""
+
+    def __init__(self, path, lines=None):
+        self.path = path
+        self.lines = [] if lines is None else lines
+        self.listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        self.listener.bind(str(path))
+        self.listener.listen(1)
+        self.conn = None
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+        self.thread.start()
+
+    def _reply(self, kind):
+        message = {"v": 1, "type": kind, "cursor": len(self.lines)}
+        self.conn.sendall(json.dumps(message).encode() + b"\n")
+
+    def _serve(self):
+        self.conn, _ = self.listener.accept()
+        with self.conn.makefile("rb") as stream:
+            for raw in stream:
+                kind = json.loads(raw).get("type") if raw.startswith(b"{") else None
+                if kind in ("hello", "sync", "fin"):
+                    self._reply({"hello": "welcome", "sync": "ack"}.get(kind, "bye"))
+                else:
+                    self.lines.append(raw[:-1])
+
+    def close(self):
+        self.conn.shutdown(socket.SHUT_RDWR)
+        self.thread.join(timeout=10)
+        self.conn.close()
+        self.listener.close()
+        self.path.unlink()
+
+
+class TestFailoverStream:
+    @pytest.mark.parametrize("synced", [True, False])
+    def test_backend_closed_between_batches_spools_then_replays_once(
+        self, tmp_path, synced
+    ):
+        """The backend dies between two batches with no ``force_down``:
+        the next batch's send fails the stream over, the retained window
+        (that batch, plus the first one when it was never acked) lands
+        in the spool once, and a reconnect replays what the restarted
+        backend lacks, once and in order."""
+        path = tmp_path / "p00.sock"
+        spool = tmp_path / "p00.spool.ndjson"
+        first = [b"first-%d" % i for i in range(5)]
+        second = [b"second-%d" % i for i in range(7)]
+        backend = ScriptedBackend(path)
+        stream = FailoverSensorStream(
+            ("uds", str(path)), "router-p00", spool_path=spool
+        )
+        assert stream.connect() == 0
+        stream.send_lines(first)
+        if synced:
+            assert stream.sync() == len(first)
+        backend.close()
+        stream.send_lines(second)
+        assert stream.down and stream.failovers == 1
+
+        retained = second if synced else first + second
+        entries = read_spool(spool)
+        assert [entry["line"].encode() for entry in entries] == retained
+        assert [entry["cursor"] for entry in entries] == list(
+            range(len(first + second) - len(retained) + 1, len(first + second) + 1)
+        )
+        assert {entry["reason"] for entry in entries} == {"failover"}
+
+        backend = ScriptedBackend(path, backend.lines)
+        held = len(backend.lines)
+        stream.reconnect(timeout=10)
+        assert stream.finish() == len(first + second)
+        stream.close()
+        backend.thread.join(timeout=10)
+        assert backend.lines == first + second
+        assert stream.replayed == len(first + second) - held
+        assert len(read_spool(spool)) == len(retained)

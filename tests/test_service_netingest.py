@@ -35,12 +35,14 @@ from hypothesis import strategies as st
 from repro.cli import main
 from repro.dns.message import ForwardedLookup
 from repro.service.daemon import BotMeterDaemon
+from repro.service import netingest
 from repro.service.netingest import (
     NET_SCHEMA,
     NetIngestServer,
     ProtocolError,
     SensorClient,
     SensorMux,
+    SensorStream,
     parse_address,
     read_address_file,
     shard_trace_lines,
@@ -978,6 +980,94 @@ class TestSigkillDrill:
         ingested = metrics["botmeterd_records_ingested_total"]["series"]
         assert sum(value for _labels, value in ingested) == n_records
         assert all(reports[i].acked == len(shards[i]) for i in range(3))
+
+
+# ---------------------------------------------------------------------------
+# SensorStream against a scripted peer
+# ---------------------------------------------------------------------------
+
+
+class ScriptedPeer(threading.Thread):
+    """The server end of a ``socket.socketpair()``: answers the hello
+    with a welcome at ``welcome`` and the fin with a bye covering every
+    line it received, and records the payload lines and the hello."""
+
+    def __init__(self, sock, welcome):
+        super().__init__(daemon=True)
+        self.sock = sock
+        self.welcome = welcome
+        self.hello = None
+        self.lines = []
+
+    def _reply(self, kind, cursor):
+        message = {"v": 1, "type": kind, "sensor": "s", "cursor": cursor}
+        self.sock.sendall(json.dumps(message).encode() + b"\n")
+
+    def run(self):
+        with self.sock, self.sock.makefile("rb") as stream:
+            for raw in stream:
+                line = raw[:-1]
+                message = parse_line(line)
+                if not isinstance(message, dict):
+                    self.lines.append(line)
+                elif message["type"] == "hello":
+                    self.hello = message
+                    self._reply("welcome", self.welcome)
+                elif message["type"] == "fin":
+                    base = self.hello.get("cursor", self.welcome)
+                    self._reply("bye", base + len(self.lines))
+                    return
+
+
+@st.composite
+def stream_scripts(draw):
+    text = st.text(alphabet="abz 09é", max_size=12)
+    lines = draw(
+        st.lists(st.one_of(text, text.map(str.encode)), max_size=40)
+    )
+    start = draw(st.integers(0, len(lines)))
+    cuts = sorted(draw(st.lists(st.integers(0, len(lines)), max_size=6)))
+    batches = [lines[a:b] for a, b in zip([0, *cuts], [*cuts, len(lines)])]
+    return lines, start, batches, draw(st.booleans()), draw(st.integers(1, 64))
+
+
+class TestSensorStream:
+    @settings(max_examples=80, deadline=None)
+    @given(stream_scripts())
+    def test_send_lines_delivers_exactly_the_lines_past_the_resume_point(
+        self, script
+    ):
+        """Random lines (some ``str``) in random batches, resuming from
+        the welcome cursor or from ``connect(cursor=N)``, anywhere in a
+        batch, sent in tiny slices: the peer receives exactly
+        ``lines[start:]`` and the counters balance."""
+        lines, start, batches, from_ack, chunk = script
+        ours, theirs = socket.socketpair()
+        # A from-ack resume names its cursor; the server may be ahead.
+        peer = ScriptedPeer(theirs, start + 3 if from_ack else start)
+        peer.start()
+        stream = SensorStream("unused", "s")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(netingest, "_dial", lambda address: ours)
+            mp.setattr(netingest, "CHUNK_BYTES", chunk)
+            assert stream.connect(start if from_ack else None) == start
+            for batch in batches:
+                stream.send_lines(batch)
+            acked = stream.finish()
+        stream.close()
+        peer.join(timeout=10)
+        expected = [
+            line if isinstance(line, bytes) else line.encode()
+            for line in lines[start:]
+        ]
+        assert peer.lines == expected
+        assert ("cursor" in peer.hello) == from_ack
+        assert (stream.cursor, stream.sent, stream.skipped) == (
+            len(lines),
+            len(lines) - start,
+            start,
+        )
+        assert acked == stream.acked == len(lines)
 
 
 # ---------------------------------------------------------------------------
