@@ -124,6 +124,7 @@ def chaos_schedule(
     payload_lines: int,
     emissions: Sequence[Sequence[int | None]] | None = None,
     slack: int = 48,
+    owners: Sequence[int] | None = None,
 ) -> list[dict[str, Any]]:
     """A seeded, non-overlapping fault schedule over payload-line time.
 
@@ -141,7 +142,9 @@ def chaos_schedule(
     chains the windows so they never overlap, and parks the remaining
     partitions in **quiet** windows (after everyone's epoch-0 census,
     before the first anchored kill) that exercise kill/spool/replay
-    without spanning an emission.  Victim assignments are tried in
+    without spanning an emission.  A quiet hold is a count of lines its
+    victim owns (``owners``: the partition each payload line routes
+    to; without it every line counts), so the window always spools.  Victim assignments are tried in
     seeded order; the first feasible chain wins, so one seed plus one
     trace is exactly one schedule.
 
@@ -181,6 +184,7 @@ def chaos_schedule(
                 census_line,
                 payload_lines,
                 slack,
+                owners,
             )
             if events is not None:
                 break
@@ -232,15 +236,39 @@ def _chain_chaos_events(
     census_line: int,
     payload_lines: int,
     slack: int,
+    owners: Sequence[int] | None,
 ) -> list[dict[str, Any]] | None:
     """One victim-assignment attempt; None when the chain is infeasible."""
     n = len(perm)
     anchored = list(zip(anchorable, perm))
     quiet = list(perm[len(anchored):])
-    # Reserve room up front for the quiet windows, which sit between
-    # everyone's epoch-0 census and the first anchored kill.
-    cursor = census_line + len(quiet) * 6 * slack
     events: list[dict[str, Any]] = []
+    # Quiet windows first, from everyone's epoch-0 census on, each held
+    # for a count of lines its victim owns (a hold counted in payload
+    # lines can sit in another partition's burst and spool nothing),
+    # and all over before any later epoch is emitted.
+    cursor = census_line
+    emitted = min(line for row in table[1:] for line in row if line is not None)
+    for victim in quiet:
+        mine = [
+            line
+            for line in range(cursor, emitted - slack)
+            if owners is None or owners[line] == victim
+        ]
+        skip = rng.randrange(slack // 8 + 1)
+        want = slack + rng.randrange(slack // 2 + 1)
+        if len(mine) < skip + want:
+            return None
+        at, end = mine[skip], mine[skip + want - 1] + 1
+        events.append(
+            {
+                "kind": rng.choice(("kill", "wedge")),
+                "partition": victim,
+                "at_line": at,
+                "hold_lines": end - at,
+            }
+        )
+        cursor = end + slack
     for day, victim in anchored:
         prior = table[day - 1][victim]
         own = table[day][victim]
@@ -273,24 +301,6 @@ def _chain_chaos_events(
             }
         )
         cursor = recovery + slack
-    if quiet:
-        low, high = census_line, min(e["at_line"] for e in events) - slack
-        slot = (high - low) // len(quiet)
-        if slot < 4 * slack:
-            return None
-        for j, victim in enumerate(quiet):
-            base = low + slot * j
-            at = base + rng.randrange(slot // 8 + 1)
-            hold = max(slack, slot // 4) + rng.randrange(slot // 8 + 1)
-            hold = min(hold, base + slot - at - 16)
-            events.append(
-                {
-                    "kind": rng.choice(("kill", "wedge")),
-                    "partition": victim,
-                    "at_line": at,
-                    "hold_lines": hold,
-                }
-            )
     return events
 
 
@@ -408,6 +418,7 @@ def _chaos_run(
     landscape_path.write_text("\n".join(merged) + ("\n" if merged else ""))
 
     spool_audit: dict[str, Any] = {}
+    victims = {event["partition"] for event in schedule}
     for i in range(n):
         spool_path = run_dir / f"p{i:02d}.spool.ndjson"
         entries = read_spool(spool_path) if spool_path.exists() else []
@@ -429,6 +440,11 @@ def _chaos_run(
             raise ClusterError(
                 f"partition p{i:02d}: replayed {streams[i].replayed} of "
                 f"{len(expected)} spooled lines"
+            )
+        if i in victims and not (expected and streams[i].replayed):
+            raise ClusterError(
+                f"partition p{i:02d}: its fault window spooled or replayed "
+                "nothing, so it exercised no failover"
             )
         spool_audit[f"p{i:02d}"] = {
             "spooled": len(expected),
@@ -534,7 +550,11 @@ def run_cluster_chaos(
         payload, partitions, reorder_capacity=reorder_capacity, grace=grace
     )
     schedule = chaos_schedule(
-        chaos_seed, partitions, len(payload), emissions=emissions
+        chaos_seed,
+        partitions,
+        len(payload),
+        emissions=emissions,
+        owners=[route_line(line, partitions) for line in payload],
     )
     print(
         f"cluster-chaos: {len(payload)} payload lines, emissions "

@@ -436,6 +436,25 @@ class TestChaosSchedule:
             7, 3, 4000, emissions=emissions
         ) == chaos_schedule(7, 3, 4000, emissions=emissions)
 
+    def test_quiet_hold_counts_lines_the_victim_owns(self):
+        """Lines arrive in 100-line bursts of one partition each, so the
+        stretch after the census is another partition's: a quiet window
+        still holds at least ``slack`` lines its victim owns."""
+        emissions = [
+            [100, 110, 120],
+            [1000, 1100, 1200],
+            [2000, 2100, 2200],
+        ]
+        owners = [(line // 100) % 3 for line in range(4000)]
+        events = chaos_schedule(7, 3, 4000, emissions=emissions, owners=owners)
+        [quiet] = [e for e in events if "epoch" not in e]
+        window = owners[quiet["at_line"] : quiet["at_line"] + quiet["hold_lines"]]
+        assert window[0] == window[-1] == quiet["partition"]
+        assert window.count(quiet["partition"]) >= 48
+        assert quiet["at_line"] + quiet["hold_lines"] < min(
+            e["at_line"] for e in events if "epoch" in e
+        )
+
     def test_missing_epoch0_census_raises(self):
         with pytest.raises(ClusterError):
             chaos_schedule(
@@ -534,6 +553,40 @@ class TestSupervisedFailover:
         rendered = (run_dir / "mesh-metrics.prom").read_text()
         assert "botmeterd_mesh_restarts_total" in rendered
         assert "botmeterd_mesh_spooled_lines_total" in rendered
+
+    def test_a_fault_window_that_spools_nothing_fails_the_drill(
+        self, mini_trace, tmp_path
+    ):
+        """Records arrive in per-server bursts, so a 20-line outage can
+        fall where its victim owns no line: it spools and replays
+        nothing, and the drill refuses to count it as a failover."""
+        header, payload = split_header(mini_trace.read_bytes().splitlines())
+        owners = [route_line(line, 3) for line in payload]
+        victim = owners[0]
+        at = next(
+            i
+            for i in range(len(payload) // 3, len(payload) - 40)
+            if victim not in owners[i : i + 20]
+        )
+        schedule = [
+            {"kind": "kill", "partition": victim, "at_line": at, "hold_lines": 20}
+        ]
+        with open(os.devnull, "w") as log, pytest.raises(
+            ClusterError, match="spooled or replayed nothing"
+        ):
+            _chaos_run(
+                tmp_path / "mesh",
+                header,
+                payload,
+                schedule,
+                partitions=3,
+                chaos_seed=5,
+                max_partition_restarts=3,
+                estimator="auto",
+                checkpoint_every=200,
+                reorder_capacity=1024,
+                log=log,
+            )
 
 
 # ---------------------------------------------------------------------------
