@@ -5,7 +5,10 @@ as three concurrent TCP sensors through :class:`NetIngestServer` — and
 emits a ``BENCH_netingest.json`` ``repro-perf-v1`` artifact comparing
 the two.  The deterministic K-way merge, framing, and ack machinery are
 allowed to cost something, but not much: under ``REPRO_PERF_STRICT=1``
-the socket path must sustain at least 80% of file-replay throughput.
+the socket path must sustain at least 80% of file-replay throughput,
+judged on the median net-over-file ratio of :data:`PAIRS` interleaved
+file/net pairs (each replay takes ~50 ms, so one host burst can decide a
+single pair, but not the median).
 Both paths must produce byte-identical landscapes — a perf run that
 drifts behaviourally is worthless, so the identity is asserted here
 too.
@@ -13,6 +16,7 @@ too.
 
 import json
 import os
+import statistics
 import threading
 import time
 from pathlib import Path
@@ -25,6 +29,7 @@ from repro.service.wire import encode_header, encode_record
 from repro.sim import SimConfig, simulate
 
 SENSORS = 3
+PAIRS = 7
 
 
 @pytest.fixture(scope="module")
@@ -119,21 +124,30 @@ def _net_replay(lines: list[bytes], tmp_path: Path, run: int) -> tuple[float, by
 def test_perf_netingest_vs_file_replay(net_run, tmp_path):
     """Three-sensor TCP replay throughput relative to file replay.
 
-    Always writes the ``BENCH_netingest.json`` artifact; the >=0.8x
-    throughput floor is only enforced under ``REPRO_PERF_STRICT=1`` so
-    an oversubscribed CI box cannot flake the default suite.
+    Always writes the ``BENCH_netingest.json`` artifact (every pair,
+    the gated median ratio and the former min-of-two ratio); the >=0.8x
+    floor on the median is only enforced under ``REPRO_PERF_STRICT=1``
+    so an oversubscribed CI box cannot flake the default suite.
     """
     lines = _trace_lines(net_run)
     n_records = len(net_run.observable)
 
     _file_replay(lines, tmp_path, 0)  # warm imports and kernel caches
-    file_runs = [_file_replay(lines, tmp_path, run) for run in (1, 2)]
-    net_runs = [_net_replay(lines, tmp_path, run) for run in (1, 2)]
-    file_s, file_bytes = min(file_runs)
-    net_s, net_bytes = min(net_runs)
-    assert net_bytes == file_bytes  # identity even while racing the clock
-
-    ratio = file_s / net_s if net_s else float("inf")
+    file_runs, net_runs = [], []
+    for run in range(1, PAIRS + 1):
+        file_runs.append(_file_replay(lines, tmp_path, run))
+        net_runs.append(_net_replay(lines, tmp_path, run))
+        # Identity even while racing the clock.
+        assert net_runs[-1][1] == file_runs[-1][1]
+    file_seconds = [seconds for seconds, _ in file_runs]
+    net_seconds = [seconds for seconds, _ in net_runs]
+    ratios = [f / n if n else float("inf") for f, n in zip(file_seconds, net_seconds)]
+    ratio = statistics.median(ratios)
+    # The statistic this gate used before: min of the first two runs
+    # of each side.
+    min_of_two = min(file_seconds[:2]) / min(net_seconds[:2])
+    file_s = statistics.median(file_seconds)
+    net_s = statistics.median(net_seconds)
     strict = os.environ.get("REPRO_PERF_STRICT") == "1"
     write_artifact(
         artifact_path(tmp_path, "BENCH_netingest.json"),
@@ -142,18 +156,24 @@ def test_perf_netingest_vs_file_replay(net_run, tmp_path):
             "n_records": n_records,
             "sensors": SENSORS,
             "batch_lines": 256,
+            "pairs": [
+                {"file_s": f, "net_s": n, "ratio": r}
+                for f, n, r in zip(file_seconds, net_seconds, ratios)
+            ],
             "wall_seconds_file": file_s,
             "wall_seconds_net": net_s,
-            "wall_seconds_file_runs": [seconds for seconds, _ in file_runs],
-            "wall_seconds_net_runs": [seconds for seconds, _ in net_runs],
+            "wall_seconds_file_runs": file_seconds,
+            "wall_seconds_net_runs": net_seconds,
             "records_per_second_file": n_records / file_s,
             "records_per_second_net": n_records / net_s,
             "net_over_file_throughput": ratio,
+            "net_over_file_min_of_two": min_of_two,
             "strict": strict,
         },
     )
     if strict:
         assert ratio >= 0.8, (
             f"socket ingest only {ratio:.2f}x file-replay throughput "
-            f"({file_s:.3f}s file vs {net_s:.3f}s net over {n_records} records)"
+            f"(median of {PAIRS} interleaved pairs, {file_s:.3f}s file vs "
+            f"{net_s:.3f}s net over {n_records} records)"
         )
