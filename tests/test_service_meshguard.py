@@ -597,7 +597,7 @@ class TestSupervisedFailover:
 class ScriptedBackend:
     """A single-sensor ingest peer on a Unix socket that holds every
     payload line it reads: welcome, ack and bye all carry that count.
-    ``close`` drops the connection and the listener, as a crash would;
+    It serves one connection; ``close`` drops it, as a crash would, and
     a new backend on the same path with the same ``lines`` restarts it."""
 
     def __init__(self, path, lines=None):
@@ -616,7 +616,8 @@ class ScriptedBackend:
 
     def _serve(self):
         self.conn, _ = self.listener.accept()
-        with self.conn.makefile("rb") as stream:
+        self.listener.close()
+        with self.conn, self.conn.makefile("rb") as stream:
             for raw in stream:
                 kind = json.loads(raw).get("type") if raw.startswith(b"{") else None
                 if kind in ("hello", "sync", "fin"):
@@ -627,8 +628,6 @@ class ScriptedBackend:
     def close(self):
         self.conn.shutdown(socket.SHUT_RDWR)
         self.thread.join(timeout=10)
-        self.conn.close()
-        self.listener.close()
         self.path.unlink()
 
 
@@ -672,6 +671,7 @@ class TestFailoverStream:
         assert stream.finish() == len(first + second)
         stream.close()
         backend.thread.join(timeout=10)
+        assert not backend.thread.is_alive()
         assert backend.lines == first + second
         assert stream.replayed == len(first + second) - held
         assert len(read_spool(spool)) == len(retained)

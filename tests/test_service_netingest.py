@@ -1056,6 +1056,7 @@ class TestSensorStream:
             acked = stream.finish()
         stream.close()
         peer.join(timeout=10)
+        assert not peer.is_alive()
         expected = [
             line if isinstance(line, bytes) else line.encode()
             for line in lines[start:]
