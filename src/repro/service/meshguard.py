@@ -83,6 +83,10 @@ DISARMED = "disarmed"
 
 STATE_RANK = {HEALTHY: 0, LAGGING: 1, DOWN: 2, DISARMED: 3}
 
+#: Seconds a reconnect attempt made from ``send_lines`` waits for the
+#: welcome: a stopped partition accepts the connection but never answers.
+GATED_WELCOME_TIMEOUT = 0.5
+
 
 # ---------------------------------------------------------------------------
 # Heartbeats
@@ -399,7 +403,6 @@ class ClusterSupervisor:
         self.partitions: list[_Partition] = []
         for i in range(n):
             config = {
-                "label": f"p{i:02d}",
                 "input": f"mesh:p{i:02d}",
                 "out": str(self.workdir / f"p{i:02d}.out.ndjson"),
                 "checkpoint": str(self.workdir / f"p{i:02d}.ck.json"),
@@ -695,11 +698,11 @@ class FailoverSensorStream:
 
     # -- connection management ----------------------------------------------
 
-    def connect(self) -> int:
+    def connect(self, timeout: float | None = None) -> int:
         """Connect and replay the retained window; returns the welcome
-        (resume) cursor."""
+        (resume) cursor.  ``timeout`` bounds the wait for the welcome."""
         inner = self._inner
-        start = inner.connect()
+        start = inner.connect(timeout=timeout)
         self._trim()
         # The welcome cursor is the backend's released state: re-offer
         # the retained window from where the stream resumes.
@@ -736,7 +739,7 @@ class FailoverSensorStream:
         )
         while True:
             try:
-                self.connect()
+                self.connect(max(deadline - time.monotonic(), RETRY_INTERVAL))
                 return
             except (OSError, SensorError) as exc:
                 if time.monotonic() >= deadline:
@@ -752,9 +755,10 @@ class FailoverSensorStream:
         if self._finished:
             raise SensorError(f"stream {self.sensor!r} is finished")
         if self.down and time.monotonic() >= self._next_attempt:
-            # Gated, non-blocking reconnect attempt.
+            # Gated reconnect attempt, with a short welcome wait: a
+            # wedged partition must not stall the router.
             try:
-                self.connect()
+                self.connect(GATED_WELCOME_TIMEOUT)
             except (OSError, SensorError):
                 self._attempts += 1
                 self._next_attempt = time.monotonic() + self._backoff.delay(

@@ -1212,10 +1212,11 @@ class SensorStream:
     and pulls ``cursor`` back to it when the server holds fewer lines
     than were offered, so the caller re-offers from ``cursor``.
     Offered lines below ``start`` only move the cursor (``skipped``);
-    the rest are sent (``sent``).  That is exactly-once across router
-    restarts because the upstream K-way merge and the per-server split
-    are deterministic: a restarted router re-offers the same line
-    sequence, and the welcome cursor says how much is already in.
+    the rest are sent (``sent`` counts those whose send completed).
+    That is exactly-once across router restarts because the upstream
+    K-way merge and the per-server split are deterministic: a restarted
+    router re-offers the same line sequence, and the welcome cursor says
+    how much is already in.
 
     ``acked`` is the largest cursor any ack or bye carried; it survives
     :meth:`close` and a later :meth:`connect` on the same stream.
@@ -1239,13 +1240,15 @@ class SensorStream:
     def connected(self) -> bool:
         return self._sock is not None
 
-    def connect(self, cursor: int | None = None) -> int:
+    def connect(self, cursor: int | None = None, timeout: float | None = None) -> int:
         """Open the connection and say hello; returns the resume point.
 
         Without ``cursor`` the stream resumes from the welcome cursor.
         With it, the hello carries ``cursor`` (the server discards any
         overlap it already holds) and the stream resumes from there:
-        the ``--from-ack`` mode.
+        the ``--from-ack`` mode.  ``timeout`` bounds the wait for the
+        welcome (default :data:`IO_TIMEOUT`; a stopped server accepts
+        the connection but never answers).
         """
         if self._sock is not None:
             raise SensorError(f"stream {self.sensor!r} is already connected")
@@ -1258,7 +1261,7 @@ class SensorStream:
         self._sock, self._inbuf = _dial(self.address), bytearray()
         try:
             self._sock.sendall(_control_line(hello))
-            welcome = self._read(IO_TIMEOUT)
+            welcome = self._read(timeout or IO_TIMEOUT)
             if welcome.get("type") != "welcome":
                 raise SensorError(f"expected welcome, got {welcome!r}")
         except BaseException:
@@ -1312,12 +1315,12 @@ class SensorStream:
         if skip == len(lines):
             return
         fresh = _as_bytes(lines[skip:])
-        self.sent += len(fresh)
         view = memoryview(b"\n".join([*fresh, b""]))
         for offset in range(0, len(view), CHUNK_BYTES):
             self._sock.sendall(view[offset : offset + CHUNK_BYTES])
             while self._read() is not None:
                 pass
+        self.sent += len(fresh)
 
     def sync(self, timeout: float | None = None) -> int:
         """Durability barrier: send ``sync``, wait until the server's
@@ -1436,7 +1439,10 @@ class SensorClient:
                     )
                 report.skipped = start
                 if self.throttle > 0:
-                    for line in lines[stream.cursor :]:
+                    # The lines the server already holds pass in one call:
+                    # only sent lines are paced.
+                    stream.send_lines(lines[stream.cursor : start])
+                    for line in lines[start:]:
                         stream.send_lines((line,))
                         time.sleep(self.throttle)
                 else:

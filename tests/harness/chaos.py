@@ -44,6 +44,9 @@ from repro.service.meshguard import (
 )
 from repro.service.supervisor import BackoffPolicy
 
+#: Payload lines the drill routes per ``send_lines`` batch.
+ROUTE_BATCH = 256
+
 
 class ChaosFailure(AssertionError):
     """The chaos drill found lost records, an unreconciled spool or
@@ -374,7 +377,19 @@ def _chaos_run(
         }
         down: set[int] = set()
         expected_spool: dict[int, list[bytes]] = {i: [] for i in range(n)}
+        buckets: list[list[bytes]] = [[] for _ in range(n)]
+
+        def route() -> None:
+            for target, bucket in enumerate(buckets):
+                if bucket:
+                    streams[target].send_lines(bucket)
+                    buckets[target] = []
+
         for index, line in enumerate(payload):
+            # Each bucket goes out in one call, as the router hands over
+            # each pump's lines, and always before a fault or recovery.
+            if index in starts or index in recoveries or index % ROUTE_BATCH == 0:
+                route()
             event = starts.get(index)
             if event is not None:
                 target = event["partition"]
@@ -399,9 +414,10 @@ def _chaos_run(
                 tracer.stop("reconnect", t0, sensor=f"router-p{target:02d}")
                 down.discard(target)
             target = route_line(line, n)
-            streams[target].send_lines([line])
+            buckets[target].append(line)
             if target in down:
                 expected_spool[target].append(line)
+        route()
         for stream in streams:
             stream.finish()
         codes = supervisor.wait()

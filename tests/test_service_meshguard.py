@@ -21,6 +21,7 @@ import json
 import os
 import socket
 import threading
+import time
 
 import pytest
 
@@ -675,3 +676,32 @@ class TestFailoverStream:
         assert backend.lines == first + second
         assert stream.replayed == len(first + second) - held
         assert len(read_spool(spool)) == len(retained)
+
+    def test_gated_reconnect_to_a_silent_backend_does_not_stall(self, tmp_path):
+        """A stopped partition still accepts connections on its socket
+        but never welcomes: the reconnect attempt ``send_lines`` makes
+        while down gives up quickly and the batch is spooled."""
+        path = tmp_path / "p00.sock"
+        spool = tmp_path / "p00.spool.ndjson"
+        backend = ScriptedBackend(path)
+        stream = FailoverSensorStream(
+            ("uds", str(path)), "router-p00", spool_path=spool
+        )
+        stream.connect()
+        stream.force_down("wedge")
+        backend.thread.join(timeout=10)
+        path.unlink()
+        silent = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        silent.bind(str(path))
+        silent.listen(4)
+        try:
+            time.sleep(0.2)  # past the first backoff delay
+            t0 = time.monotonic()
+            stream.send_lines([b"held-0", b"held-1"])
+            elapsed = time.monotonic() - t0
+        finally:
+            stream.close()
+            silent.close()
+        assert stream.down
+        assert elapsed < 5.0
+        assert [entry["reason"] for entry in read_spool(spool)] == ["spooled"] * 2

@@ -1070,6 +1070,40 @@ class TestSensorStream:
         )
         assert acked == stream.acked == len(lines)
 
+    def test_sent_counts_only_completed_sends(self):
+        ours, theirs = socket.socketpair()
+        theirs.sendall(b'{"v": 1, "type": "welcome", "cursor": 0}\n')
+        stream = SensorStream("unused", "s")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(netingest, "_dial", lambda address: ours)
+            stream.connect()
+        stream.send_lines([b"a", b"b"])
+        theirs.close()
+        with pytest.raises(OSError):
+            stream.send_lines([b"c"])
+        stream.close()
+        assert (stream.cursor, stream.sent) == (3, 2)
+
+
+class TestSensorClient:
+    def test_throttle_paces_only_the_lines_past_the_welcome_cursor(self):
+        """A resumed throttled client hands the lines the server already
+        holds over without pacing them: one sleep per line it sends."""
+        lines = [f"line-{i}".encode() for i in range(12)]
+        ours, theirs = socket.socketpair()
+        peer = ScriptedPeer(theirs, 9)
+        peer.start()
+        sleeps = []
+        client = SensorClient("unused", "s", throttle=5.0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(netingest, "_dial", lambda address: ours)
+            mp.setattr(netingest.time, "sleep", sleeps.append)
+            report = client.replay_lines(lines)
+        peer.join(timeout=10)
+        assert peer.lines == lines[9:]
+        assert sleeps == [5.0] * 3
+        assert (report.sent, report.skipped, report.acked) == (3, 9, 12)
+
 
 # ---------------------------------------------------------------------------
 # Client + helpers
