@@ -132,7 +132,10 @@ def test_perf_netingest_vs_file_replay(net_run, tmp_path):
     lines = _trace_lines(net_run)
     n_records = len(net_run.observable)
 
-    _file_replay(lines, tmp_path, 0)  # warm imports and kernel caches
+    # Untimed warm-up of both sides (imports, kernel caches, the
+    # loopback path), so the first pair sets warm runs against each other.
+    _file_replay(lines, tmp_path, 0)
+    _net_replay(lines, tmp_path, 0)
     file_runs, net_runs = [], []
     for run in range(1, PAIRS + 1):
         file_runs.append(_file_replay(lines, tmp_path, run))
