@@ -80,9 +80,9 @@ def test_perf_segment_validity_curve(benchmark):
 
 
 def test_perf_kernel_cache_warm_path():
-    """A second same-family estimator build must hit the shared kernel
-    cache: the warm pass has to be at least 10x faster than the cold one."""
-    from repro.core.kernels import reset_shared_cache
+    """A second same-family estimator build must hit the kernel memo:
+    the warm pass has to be at least 10x faster than the cold one."""
+    from repro.core import combinatorics
 
     dga = make_family("new_goz", 7)
     p = dga.params
@@ -92,7 +92,13 @@ def test_perf_kernel_cache_warm_path():
         segment_validity_curve(700, p.barrel_size, 60, True)
         segment_validity_curve(350, p.barrel_size, 60, False)
 
-    reset_shared_cache()
+    for kernel in (
+        barrel_consumption_pmf,
+        combinatorics.log_gap_subset_table,
+        segment_validity_curve,
+    ):
+        kernel.cache_clear()
+    combinatorics._OCCUPANCY.clear()
     start = time.perf_counter()
     build_kernels()
     cold = time.perf_counter() - start

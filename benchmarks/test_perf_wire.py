@@ -9,12 +9,6 @@ artifact comparing single-core decode throughput.  Under
 must clear a **4x** floor; elsewhere the ratio is advisory.  Both paths
 must decode to exactly the same records — a perf run that drifts
 behaviourally is worthless, so the identity is asserted here too.
-
-The second measurement pins the zero-copy kernel segment: loading a
-multi-megabyte ``.npz`` kernel sidecar must *map* the tables, not copy
-them — the RSS delta of the load stays far below the table bytes, which
-is what lets cluster partition processes share one physical copy of
-the warm tables.
 """
 
 import io
@@ -23,7 +17,6 @@ import os
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.service.wire import NdjsonReader, encode_header, encode_record
@@ -120,50 +113,3 @@ def test_perf_wire_v2_columnar_decode_speedup(wire_run, tmp_path):
             f"columnar v2 decode is only {speedup:.2f}x the per-line NDJSON "
             f"reader; the Fastlane floor is {DECODE_SPEEDUP_FLOOR}x"
         )
-
-
-def _rss_bytes() -> int:
-    with open("/proc/self/statm") as fh:
-        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
-
-
-def test_perf_kernel_mmap_segment_is_shared_not_copied(tmp_path):
-    """Loading a large kernel sidecar must map it read-only, not copy
-    it: the process RSS delta across the load stays far below the table
-    payload.  (Pages fault in lazily and are file-backed, so cluster
-    partitions share one physical copy — the 'no per-partition
-    warm-table copy' acceptance check.)"""
-    if not Path("/proc/self/statm").exists():
-        pytest.skip("RSS accounting needs /proc (Linux)")
-    from repro.core.kernels import KernelCache
-
-    side = 2048  # (side+1)^2 float64 ~= 33.6 MB
-    table = np.zeros((side + 1, side + 1))
-    cache = KernelCache()
-    cache._occ[4096] = (side, side, table)
-    path = tmp_path / "kernels.npz"
-    cache.save(path)
-    payload_bytes = table.nbytes
-
-    fresh = KernelCache()
-    before = _rss_bytes()
-    loaded = fresh.load(path)
-    after = _rss_bytes()
-    assert loaded >= 1
-    delta = after - before
-    # Served straight off the mapping (touch a corner, not the bulk).
-    occ = fresh.occupancy(4096, 4, 4)
-    assert float(occ[0, 0]) == 0.0
-    write_artifact(
-        artifact_path(tmp_path, "BENCH_wire_kernel_mmap.json"),
-        {
-            "component": "core.kernels.mmap_segment",
-            "payload_bytes": payload_bytes,
-            "rss_delta_bytes": delta,
-            "rss_delta_budget_bytes": payload_bytes // 4,
-        },
-    )
-    assert delta < payload_bytes // 4, (
-        f"loading a {payload_bytes >> 20} MiB kernel sidecar grew RSS by "
-        f"{delta >> 20} MiB — the segment was copied, not mapped"
-    )

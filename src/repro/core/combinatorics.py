@@ -18,11 +18,21 @@ observed segment exactly; it is monotone in ``n`` with limit 1, so
 ``h(n) = V(n) − V(n−1)`` is a proper distribution and
 ``E(N_L) = Σ n·h(n) = Σ_{n≥0} (1 − V(n))`` is the expected number of
 bots required to cover the segment.
+
+The four Theorem-1 kernels the Bernoulli estimator calls per segment —
+:func:`barrel_consumption_pmf`, :func:`log_gap_subset_table`,
+:func:`segment_validity_curve` and :func:`log_occupancy_table` — depend
+only on their integer arguments, so each is memoised in-process (the
+512 most recently used entries each).  Every shard of the sharded
+engine shares the memo, and a cached value is bit-identical to a fresh
+computation.
+Returned arrays are read-only; callers that need to mutate must copy.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from functools import lru_cache
 
 import numpy as np
@@ -40,18 +50,22 @@ __all__ = [
 
 _NEG_INF = float("-inf")
 
+#: Entries each memoised kernel keeps (least recently used go first).
+_MEMO_SIZE = 512
 
+
+def _readonly(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
 def barrel_consumption_pmf(
     n_registered: int, n_nxd: int, barrel_size: int
 ) -> np.ndarray:
-    """``Pr(q = i)`` for ``i = 0..θq`` — Eqn (2) of the paper.
-
-    Served through the process-local :mod:`repro.core.kernels` cache
-    (bit-exact memoisation); the returned array is read-only.
-    """
-    from .kernels import shared_cache
-
-    return shared_cache().barrel_pmf(n_registered, n_nxd, barrel_size)
+    """``Pr(q = i)`` for ``i = 0..θq`` — Eqn (2) of the paper (memoised,
+    read-only)."""
+    return _readonly(_barrel_consumption_pmf_impl(n_registered, n_nxd, barrel_size))
 
 
 def _barrel_consumption_pmf_impl(
@@ -142,19 +156,17 @@ def gap_constrained_subset_count(length: int, m: int, gap: int) -> int:
     return count
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def log_gap_subset_table(max_last: int, m_max: int, gap: int) -> np.ndarray:
     """``log A(j, m)`` for ``j = 1..max_last``, ``m = 1..m_max`` where
     ``A(j, m)`` counts ``m``-subsets of ``{1..j}`` with minimum 1,
     maximum ``j``, and consecutive gaps at most ``gap``.
 
-    Served through the :mod:`repro.core.kernels` cache under the exact
-    argument tuple (the peak-rescaling below makes entries depend on the
-    table extents, so unlike the occupancy table it is never sliced from
-    a superset); the returned array is read-only.
+    Memoised under the exact argument tuple (the peak-rescaling below
+    makes entries depend on the table extents, so unlike the occupancy
+    table it is never sliced from a larger one); read-only.
     """
-    from .kernels import shared_cache
-
-    return shared_cache().gap_subsets(max_last, m_max, gap)
+    return _readonly(_log_gap_subset_table_impl(max_last, m_max, gap))
 
 
 def _log_gap_subset_table_impl(max_last: int, m_max: int, gap: int) -> np.ndarray:
@@ -195,6 +207,7 @@ def _log_gap_subset_table_impl(max_last: int, m_max: int, gap: int) -> np.ndarra
     return log_table
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def segment_validity_curve(
     observed_len: int,
     gap: int,
@@ -202,11 +215,12 @@ def segment_validity_curve(
     ends_at_boundary: bool,
 ) -> tuple[int, np.ndarray]:
     """``(slots, V)`` for one observed segment — the Bernoulli
-    estimator's hot path, served through the :mod:`repro.core.kernels`
-    cache under the exact argument tuple (read-only curve)."""
-    from .kernels import shared_cache
-
-    return shared_cache().segment_curve(observed_len, gap, n_max, ends_at_boundary)
+    estimator's hot path, memoised under the exact argument tuple
+    (read-only curve)."""
+    slots, curve = _segment_validity_curve_impl(
+        observed_len, gap, n_max, ends_at_boundary
+    )
+    return slots, _readonly(curve)
 
 
 def _segment_validity_curve_impl(
@@ -263,18 +277,30 @@ def _segment_validity_curve_impl(
     return slots, np.clip(curve, 0.0, 1.0)
 
 
+#: ``n_boxes -> table`` at the largest extents requested so far (LRU).
+_OCCUPANCY: OrderedDict[int, np.ndarray] = OrderedDict()
+
+
 def log_occupancy_table(n_boxes: int, n_max: int, m_max: int) -> np.ndarray:
     """``log P(n uniform balls land onto exactly one given m-subset and
     cover it)`` for ``n = 0..n_max``, ``m = 0..m_max``.
 
-    Served through the :mod:`repro.core.kernels` cache: entry ``(n, m)``
-    of the recurrence depends only on smaller indices, so a larger
-    cached table is sliced bit-exactly down to the request.  The
-    returned array is a read-only view.
+    Memoised per ``n_boxes``: entry ``(n, m)`` of the recurrence depends
+    only on smaller indices, so the stored table grows to the largest
+    extents requested so far and every request is a bit-exact read-only
+    slice of it.
     """
-    from .kernels import shared_cache
-
-    return shared_cache().occupancy(n_boxes, n_max, m_max)
+    table = _OCCUPANCY.get(n_boxes)
+    if table is None or table.shape[0] <= n_max or table.shape[1] <= m_max:
+        rows, cols = n_max, m_max
+        if table is not None:
+            rows, cols = max(rows, table.shape[0] - 1), max(cols, table.shape[1] - 1)
+        table = _readonly(_log_occupancy_table_impl(n_boxes, rows, cols))
+        _OCCUPANCY[n_boxes] = table
+        if len(_OCCUPANCY) > _MEMO_SIZE:
+            _OCCUPANCY.popitem(last=False)
+    _OCCUPANCY.move_to_end(n_boxes)
+    return table[: n_max + 1, : m_max + 1]
 
 
 def _log_occupancy_table_impl(n_boxes: int, n_max: int, m_max: int) -> np.ndarray:

@@ -10,6 +10,7 @@ deterministic given the wave's seed, so ground truth is reproducible.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,17 +65,20 @@ class InfectionWave:
     def population_on(self, day_index: int) -> int:
         """Nominal active-bot population for ``day_index`` (0 if inactive).
 
-        Deterministic per ``(seed, day_index)``.
+        Deterministic per ``(family, seed, day_index)`` in every process,
+        and never above :meth:`max_population`.
         """
         envelope = self._envelope(day_index)
         if envelope == 0.0:
             return 0
-        rng = np.random.default_rng((self.seed, day_index, hash(self.family) & 0xFFFF))
+        rng = np.random.default_rng(
+            (self.seed, day_index, zlib.crc32(self.family.encode()))
+        )
         if rng.random() > self.activity:
             return 0
         noise = float(np.exp(rng.normal(0.0, self.noise_sigma)))
         population = int(round(self.peak * envelope * noise))
-        return max(1, population)
+        return min(max(1, population), self.max_population())
 
     def max_population(self) -> int:
         """Upper bound on any day's population (sizes the bot pool)."""

@@ -21,22 +21,6 @@ the new generation to a temp file, copies the current checkpoint to a
 that previous generation when the newest one is torn or empty.  A checkpoint with a *foreign schema* is
 never silently skipped — that is a configuration error, not corruption,
 and it still raises.
-
-Sidecar files registered via :meth:`CheckpointStore.register_sidecar`
-(the estimator-kernel ``.npz`` cache) rotate in lockstep: every save
-snapshots the current sidecar next to the rotated ``.1`` checkpoint, and
-a load that falls back to the previous generation promotes that
-snapshot — a generation rollback never resumes an old checkpoint
-against a newer, mismatched sidecar.
-
-Rotation is **mmap-safe** by the same replace-never-mutate discipline
-that makes it atomic: engine processes serve warm kernel tables straight
-off a read-only mmap of the sidecar (:mod:`repro.core.kernels`), and
-every rotation step here is a hardlink, a copy-to-temp, or an
-``os.replace`` — the mapped *inode* is never written through, so a
-rotation (or rollback promotion) under a live daemon leaves existing
-mappings pointing at consistent old-generation bytes until their last
-view drops.
 """
 
 from __future__ import annotations
@@ -46,7 +30,7 @@ import os
 import shutil
 import time
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 __all__ = ["CHECKPOINT_SCHEMA", "CheckpointError", "CheckpointStore"]
 
@@ -63,11 +47,9 @@ class CheckpointStore:
     def __init__(
         self,
         path: str | Path,
-        sidecars: Iterable[str] = (),
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self.path = Path(path)
-        self._sidecars: list[str] = list(sidecars)
         self._clock = clock
         self._last_good: float | None = None
 
@@ -75,58 +57,6 @@ class CheckpointStore:
     def previous_path(self) -> Path:
         """The rotated previous-generation sibling (``<name>.1``)."""
         return self.path.with_name(self.path.name + ".1")
-
-    def sidecar_path(self, suffix: str) -> Path:
-        """A sibling file that travels with the checkpoint (e.g. the
-        estimator-kernel cache ``<name>.kernels.npz``)."""
-        return self.path.with_name(self.path.name + "." + suffix)
-
-    def previous_sidecar_path(self, suffix: str) -> Path:
-        """The previous-generation snapshot of a sidecar
-        (``<name>.1.<suffix>``, rotated in lockstep with ``<name>.1``)."""
-        return self.previous_path.with_name(self.previous_path.name + "." + suffix)
-
-    def register_sidecar(self, suffix: str) -> Path:
-        """Declare a sidecar that must rotate with the checkpoint.
-
-        Registered sidecars are snapshotted to their previous-generation
-        name on every :meth:`save` rotation and promoted back whenever
-        :meth:`load` falls back to the previous generation — so a
-        generation rollback never pairs an old checkpoint with a newer
-        (stale) sidecar.  Returns the current-generation sidecar path.
-        """
-        if suffix not in self._sidecars:
-            self._sidecars.append(suffix)
-        return self.sidecar_path(suffix)
-
-    def _rotate_sidecars(self) -> None:
-        """Snapshot each registered sidecar alongside the rotated
-        checkpoint (hardlink when possible — the writers replace, never
-        mutate in place — falling back to a copy)."""
-        for suffix in self._sidecars:
-            current = self.sidecar_path(suffix)
-            previous = self.previous_sidecar_path(suffix)
-            if previous.exists():
-                previous.unlink()
-            if current.exists():
-                try:
-                    os.link(current, previous)
-                except OSError:
-                    shutil.copyfile(current, previous)
-
-    def _promote_sidecars(self) -> None:
-        """Make the sidecars match the previous generation we just
-        fell back to: bring its snapshots forward, drop stale current
-        sidecars that have no previous-generation counterpart."""
-        for suffix in self._sidecars:
-            current = self.sidecar_path(suffix)
-            previous = self.previous_sidecar_path(suffix)
-            if previous.exists():
-                tmp = current.with_name(current.name + f".tmp.{os.getpid()}")
-                shutil.copyfile(previous, tmp)
-                os.replace(tmp, current)
-            elif current.exists():
-                current.unlink()
 
     def exists(self) -> bool:
         return self.path.exists() or self.previous_path.exists()
@@ -151,7 +81,6 @@ class CheckpointStore:
                 os.fsync(fh.fileno())
             if self.path.exists():
                 self._rotate_previous()
-                self._rotate_sidecars()
             os.replace(tmp, self.path)
         finally:
             if tmp.exists():
@@ -218,7 +147,6 @@ class CheckpointStore:
         if not self.path.exists():
             if self.previous_path.exists():
                 document = self._read(self.previous_path)
-                self._promote_sidecars()
                 self._last_good = self._clock()
                 return document
             return None
@@ -231,6 +159,5 @@ class CheckpointStore:
                 raise
             document = self._read(self.previous_path)
             document["recovered_from_previous_generation"] = True
-            self._promote_sidecars()
         self._last_good = self._clock()
         return document

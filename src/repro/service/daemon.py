@@ -328,11 +328,6 @@ class BotMeterDaemon:
                 policy=self._policy,
                 metrics=self.metrics,
                 on_late=self._quarantine_late,
-                kernel_spill=(
-                    str(self.store.register_sidecar("kernels.npz"))
-                    if self.store is not None
-                    else None
-                ),
                 tracer=self.tracer,
             )
         return self.engine
@@ -441,7 +436,14 @@ class BotMeterDaemon:
             self.health_path.write_text(json.dumps(health, indent=2, sort_keys=True) + "\n")
 
     def _checkpoint(self, offset: int) -> None:
-        if self.store is None:
+        # No engine, no --family and no header yet: there is nothing to
+        # save (a network sensor's header may still wait in the mux for
+        # the record it rides with).
+        if self.store is None or (
+            self.engine is None
+            and self._families is None
+            and self.reader.header is None
+        ):
             return
         # Decoded-but-unsubmitted records would sit behind the saved
         # offset with no engine state to show for them: flush first.
@@ -715,18 +717,12 @@ class BotMeterDaemon:
         self._write_corrupt()
         if self.finalize_at_eof and self.engine is not None:
             self._emit(self.engine.finalize())
-        # Persist the end-of-stream state whenever an engine exists or
-        # is constructible (a cluster partition that owned no records
-        # still has the header).  In drain mode (``finalize_at_eof``
-        # off — cluster segments) this captures the *open* engine state,
-        # reorder-buffer contents included, without closing any epoch; a
-        # later segment or reshard picks it back up.
-        if self.store is not None and (
-            self.engine is not None
-            or self._families is not None
-            or self.reader.header is not None
-        ):
-            self._checkpoint(offset)
+        # Persist the end-of-stream state (a cluster partition that owned
+        # no records still has the header).  In drain mode
+        # (``finalize_at_eof`` off — cluster segments) this captures the
+        # *open* engine state, reorder-buffer contents included, without
+        # closing any epoch; a later segment or reshard picks it back up.
+        self._checkpoint(offset)
         self._dump_observability()
         self._log_event(
             "finished",
@@ -736,9 +732,6 @@ class BotMeterDaemon:
         )
 
     def _cleanup(self) -> None:
-        if self.engine is not None:
-            # Spills the kernel-cache sidecar.
-            self.engine.close()
         if self.tracer is not None:
             self.tracer.write_summary()
         if self._trace_sink is not None:
@@ -861,8 +854,7 @@ class BotMeterDaemon:
                     # Durable stop-point first, then hand the stall to
                     # the supervisor as a restartable failure.
                     position = base + decoder.consumed
-                    if self.engine is not None:
-                        self._checkpoint(position)
+                    self._checkpoint(position)
                     self._log_event(
                         "watchdog_stall",
                         idle_seconds=now - idle_since,

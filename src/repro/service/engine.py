@@ -28,8 +28,8 @@ from typing import Any, Callable, Mapping, Sequence
 import numpy as np
 
 from ..core.botmeter import Landscape, make_estimator
+from ..core.combinatorics import barrel_consumption_pmf
 from ..core.estimator import Estimator
-from ..core.kernels import shared_cache
 from ..core.matcher import DayIndex
 from ..core.streaming import StreamingBotMeter
 from ..core.taxonomy import recommended_estimator
@@ -87,10 +87,6 @@ class ShardedLandscapeEngine:
         on_late: optional sink ``(record, matched_day) -> None`` called
             for every matched record that arrived after its epoch was
             emitted (the daemon wires this to the dead-letter queue).
-        kernel_spill: optional path to an estimator-kernel ``.npz``
-            sidecar the engine warms the shared kernel cache from at
-            construction and spills to at :meth:`close` (see
-            :mod:`repro.core.kernels`).
         tracer: optional :class:`~repro.service.tracing.StageTracer`.
             When set, the engine records ``reorder``, ``route`` and
             ``estimate`` spans and publishes the slow-shard top-K
@@ -115,7 +111,6 @@ class ShardedLandscapeEngine:
         policy: Backpressure | str = Backpressure.BLOCK,
         metrics: MetricsRegistry | None = None,
         on_late: Callable[[ForwardedLookup, int], None] | None = None,
-        kernel_spill: str | None = None,
         tracer: Any = None,
     ) -> None:
         if not dgas:
@@ -150,11 +145,10 @@ class ShardedLandscapeEngine:
         self._dropped_mark = 0
         self._unpublished_matched: dict[str, int] = {}
 
-        self._kernel_spill = str(kernel_spill) if kernel_spill is not None else None
-        if self._kernel_spill:
-            shared_cache().load(self._kernel_spill)
+        # Warm each family's Eqn-2 PMF, which every shard shares.
         for family in self._families:
-            shared_cache().warm_family(self._dgas[family].params)
+            params = self._dgas[family].params
+            barrel_consumption_pmf(params.n_registered, params.n_nxd, params.barrel_size)
 
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         m = self.metrics
@@ -267,7 +261,8 @@ class ShardedLandscapeEngine:
         self._families = sorted(self._dgas)
         self._estimators[name] = self._estimator_for(dga)
         self._index = DayIndex(self._dgas, self._timeline, self._detection_windows)
-        shared_cache().warm_family(dga.params)
+        params = dga.params
+        barrel_consumption_pmf(params.n_registered, params.n_nxd, params.barrel_size)
         self._dynamic[name] = (
             dict(spec) if spec is not None else {"name": name}
         )
@@ -526,11 +521,6 @@ class ShardedLandscapeEngine:
         self._publish()
         self.refresh_gauges()
         return out
-
-    def close(self) -> None:
-        """Spill the shared kernel cache to the sidecar, if one is set."""
-        if self._kernel_spill:
-            shared_cache().spill(self._kernel_spill)
 
     # -- observability -------------------------------------------------------
 

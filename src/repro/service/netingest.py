@@ -936,8 +936,7 @@ class NetIngestServer:
         requests = self._mux.take_sync_requests()
         if not requests:
             return
-        if self.daemon.store is not None:
-            self.daemon._checkpoint(self._mux.lines_released)
+        self.daemon._checkpoint(self._mux.lines_released)
         self._send_acks()
 
     def _write(self, conn: _Conn) -> None:

@@ -205,31 +205,28 @@ def drive(records, register_at, mode, batch):
     )
     emissions = []
     batch_ends = []
-    try:
 
-        def submit(start, chunk):
-            def on_emit(index, epochs):
-                emissions.append((start + index, encode(epochs), counters(engine)))
+    def submit(start, chunk):
+        def on_emit(index, epochs):
+            emissions.append((start + index, encode(epochs), counters(engine)))
 
-            if mode == "submit":
-                epochs = engine.submit(chunk[0])
-                if epochs:
-                    on_emit(0, epochs)
-            elif mode == "columns":
-                engine.submit_columns(to_columns(chunk), on_emit)
-            else:
-                engine.submit_batch(chunk, on_emit)
-            batch_ends.append((start + len(chunk) - 1, counters(engine)))
+        if mode == "submit":
+            epochs = engine.submit(chunk[0])
+            if epochs:
+                on_emit(0, epochs)
+        elif mode == "columns":
+            engine.submit_columns(to_columns(chunk), on_emit)
+        else:
+            engine.submit_batch(chunk, on_emit)
+        batch_ends.append((start + len(chunk) - 1, counters(engine)))
 
-        for start in range(0, register_at, batch):
-            submit(start, records[start : min(start + batch, register_at)])
-        engine.register_family(TWIN[0], make_family(*TWIN[1]))
-        for start in range(register_at, len(records), batch):
-            submit(start, records[start : start + batch])
-        final = encode(engine.finalize())
-        return emissions, batch_ends, (final, counters(engine))
-    finally:
-        engine.close()
+    for start in range(0, register_at, batch):
+        submit(start, records[start : min(start + batch, register_at)])
+    engine.register_family(TWIN[0], make_family(*TWIN[1]))
+    for start in range(register_at, len(records), batch):
+        submit(start, records[start : start + batch])
+    final = encode(engine.finalize())
+    return emissions, batch_ends, (final, counters(engine))
 
 
 def check(raw, register_frac, mode, batch):

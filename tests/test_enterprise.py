@@ -1,6 +1,13 @@
 """Tests for the enterprise trace substitute (§V-B)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.enterprise.trace_gen import (
     DayObservation,
@@ -10,6 +17,8 @@ from repro.enterprise.trace_gen import (
 )
 from repro.enterprise.waves import InfectionWave
 from repro.timebase import SECONDS_PER_DAY
+
+REPO_SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def small_config(**overrides):
@@ -61,6 +70,38 @@ class TestInfectionWave:
         wave = InfectionWave("new_goz", 1, 0, 300, peak=15, seed=5)
         bound = wave.max_population()
         assert all(wave.population_on(d) <= bound for d in range(300))
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        peak=st.integers(1, 500),
+        noise_sigma=st.floats(0.0, 3.0),
+    )
+    def test_max_population_bounds_every_seed(self, seed, peak, noise_sigma):
+        wave = InfectionWave(
+            "ramnit", 2, 0, 60, peak=peak, ramp_days=3, activity=1.0,
+            noise_sigma=noise_sigma, seed=seed,
+        )
+        bound = wave.max_population()
+        assert all(wave.population_on(d) <= bound for d in range(61))
+
+    def test_series_is_the_same_in_every_process(self):
+        """The daily series may not depend on ``PYTHONHASHSEED``."""
+        code = (
+            "from repro.enterprise.waves import InfectionWave\n"
+            "wave = InfectionWave('new_goz', 1, 0, 300, peak=15, seed=5)\n"
+            "print([wave.population_on(d) for d in range(300)])\n"
+        )
+        series = [
+            subprocess.run(
+                [sys.executable, "-c", code],
+                env={**os.environ, "PYTHONPATH": REPO_SRC, "PYTHONHASHSEED": hashseed},
+                capture_output=True, text=True, check=True,
+            ).stdout
+            for hashseed in ("0", "31")
+        ]
+        assert series[0] == series[1]
+        assert any(int(v) for v in series[0].strip("[]\n").split(","))
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -147,103 +147,6 @@ class TestCheckpointStore:
             store.load()
 
 
-class TestSidecarRotation:
-    """Registered sidecars (the estimator-kernel ``.npz`` cache) must
-    rotate, promote and clean in lockstep with the two checkpoint
-    generations — a rollback never pairs an old checkpoint with a newer
-    sidecar, and no extra generations accumulate."""
-
-    def _store(self, tmp_path):
-        store = CheckpointStore(tmp_path / "ck.json")
-        sidecar = store.register_sidecar("kernels.npz")
-        return store, sidecar
-
-    @staticmethod
-    def _write(sidecar, payload):
-        """Write like the real sidecar owners do: replace, never mutate
-        in place (the rotation snapshot may be a hardlink)."""
-        import os
-
-        tmp = sidecar.with_name(sidecar.name + ".tmp")
-        tmp.write_bytes(payload)
-        os.replace(tmp, sidecar)
-
-    def test_save_snapshots_sidecar_with_rotated_generation(self, tmp_path):
-        store, sidecar = self._store(tmp_path)
-        store.save({"n": 1})
-        self._write(sidecar, b"gen-1")
-        store.save({"n": 2})
-        assert store.previous_sidecar_path("kernels.npz").read_bytes() == b"gen-1"
-        self._write(sidecar, b"gen-2")
-        store.save({"n": 3})
-        assert store.previous_sidecar_path("kernels.npz").read_bytes() == b"gen-2"
-        assert sidecar.read_bytes() == b"gen-2"
-
-    def test_exactly_two_sidecar_generations_on_disk(self, tmp_path):
-        store, sidecar = self._store(tmp_path)
-        for n in range(5):
-            store.save({"n": n})
-            self._write(sidecar, f"gen-{n}".encode())
-        assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "ck.json",
-            "ck.json.1",
-            "ck.json.1.kernels.npz",
-            "ck.json.kernels.npz",
-        ]
-        assert sidecar.read_bytes() == b"gen-4"
-        assert store.previous_sidecar_path("kernels.npz").read_bytes() == b"gen-3"
-
-    def test_fallback_load_promotes_matching_sidecar(self, tmp_path):
-        store, sidecar = self._store(tmp_path)
-        store.save({"n": 1})
-        self._write(sidecar, b"gen-1")
-        store.save({"n": 2})
-        self._write(sidecar, b"gen-2")  # belongs to the torn newest gen
-        store.path.write_text("{torn mid-wr")
-        loaded = store.load()
-        assert loaded["n"] == 1
-        assert loaded["recovered_from_previous_generation"] is True
-        # The sidecar rolled back with the checkpoint.
-        assert sidecar.read_bytes() == b"gen-1"
-
-    def test_missing_main_promotes_sidecar_too(self, tmp_path):
-        store, sidecar = self._store(tmp_path)
-        store.save({"n": 1})
-        self._write(sidecar, b"gen-1")
-        store.save({"n": 2})
-        self._write(sidecar, b"gen-2")
-        store.path.unlink()  # crash between rotation and the new write
-        assert store.load()["n"] == 1
-        assert sidecar.read_bytes() == b"gen-1"
-
-    def test_fallback_drops_stale_sidecar_without_snapshot(self, tmp_path):
-        store, sidecar = self._store(tmp_path)
-        store.save({"n": 1})  # no sidecar existed at rotation time
-        store.save({"n": 2})
-        self._write(sidecar, b"too-new")  # written after the last save
-        store.path.write_text("{torn")
-        assert store.load()["n"] == 1
-        # No gen-1 snapshot exists, so the too-new sidecar must not
-        # survive the rollback.
-        assert not sidecar.exists()
-
-    def test_missing_sidecar_never_blocks_save_or_load(self, tmp_path):
-        store, sidecar = self._store(tmp_path)
-        store.save({"n": 1})
-        store.save({"n": 2})
-        assert not sidecar.exists()
-        assert not store.previous_sidecar_path("kernels.npz").exists()
-        assert store.load()["n"] == 2
-
-    def test_constructor_sidecars_param_registers(self, tmp_path):
-        store = CheckpointStore(tmp_path / "ck.json", sidecars=["kernels.npz"])
-        sidecar = store.sidecar_path("kernels.npz")
-        store.save({"n": 1})
-        self._write(sidecar, b"a")
-        store.save({"n": 2})
-        assert store.previous_sidecar_path("kernels.npz").read_bytes() == b"a"
-
-
 def run_engine(run, records, cut=None):
     """Stream `records`; if `cut` is set, checkpoint there through real
     JSON and continue on a fresh engine — returning the combined series."""

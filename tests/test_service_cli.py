@@ -262,6 +262,33 @@ class TestServe:
         assert health["schema"] == "botmeterd-health-v1"
         assert health["landscapes_emitted"] == 1
 
+    def test_no_kernel_file_and_a_stray_one_changes_nothing(self, tmp_path):
+        """The kernel memo lives in the process: a checkpointed serve
+        writes no ``*.kernels.npz``, and resuming a mid-stream checkpoint
+        next to one an older build left gives the golden bytes."""
+        trace = GOLDEN / "new_goz_jitter.ndjson"
+        golden = (GOLDEN / "new_goz_jitter.landscape.ndjson").read_bytes()
+        out, checkpoint = tmp_path / "served.ndjson", tmp_path / "ck.json"
+        argv = [
+            "serve",
+            "--input", str(trace),
+            "--no-follow",
+            "--out", str(out),
+            "--checkpoint", str(checkpoint),
+            "--checkpoint-every", "600",
+        ]
+        assert main(argv) == 0
+        assert out.read_bytes() == golden
+        assert not list(tmp_path.glob("*.kernels.npz"))
+        # Roll back to the previous generation, saved mid-stream.
+        previous = tmp_path / "ck.json.1"
+        middle = json.loads(previous.read_text())
+        assert (middle["records_consumed"], middle["landscapes_emitted"]) == (600, 0)
+        os.replace(previous, checkpoint)
+        (tmp_path / "ck.json.kernels.npz").write_bytes(b"PK\x03\x04 stale tables")
+        assert main(argv) == 0
+        assert out.read_bytes() == golden
+
     def test_follow_mode_idle_timeout_finalizes(self, trace, tmp_path):
         served = tmp_path / "served.ndjson"
         assert (

@@ -852,6 +852,36 @@ class TestSocketReplay:
         assert snapshot["botmeterd_net_duplicate_lines_total"] > 0
         assert daemon.reader.records == len(tiny_trace_lines) - 1
 
+    def test_sync_before_the_header_is_released_keeps_the_server_up(
+        self, tiny_trace_lines, tiny_reference, tmp_path
+    ):
+        """The header waits in the mux for the record it rides with, so a
+        sync right after it finds nothing released: no save, an ack at
+        cursor 0, and the server goes on to the file replay's bytes."""
+        out, checkpoint = tmp_path / "net.ndjson", tmp_path / "ck.json"
+        daemon = BotMeterDaemon(
+            "net:sync",
+            out_path=out,
+            checkpoint_path=checkpoint,
+            batch_lines=256,
+            trace_sample=0,
+            log_stream=io.StringIO(),
+        )
+        server = NetIngestServer(daemon, tcp=("127.0.0.1", 0), expect_sensors=1)
+        thread = server.run_in_thread()
+        raw = RawSensor(("tcp", *server.tcp_address), "solo")
+        assert raw.hello()["type"] == "welcome"
+        raw.send(tiny_trace_lines[0] + b"\n" + b'{"v": 1, "type": "sync"}\n')
+        assert raw.read_message() == {"v": 1, "type": "ack", "cursor": 0}
+        assert server.error is None and thread.is_alive()
+        assert not checkpoint.exists()
+        raw.send(b"\n".join(tiny_trace_lines[1:]) + b"\n")
+        assert raw.fin_and_wait_bye()["cursor"] == len(tiny_trace_lines)
+        raw.close()
+        thread.join(timeout=60)
+        assert server.error is None
+        assert out.read_bytes() == tiny_reference
+
     def test_backpressure_pauses_fast_sensor(self, trace_lines, reference, tmp_path):
         """A tiny window plus a late second sensor forces a read pause."""
         shards = [shard_trace_lines(trace_lines, i, 2) for i in range(2)]
